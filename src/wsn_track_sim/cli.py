@@ -40,7 +40,7 @@ def _load_scenario(args):
 
 def _cmd_run(args) -> int:
     cfg = _load_scenario(args)
-    trace = read_trace(args.trace) if args.trace is not None else None
+    trace = read_trace(args.trace, cfg.field) if args.trace is not None else None
     report = run(cfg, trace=trace)
     emit_csv([report], args.out)
     print(f"{cfg.method} seed={cfg.seed}: energy={report.total_energy_j:.6g} J, "

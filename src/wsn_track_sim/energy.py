@@ -2,8 +2,10 @@
 
 Radio costs use the first-order model (electronics + d^2 amplifier term);
 platform costs are flat per-slot amounts per mode. Every joule leaves a node
-through the ledger's debit(), which clamps at zero and kills the node, so
-conservation checks can replay the append-only debit log.
+through debit()'s clamp at zero, which kills the node; settle_slot repeats its
+float operations inline for platform costs. The append-only log holds one
+record per run of same-mode slots of a node plus one per radio or wake debit,
+so conservation checks can fsum it and tx/rx records reconcile with the MAC.
 """
 
 from __future__ import annotations
@@ -67,20 +69,28 @@ def rx_energy(bits: int, rm: RadioModel) -> float:
 
 
 class EnergyLedger:
-    """Per-node battery bookkeeping with an append-only debit log.
+    """Per-node battery bookkeeping with an append-only interval debit log.
 
     The ledger owns the remaining-energy truth and mirrors it onto the
     SensorNode objects so that alive/mode state stays consistent: a node whose
     battery clamps to zero is marked dead and dropped to sleep.
+
+    A log record is `(first_slot, node, reason, applied_J)`. A platform record
+    ("sleep", "sense", "comm") covers one node's run of consecutive slots in
+    one mode; it is a list, because its applied amount grows in place while
+    the run lasts. Every other debit ("tx", "rx", "wake", or a direct debit()
+    call) is a tuple of its own, so radio records count one per MAC operation.
+    The applied amounts sum to the energy drawn.
     """
 
     def __init__(self, field: NodeField, wake_cost: float = 0.001):
         self.field = field
         self.per_node: dict[int, float] = {n.id: n.remaining_energy for n in field.nodes}
-        self.initial_levels: dict[int, float] = dict(self.per_node)
-        self.debits: list[tuple[int, int, str, float]] = []  # (slot, node, reason, applied J)
+        self.debits: list[tuple | list] = []
         self.e_ix = wake_cost
         self.e_sx_total = 0.0  # running network total; == sum of applied debits
+        # per node: [record, last slot, mode] of its latest platform record
+        self._runs = {n.id: [None, None, None] for n in field.nodes}
 
     def remaining(self, node_id: int) -> float:
         return self.per_node[node_id]
@@ -106,40 +116,23 @@ class EnergyLedger:
         self.e_sx_total += applied
         return applied
 
-    def write_csv(self, path: str) -> int:
-        """Debug dump of every debit as `slot,node,mode,debit_j,remaining_j`.
 
-        Remaining levels are replayed from the initial charge with the same
-        arithmetic the ledger used, so the final row per node matches the
-        live ledger bit for bit.
-        """
-        import csv
-
-        levels = dict(self.initial_levels)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "node", "mode", "debit_j", "remaining_j"])
-            for slot, node_id, reason, applied in self.debits:
-                levels[node_id] = levels[node_id] - applied
-                writer.writerow([slot, node_id, reason,
-                                 format(applied, ".9g"),
-                                 format(levels[node_id], ".9g")])
-        return len(self.debits) + 1
+def _mode_charges(costs: ModeCosts) -> dict[NodeMode, tuple[float, str]]:
+    """Per-slot platform charge of each mode: (joules, debit reason)."""
+    return {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
+            NodeMode.DETECT: (costs.sense_per_slot, "sense"),
+            NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
 
 
-_MODE_REASON = {
-    NodeMode.SLEEP: "sleep",
-    NodeMode.DETECT: "sense",
-    NodeMode.MONITOR: "comm",
-}
-
-
-def mode_cost(mode: NodeMode, costs: ModeCosts) -> float:
-    if mode is NodeMode.SLEEP:
-        return costs.sleep_per_slot
-    if mode is NodeMode.DETECT:
-        return costs.sense_per_slot
-    return costs.comm_per_slot
+def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
+                    slot: int) -> None:
+    """Debit one MAC outcome's radio records, one log record per operation."""
+    for rec in out.records:
+        if rec.op == "tx":
+            d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
+            ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", slot)
+        else:
+            ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
 
 
 def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
@@ -149,21 +142,46 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
 
     `slot_modes` holds the mode each node occupied during the slot body;
     `woken` lists nodes pulled out of sleep by a wake message this slot.
-    Radio charges follow the MAC outcome records, so the ledger's tx/rx debit
-    counts reconcile exactly with the MAC's own counters.
+    Platform costs are charged inline, in field order, with debit()'s float
+    operations, so levels, deaths and totals match a per-node debit() loop bit
+    for bit. Radio charges follow the MAC outcome records, so the ledger's
+    tx/rx debit counts reconcile exactly with the MAC's own counters.
     """
+    sleep, detect = NodeMode.SLEEP, NodeMode.DETECT
+    charges = _mode_charges(costs)
+    asleep, sensing, monitoring = charges[sleep], charges[detect], charges[NodeMode.MONITOR]
+    levels, log, runs = ledger.per_node, ledger.debits, ledger._runs
+    total = ledger.e_sx_total
+    prev = slot - 1
     for node in field.nodes:
-        mode = slot_modes.get(node.id)
-        if mode is None or not node.alive:
+        if not node.alive:
             continue
-        ledger.debit(node.id, mode_cost(mode, costs), _MODE_REASON[mode], slot)
+        nid = node.id
+        mode = slot_modes.get(nid)
+        if mode is None:
+            continue
+        charge = asleep if mode is sleep else sensing if mode is detect else monitoring
+        amount = charge[0]
+        current = levels[nid]
+        applied = amount if amount <= current else current
+        level = current - applied
+        if level <= 0:
+            level = 0.0
+            node.alive = False
+            node.mode = sleep
+        levels[nid] = level
+        node.remaining_energy = level
+        total += applied
+        run = runs[nid]
+        if run[1] == prev and run[2] is mode:
+            run[0][3] += applied
+        else:
+            run[0], run[2] = [slot, nid, charge[1], applied], mode
+            log.append(run[0])
+        run[1] = slot
+    ledger.e_sx_total = total
     for out in outcomes:
-        for rec in out.records:
-            if rec.op == "tx":
-                d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
-                ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", slot)
-            else:
-                ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
+        _charge_outcome(ledger, field, out, rm, slot)
     for node_id in sorted(woken):
         ledger.debit(node_id, ledger.e_ix, "wake", slot)
 
@@ -178,23 +196,14 @@ def settle_radio(ledger: EnergyLedger, field: NodeField, outcomes,
     per_outcome = []
     for out in outcomes:
         before = ledger.e_sx_total
-        for rec in out.records:
-            if rec.op == "tx":
-                d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
-                ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", out.slot)
-            else:
-                ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", out.slot)
+        _charge_outcome(ledger, field, out, rm, out.slot)
         per_outcome.append(ledger.e_sx_total - before)
     return per_outcome
 
 
 def debit_counts_by_reason(ledger: EnergyLedger, reason: str) -> Counter:
     """How many debits of a given reason each node accrued (for reconciliation)."""
-    counts: Counter = Counter()
-    for _, node_id, why, _ in ledger.debits:
-        if why == reason:
-            counts[node_id] += 1
-    return counts
+    return Counter(node_id for _, node_id, why, _ in ledger.debits if why == reason)
 
 
 @dataclass

@@ -368,14 +368,3 @@ def emit_csv(reports: list[RunReport], path: str) -> int:
         for r in reports:
             writer.writerow([_fmt_value(getattr(r, col)) for col in CSV_COLUMNS])
     return len(reports) + 1
-
-
-def write_events_csv(events, path: str) -> int:
-    """Debug dump of a run's protocol events as `slot,kind,ids`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "kind", "ids"])
-        for ev in events:
-            writer.writerow([ev.slot, ev.kind.value,
-                             ";".join(str(i) for i in ev.ids)])
-    return len(events) + 1

@@ -245,21 +245,3 @@ class MacService:
 
     def data_window(self, queues: Queues, slot: int):
         return data_window(queues, slot, self.cfg, self.rng)
-
-
-def write_outcomes_csv(outcomes: list[SlotOutcome], path: str) -> int:
-    """Debug dump of slot outcomes as `slot,winner,collided,delivered,acked`."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "winner", "collided", "delivered", "acked"])
-        for out in outcomes:
-            writer.writerow([
-                out.slot,
-                "" if out.winner is None else out.winner,
-                ";".join(str(i) for i in sorted(out.collided)),
-                ";".join(f"{f.src}->{f.dst}@{s}" for f, s in out.delivered),
-                out.acked,
-            ])
-    return len(outcomes) + 1

@@ -9,6 +9,7 @@ r_s / T so the target can never outrun a sensing disk in one slot.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 from dataclasses import dataclass
@@ -150,37 +151,47 @@ def write_trace(path: str, rows: list[TraceRow]) -> int:
     return len(rows) + 1
 
 
-def read_trace(path: str) -> list[TraceRow]:
+def read_trace(path: str, area: FieldConfig | None = None) -> list[TraceRow]:
     """Read a trajectory CSV written by `write_trace`.
 
-    Raises ConfigError, naming the file and line, for a header other than
-    slot,x,y,speed, a row that is not four fields parsing as numbers (the slot
-    an int, the rest finite floats), or slots not numbered 0, 1, 2, ... in
-    file order: a run replays rows by position. Blank lines are skipped.
+    Raises ConfigError, naming the file and line, for text that is not UTF-8,
+    a header other than slot,x,y,speed, a row that is not four fields parsing
+    as numbers (the slot an int, the rest finite floats), slots not numbered
+    0, 1, 2, ... in file order (a run replays rows by position), or, given an
+    `area`, a position outside [0, area_width] x [0, area_height]. Blank lines
+    are skipped.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != _TRACE_HEADER:
+        raise ConfigError(f"{path}: header must be {','.join(_TRACE_HEADER)}, "
+                          f"got {','.join(header) if header else 'nothing'}")
     rows: list[TraceRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _TRACE_HEADER:
-            raise ConfigError(f"{path}: header must be {','.join(_TRACE_HEADER)}, "
-                              f"got {','.join(header) if header else 'nothing'}")
-        for fields in reader:
-            if not fields:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(fields) != len(_TRACE_HEADER):
-                raise ConfigError(f"{where}: expected {len(_TRACE_HEADER)} "
-                                  f"fields, got {len(fields)}")
-            try:
-                row = TraceRow(int(fields[0]), float(fields[1]),
-                               float(fields[2]), float(fields[3]))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if not all(math.isfinite(v) for v in (row.x, row.y, row.speed)):
-                raise ConfigError(f"{where}: non-finite value")
-            if row.slot != len(rows):
-                raise ConfigError(f"{where}: slot {row.slot}, expected {len(rows)} "
-                                  "(slots run 0, 1, 2, ... in file order)")
-            rows.append(row)
+    for fields in reader:
+        if not fields:
+            continue
+        where = f"{path}, line {reader.line_num}"
+        if len(fields) != len(_TRACE_HEADER):
+            raise ConfigError(f"{where}: expected {len(_TRACE_HEADER)} "
+                              f"fields, got {len(fields)}")
+        try:
+            row = TraceRow(int(fields[0]), float(fields[1]),
+                           float(fields[2]), float(fields[3]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if not all(math.isfinite(v) for v in (row.x, row.y, row.speed)):
+            raise ConfigError(f"{where}: non-finite value")
+        if row.slot != len(rows):
+            raise ConfigError(f"{where}: slot {row.slot}, expected {len(rows)} "
+                              "(slots run 0, 1, 2, ... in file order)")
+        if area is not None and not (0 <= row.x <= area.area_width
+                                     and 0 <= row.y <= area.area_height):
+            raise ConfigError(f"{where}: ({row.x}, {row.y}) is outside the "
+                              f"{area.area_width} m x {area.area_height} m field")
+        rows.append(row)
     return rows

@@ -122,3 +122,25 @@ def test_malformed_trace_is_config_error(tmp_path, capsys, text):
                  "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(trace) in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--trace"])
+def test_non_utf8_input_is_config_error(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\n")
+    assert main(["run", flag, str(bad), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(bad) in err
+
+
+def test_trace_outside_field_is_config_error(tmp_path, capsys):
+    trace = tmp_path / "far.csv"
+    trace.write_text("slot,x,y,speed\n0,9000.0,9000.0,5.0\n")
+    assert main(["run", "--trace", str(trace),
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{trace}, line 2" in err
+    # the field's own corners are inside: the bounds are inclusive
+    trace.write_text("slot,x,y,speed\n0,0.0,0.0,5.0\n1,500.0,500.0,5.0\n")
+    assert main(["run", "--trace", str(trace),
+                 "--out", str(tmp_path / "r.csv")]) == 0

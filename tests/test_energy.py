@@ -4,11 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
                            ModeCosts, NodeField, NodeMode, Point, RadioModel,
-                           SensorNode, delay, pdr, rx_energy, settle_slot,
-                           throughput, tx_energy)
+                           SensorNode, delay, distance, pdr, rx_energy,
+                           settle_slot, throughput, tx_energy)
+from wsn_track_sim.energy import debit_counts_by_reason
 from wsn_track_sim.errors import ConfigError
 from wsn_track_sim.mac import SlotOutcome
 
@@ -181,6 +183,90 @@ class TestSettleSlot:
         modes = {0: NodeMode.DETECT, 1: NodeMode.DETECT}
         settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0)
         assert ledger.e_sx_total == 0.012
+
+
+def reference_settle(ledger, field, outcomes, rm, costs, slot_modes,
+                     woken=(), slot=0):
+    """Per-node debit() settlement: one log record per charge, as settle_slot
+    did before it booked platform costs inline as runs of slots."""
+    per_mode = {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
+                NodeMode.DETECT: (costs.sense_per_slot, "sense"),
+                NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
+    for node in field.nodes:
+        mode = slot_modes.get(node.id)
+        if mode is None or not node.alive:
+            continue
+        ledger.debit(node.id, *per_mode[mode], slot)
+    for out in outcomes:
+        for rec in out.records:
+            if rec.op == "tx":
+                d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
+                ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", slot)
+            else:
+                ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
+    for node_id in sorted(woken):
+        ledger.debit(node_id, ledger.e_ix, "wake", slot)
+
+
+@st.composite
+def settlement_runs(draw):
+    """A small field with batteries that run dry, and a run of slots for it."""
+    n = draw(st.integers(1, 6))
+    positions = draw(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)),
+                              min_size=n, max_size=n))
+    energies = draw(st.lists(st.floats(0.0005, 0.08), min_size=n, max_size=n))
+    ids = st.integers(0, n - 1)
+    slot = draw(st.integers(0, 10_000))
+    slots = []
+    for _ in range(draw(st.integers(1, 12))):
+        slot += draw(st.sampled_from([1, 1, 1, 0, 2]))  # mostly consecutive
+        modes = draw(st.dictionaries(ids, st.sampled_from(list(NodeMode))))
+        out = SlotOutcome(slot=slot)
+        for op, node, peer, bits in draw(st.lists(st.tuples(
+                st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
+                max_size=4)):
+            (out.add_tx if op == "tx" else out.add_rx)(node, peer, bits)
+        slots.append((slot, modes, [out], draw(st.sets(ids, max_size=2))))
+    return positions, energies, draw(st.floats(0, 0.01)), slots
+
+
+class TestSettlementMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(settlement_runs())
+    def test_bit_identical_to_per_node_debits(self, run):
+        positions, energies, wake_cost, slots = run
+        costs = ModeCosts()
+        fields = [small_field(positions) for _ in range(2)]
+        for f in fields:
+            for node, e in zip(f.nodes, energies):
+                node.remaining_energy, node.mode = e, NodeMode.MONITOR
+        new, ref = (EnergyLedger(f, wake_cost=wake_cost) for f in fields)
+        initial = math.fsum(energies)
+        for slot, modes, outcomes, woken in slots:
+            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot)
+            reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot)
+            assert new.e_sx_total == ref.e_sx_total
+            assert new.per_node == ref.per_node
+            assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
+                    == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
+            for reason in ("tx", "rx"):
+                assert (debit_counts_by_reason(new, reason)
+                        == debit_counts_by_reason(ref, reason))
+            applied = math.fsum(d[3] for d in new.debits)
+            assert applied == pytest.approx(initial - new.total_remaining(), abs=1e-12)
+        assert len(new.debits) <= len(ref.debits)
+
+    def test_runs_of_one_mode_share_a_record(self):
+        field = small_field([(0, 0), (10, 0)])
+        ledger = EnergyLedger(field)
+        costs = ModeCosts()
+        for slot, mode in enumerate([NodeMode.SLEEP] * 3 + [NodeMode.DETECT] * 2):
+            settle_slot(ledger, field, [], RM, costs, {0: mode, 1: NodeMode.SLEEP},
+                        slot=slot)
+        settle_slot(ledger, field, [], RM, costs, {0: NodeMode.DETECT}, slot=6)
+        assert [tuple(d[:3]) for d in ledger.debits] == [
+            (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense")]
+        assert ledger.debits[1][3] == pytest.approx(5 * costs.sleep_per_slot)
 
 
 class TestMetrics:

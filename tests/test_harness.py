@@ -1,9 +1,12 @@
 """Run loop, baseline comparator, sweeps, and CSV reporting."""
 
 import csv
+import hashlib
+import json
 import logging
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +179,35 @@ class TestEmitCsv:
         emit_csv([run(cfg)], str(a))
         emit_csv([run(cfg)], str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestGoldenReports:
+    """Pool seed 0 of each benchmark workload, run as the benchmark's sweep
+    pass runs it, must write the report bytes recorded in bench/digests.json."""
+
+    DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
+    @staticmethod
+    def _bases(workload):
+        if workload == "track-n4000":
+            return [default_scenario(max_slots=50)]
+        base = default_scenario()
+        if workload == "mac-bench":
+            return [replace(base, slots=replace(base.slots, ack_enabled=on,
+                                                crc_enabled=on))
+                    for on in (True, False)]
+        return [base]
+
+    @pytest.mark.parametrize("workload,axis,values", [
+        ("sweep-n250", "comm-radius", ["50", "55", "60"]),
+        ("track-n4000", "node-count", ["4000"]),
+        ("mac-bench", "data-rate", ["8000000"]),
+    ])
+    def test_seed0_csv_matches_recorded_digest(self, tmp_path, workload, axis, values):
+        reports = []
+        for base in self._bases(workload):
+            reports += sweep(base, axis, values, [0])
+        path = tmp_path / "report.csv"
+        emit_csv(reports, str(path))
+        recorded = json.loads(self.DIGESTS.read_text(encoding="utf-8"))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[workload]["0"]
