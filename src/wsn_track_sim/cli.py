@@ -15,7 +15,7 @@ import sys
 from .errors import ConfigError
 from .harness import AXES, emit_csv, run, sweep
 from .mobility import generate_trace, read_trace, write_trace
-from .scenario import build_scenario, load_config_file, with_seed
+from .scenario import build_scenario, load_config_file
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -31,11 +31,14 @@ def _parse_values(spec: str) -> list[float]:
 
 
 def _load_scenario(args):
+    flags = {"method": getattr(args, "method", None), "seed": getattr(args, "seed", None),
+             "max_slots": getattr(args, "slots", None)}
     values = load_config_file(args.config) if args.config else {}
-    return build_scenario(values,
-                          method=getattr(args, "method", None),
-                          seed=getattr(args, "seed", None),
-                          max_slots=getattr(args, "slots", None))
+    try:
+        return build_scenario(values, **flags)
+    except ConfigError as exc:
+        build_scenario(**flags)  # raises if the flags alone are at fault
+        raise ConfigError(f"{args.config}: {exc}") from None
 
 
 def _cmd_run(args) -> int:
@@ -62,7 +65,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg = _load_scenario(args)
-    cfg = with_seed(cfg, cfg.seed)
     rows = generate_trace(cfg.mobility, cfg.field, cfg.max_slots)
     write_trace(args.out, rows)
     print(f"{len(rows)} trajectory rows -> {args.out}")

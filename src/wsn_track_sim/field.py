@@ -2,12 +2,15 @@
 
 Nodes are static once deployed; only the tracked target moves. All range
 checks are boundary-inclusive (<=) so that brute-force oracles are exact.
-With 250-ish nodes the linear scans below are plenty fast; a spatial index
-would have to reproduce them bit for bit to be worth adding.
+Range queries narrow the candidates with a uniform grid of cells of side r_s,
+built on the first query, then apply the same `distance(...) <= r` test as a
+scan of all nodes, so they return exactly the scan's result at a cost that
+follows the nodes near the query point, not the field size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -101,6 +104,36 @@ class NodeField:
     def alive_nodes(self) -> list[SensorNode]:
         return [n for n in self.nodes if n.alive]
 
+    @functools.cached_property
+    def _cells(self) -> dict[tuple[int, int], list[SensorNode]]:
+        """Every node, alive or dead, binned by (floor(x / r_s), floor(y / r_s))."""
+        side = self.config.r_s
+        cells: dict[tuple[int, int], list[SensorNode]] = {}
+        for n in self.nodes:
+            key = (math.floor(n.pos.x / side), math.floor(n.pos.y / side))
+            cells.setdefault(key, []).append(n)
+        return cells
+
+    def near(self, p: Point, r: float) -> list[SensorNode]:
+        """A superset of the nodes, alive or dead, within r of p.
+
+        The nodes of every grid cell that meets the square [p - m, p + m]²,
+        where m exceeds r by far more than `distance` can round, or all nodes
+        when that square spans more cells than there are nodes.
+        """
+        side = self.config.r_s
+        m = r + 1e-9 * (abs(p.x) + abs(p.y) + r)
+        i_lo, i_hi = math.floor((p.x - m) / side), math.floor((p.x + m) / side)
+        j_lo, j_hi = math.floor((p.y - m) / side), math.floor((p.y + m) / side)
+        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) > len(self.nodes):
+            return self.nodes
+        cells = self._cells
+        found: list[SensorNode] = []
+        for i in range(i_lo, i_hi + 1):
+            for j in range(j_lo, j_hi + 1):
+                found += cells.get((i, j), ())
+        return found
+
 
 def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
     """Place nodes uniformly at random inside the area.
@@ -123,7 +156,7 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
 def detectors_of(field: NodeField, target_pos: Point) -> set[int]:
     """Ids of alive nodes whose sensing disk contains the target (inclusive)."""
     r_s = field.config.r_s
-    return {n.id for n in field.nodes
+    return {n.id for n in field.near(target_pos, r_s)
             if n.alive and distance(n.pos, target_pos) <= r_s}
 
 
@@ -131,7 +164,7 @@ def neighbors_of(field: NodeField, node_id: int) -> set[int]:
     """Ids of alive nodes within communication range of `node_id` (exclusive of itself)."""
     center = field.node(node_id).pos
     r_c = field.config.r_c
-    return {n.id for n in field.nodes
+    return {n.id for n in field.near(center, r_c)
             if n.alive and n.id != node_id and distance(n.pos, center) <= r_c}
 
 

@@ -14,6 +14,7 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
+from operator import countOf
 
 from .energy import (EnergyLedger, MetricCounters, debit_counts_by_reason,
                      mean_delay, pdr, settle_radio, settle_slot, throughput)
@@ -82,7 +83,7 @@ def _baseline_step(field: NodeField, target_pos: Point, mac: MacService,
         frames_sent = len(queues)
         outs, _dropped = mac.data_window(queues, slot)
         outcomes.extend(outs)
-    return StepResult(tracker=TrackerState(), events=[], transitions={},
+    return StepResult(tracker=TrackerState(), events=[],
                       slot_modes=slot_modes, outcomes=outcomes, woken=set(),
                       detectors=dets, wake_targets=set(), frames_sent=frames_sent)
 
@@ -141,8 +142,8 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
                     res.slot_modes, res.woken, k)
         per_step.append(ledger.e_sx_total - before)
 
-        per_awake.append(sum(1 for m in res.slot_modes.values()
-                             if m is not NodeMode.SLEEP))
+        per_awake.append(len(res.slot_modes)
+                         - countOf(res.slot_modes.values(), NodeMode.SLEEP))
         per_tracking.append(tracking_now)
         events_all.extend(res.events)
 
@@ -159,7 +160,8 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
                     counters.delays.append(delivery_slot * slot_seconds - t_s)
         counters.elapsed += slot_seconds
 
-        if any(distance(n.pos, target_pos) <= cfg.field.r_s for n in field.nodes):
+        if any(distance(n.pos, target_pos) <= cfg.field.r_s
+               for n in field.near(target_pos, cfg.field.r_s)):
             covered_slots += 1
             if res.detectors:
                 detected_slots += 1

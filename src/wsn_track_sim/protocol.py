@@ -133,7 +133,7 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
     the predicted disk.
     """
     reach = region.radius + field.config.r_s
-    return {n.id for n in field.nodes
+    return {n.id for n in field.near(region.center, reach)
             if n.alive and distance(n.pos, region.center) <= reach}
 
 
@@ -141,8 +141,7 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
 class StepResult:
     tracker: TrackerState
     events: list[ProtocolEvent]
-    transitions: dict[int, tuple[NodeMode, NodeMode]]  # end-of-slot mode changes
-    slot_modes: dict[int, NodeMode]                    # mode held during the slot body
+    slot_modes: dict[int, NodeMode]   # mode held during the slot body
     outcomes: list[SlotOutcome]
     woken: set[int]            # pulled out of sleep by a wake message (one-shot cost)
     detectors: set[int]
@@ -161,22 +160,16 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     """
     cfg = mac.cfg
     events: list[ProtocolEvent] = []
-    transitions: dict[int, tuple[NodeMode, NodeMode]] = {}
     outcomes: list[SlotOutcome] = []
     woken: set[int] = set()
     r_s = field.config.r_s
-
-    def set_mode(node, new_mode):
-        if node.mode != new_mode:
-            transitions[node.id] = (node.mode, new_mode)
-            node.mode = new_mode
 
     def sleep_everyone():
         slept = []
         for n in field.alive_nodes():
             if n.mode != NodeMode.SLEEP:
                 slept.append(n.id)
-                set_mode(n, NodeMode.SLEEP)
+                n.mode = NodeMode.SLEEP
         return slept
 
     # target left the area: episode over, field powers down
@@ -186,17 +179,17 @@ def tracking_step(tracker: TrackerState, field: NodeField,
         events.append(ProtocolEvent(EventKind.TARGET_EXITED, slot))
         if slept:
             events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot, tuple(sorted(slept))))
-        return StepResult(TrackerState(episode=Episode.EXITED), events, transitions,
+        return StepResult(TrackerState(episode=Episode.EXITED), events,
                           slot_modes, outcomes, woken, set(), set())
 
     # acquisition: until the target is first seen, the whole field senses
     if tracker.episode is Episode.IDLE:
         for n in field.alive_nodes():
-            if n.mode is not NodeMode.DETECT:
-                set_mode(n, NodeMode.DETECT)
+            n.mode = NodeMode.DETECT
 
     slot_modes = {n.id: n.mode for n in field.alive_nodes()}
-    awake = {nid for nid, m in slot_modes.items() if m is not NodeMode.SLEEP}
+    sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
+    awake = {nid for nid, m in slot_modes.items() if m is not sleep}
     dets = detectors_of(field, true_target) & awake
 
     if not dets:
@@ -208,11 +201,10 @@ def tracking_step(tracker: TrackerState, field: NodeField,
             if slept:
                 events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot,
                                             tuple(sorted(slept))))
-            return StepResult(TrackerState(episode=Episode.LOST), events, transitions,
+            return StepResult(TrackerState(episode=Episode.LOST), events,
                               slot_modes, outcomes, woken, set(), set())
         # Idle keeps sensing; Lost/Exited stay dormant
-        return StepResult(tracker, events, transitions, slot_modes, outcomes,
-                          woken, set(), set())
+        return StepResult(tracker, events, slot_modes, outcomes, woken, set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
     rep = elect_representative(dets)
@@ -281,21 +273,22 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                                     tuple(sorted(wake_targets))))
 
     # end-of-slot schedule: detectors monitor, wake recipients (and anyone
-    # already awake inside the region that heard the call) detect, rest sleep
+    # already awake inside the region that heard the call) detect, rest sleep.
+    # A node outside `awake` slept through the slot body and stays asleep
+    # unless kept awake, so only awake | keep_awake can change mode.
     keep_awake = dets | wake_targets | set(pair.ids())
     slept = []
-    for n in field.alive_nodes():
-        if n.id in dets:
-            set_mode(n, NodeMode.MONITOR)
-        elif n.id in keep_awake:
-            was_asleep = n.mode is NodeMode.SLEEP
-            set_mode(n, NodeMode.DETECT)
-            if was_asleep and n.id in wake_targets:
-                woken.add(n.id)
+    for nid in awake | keep_awake:
+        n = field.node(nid)
+        if nid in dets:
+            n.mode = NodeMode.MONITOR
+        elif nid in keep_awake:
+            if n.mode is NodeMode.SLEEP and nid in wake_targets:
+                woken.add(nid)
+            n.mode = NodeMode.DETECT
         else:
-            if n.mode is not NodeMode.SLEEP:
-                slept.append(n.id)
-            set_mode(n, NodeMode.SLEEP)
+            slept.append(nid)
+            n.mode = NodeMode.SLEEP
     if slept:
         events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot,
                                     tuple(sorted(slept))))
@@ -305,5 +298,5 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                                representative=rep, closest=pair,
                                predicted=region, est_pos=est,
                                est_speed=est_speed)
-    return StepResult(new_tracker, events, transitions, slot_modes, outcomes,
+    return StepResult(new_tracker, events, slot_modes, outcomes,
                       woken, dets, wake_targets, frames_sent)

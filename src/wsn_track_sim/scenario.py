@@ -158,10 +158,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_config_text(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_scenario(values: dict[str, str] | None = None, *,

@@ -144,3 +144,26 @@ def test_trace_outside_field_is_config_error(tmp_path, capsys):
     trace.write_text("slot,x,y,speed\n0,0.0,0.0,5.0\n1,500.0,500.0,5.0\n")
     assert main(["run", "--trace", str(trace),
                  "--out", str(tmp_path / "r.csv")]) == 0
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("field.n_nodes 60\n", "line 1: expected 'key = value'"),
+    ("field.n_nodes = abc\n", "bad value for field.n_nodes"),
+    ("field.r_c = 30\n", "violates r_c >= 2*r_s"),
+], ids=["no-equals", "bad-value", "invariant"])
+def test_config_file_error_names_the_file(tmp_path, capsys, text, detail):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text)
+    assert main(["run", "--config", str(conf), "--out",
+                 str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {conf}: ") and detail in err
+
+
+def test_flag_error_is_not_blamed_on_config_file(tmp_path, capsys):
+    conf = tmp_path / "ok.conf"
+    conf.write_text("field.n_nodes = 60\n")
+    assert main(["run", "--config", str(conf), "--slots", "0", "--out",
+                 str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "max_slots must be >= 1" in err and str(conf) not in err

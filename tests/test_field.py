@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
                            Point, SensorNode, deploy, detectors_of, distance,
                            k_closest, neighbors_of)
+from wsn_track_sim.protocol import PredictedRegion, wake_set
 
 
 def make_field(positions, r_s=25.0, r_c=50.0, area=500.0, energy=5.0):
@@ -187,3 +189,76 @@ class TestKClosest:
         for _ in range(20):
             rng.shuffle(cands)
             assert k_closest(field, p, 2, cands) == base
+
+
+def scan(field, p, r):
+    """Linear-scan oracle: the range query as it reads without the grid index."""
+    return {n.id for n in field.nodes if n.alive and distance(n.pos, p) <= r}
+
+
+@st.composite
+def fields_with_query(draw):
+    """A small field, a query point that may lie outside it, and a wake radius.
+
+    Besides uniform positions, nodes sit on the far edges and at exactly each
+    query radius along the axes from the query point and from node 0, and one
+    float further out, where a grid cell bound that rounded the wrong way
+    would drop them.
+    """
+    r_s = draw(st.sampled_from([1.0, 7.5, 25.0]) | st.floats(0.5, 60.0))
+    r_c = r_s * draw(st.sampled_from([2.0, 3.0]) | st.floats(2.0, 12.0))
+    w = r_s * draw(st.integers(1, 10) | st.floats(0.5, 10.0))
+    h = r_s * draw(st.integers(1, 10) | st.floats(0.5, 10.0))
+
+    def coord(hi):
+        return (st.floats(0.0, hi) | st.sampled_from([0.0, hi])
+                | st.integers(0, int(hi)).map(float))
+
+    q = Point(draw(st.floats(-w, 2 * w) | st.integers(int(-w), int(2 * w)).map(float)),
+              draw(st.floats(-h, 2 * h) | st.integers(int(-h), int(2 * h)).map(float)))
+    radius = draw(st.floats(0.0, r_s) | st.sampled_from([0.0, r_s]))
+    positions = draw(st.lists(st.tuples(coord(w), coord(h)), min_size=1, max_size=60))
+    positions += [(w, draw(coord(h))), (draw(coord(w)), h), (w, h)]
+    x0, y0 = positions[0]
+    for cx, cy, r in ((q.x, q.y, r_s), (q.x, q.y, radius + r_s), (x0, y0, r_c)):
+        for x, y in ((cx + r, cy), (cx - r, cy), (cx, cy + r), (cx, cy - r)):
+            positions += [(x, y), (math.nextafter(x, x - cx), math.nextafter(y, y - cy))]
+    dead = draw(st.lists(st.booleans(), min_size=len(positions),
+                         max_size=len(positions)))
+    cfg = FieldConfig(area_width=w, area_height=h, n_nodes=len(positions),
+                      r_s=r_s, r_c=r_c, seed=0)
+    field = NodeField([SensorNode(id=i, pos=Point(x, y), remaining_energy=1.0,
+                                  alive=not d)
+                       for i, ((x, y), d) in enumerate(zip(positions, dead))], cfg)
+    return field, q, radius
+
+
+# hypot(-1.0000000000000002 - 1.0, 0) rounds to r_c = 2.0, so node 1 is a
+# neighbour of node 0 although its x lies below 1.0 - r_c, in the cell left of
+# the one holding that bound; the 40 filler nodes keep the query on the grid
+# path rather than the all-nodes fallback
+ROUNDED_IN = (make_field([(1.0, 0.0), (-1.0000000000000002, 0.0)] + [(0.5, 0.0)] * 40,
+                         r_s=1.0, r_c=2.0, area=4.0),
+              Point(1.0, 0.0), 0.5)
+
+
+class TestGridMatchesLinearScan:
+    @settings(max_examples=300, deadline=None)
+    @example(ROUNDED_IN)
+    @given(fields_with_query())
+    def test_queries_equal_the_scan(self, case):
+        field, q, radius = case
+        r_s, r_c = field.config.r_s, field.config.r_c
+        assert detectors_of(field, q) == scan(field, q, r_s)
+        assert wake_set(field, PredictedRegion(q, radius)) == scan(field, q, radius + r_s)
+        for n in field.nodes:
+            if n.alive:
+                assert neighbors_of(field, n.id) == scan(field, n.pos, r_c) - {n.id}
+        # the coverage test as harness.run writes it: dead nodes count too,
+        # also in a field whose nodes were all dead before its grid was built
+        covered = any(distance(n.pos, q) <= r_s for n in field.nodes)
+        dead = NodeField([SensorNode(id=n.id, pos=n.pos, alive=False)
+                          for n in field.nodes], field.config)
+        for f in (field, dead):
+            assert any(distance(n.pos, q) <= r_s for n in f.near(q, r_s)) == covered
+        assert detectors_of(dead, q) == set()

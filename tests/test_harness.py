@@ -204,10 +204,18 @@ class TestGoldenReports:
         ("mac-bench", "data-rate", ["8000000"]),
     ])
     def test_seed0_csv_matches_recorded_digest(self, tmp_path, workload, axis, values):
+        self._check(tmp_path, workload, axis, values, 0)
+
+    # the grid index and the awake-only mode pass save the most at N = 4000
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_track_n4000_csv_matches_recorded_digest(self, tmp_path, seed):
+        self._check(tmp_path, "track-n4000", "node-count", ["4000"], seed)
+
+    def _check(self, tmp_path, workload, axis, values, seed):
         reports = []
         for base in self._bases(workload):
-            reports += sweep(base, axis, values, [0])
+            reports += sweep(base, axis, values, [seed])
         path = tmp_path / "report.csv"
         emit_csv(reports, str(path))
         recorded = json.loads(self.DIGESTS.read_text(encoding="utf-8"))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[workload]["0"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[workload][str(seed)]
