@@ -6,6 +6,12 @@ through debit()'s clamp at zero, which kills the node; settle_slot repeats its
 float operations inline for platform costs. The append-only log holds one
 record per run of same-mode slots of a node plus one per radio or wake debit,
 so conservation checks can fsum it and tx/rx records reconcile with the MAC.
+
+A node that sleeps on from one slot to the next is charged lazily: the
+network total still takes its sleep cost in every slot, in field order, but
+its level and its open sleep record catch up only when something reads or
+debits them. `_repeat_add` replays those k float additions exactly, so every
+level, record and total equals a per-slot charge of every node bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate, chain
 from statistics import fmean
 
 from .errors import ConfigError
@@ -68,6 +75,42 @@ def rx_energy(bits: int, rm: RadioModel) -> float:
     return rm.e_elect * bits + rm.e_rx_fixed
 
 
+def _repeat_add(t: float, c: float, k: int) -> float:
+    """What `for _ in range(k): t += c` returns, bit for bit, for c of either sign.
+
+    Inside one binade [lo, 2·lo) of |t| the float grid has one spacing. Once a
+    step from inside the binade has landed inside it, every later step adds
+    the same increment d, even when c falls on a rounding tie (the landing
+    rounded to even). So the steps that keep clear of the binade's edges are
+    one exact t + n·d; the others are taken one at a time.
+    """
+    while k > 8:
+        s = t + c
+        t = s + c
+        k -= 2
+        d = (t + c) - t
+        if d == 0:
+            return t  # t + c rounds back to t: every later step does too
+        a = abs(t)
+        lo = math.ldexp(0.5, math.frexp(a)[1])
+        if not lo <= abs(s) < 2 * lo:
+            continue
+        room = a - abs(c) - lo if (c > 0) != (t > 0) else 2 * lo - a - abs(c)
+        n = min(k, int((room - 4 * math.ulp(lo)) / abs(d)) - 1)
+        if n > 0:
+            t += n * d
+            k -= n
+    for _ in range(k):
+        t += c
+    return t
+
+
+def _safe_slots(level: float, cost: float) -> int:
+    """Slots a node at `level` can pay `cost` per slot without dying, less a
+    margin: each float step takes at most cost + ulp(level) / 2."""
+    return int(level / (cost + math.ulp(level))) - 2
+
+
 class EnergyLedger:
     """Per-node battery bookkeeping with an append-only interval debit log.
 
@@ -81,6 +124,12 @@ class EnergyLedger:
     the run lasts. Every other debit ("tx", "rx", "wake", or a direct debit()
     call) is a tuple of its own, so radio records count one per MAC operation.
     The applied amounts sum to the energy drawn.
+
+    A sleeper that settle_slot did not visit still owes its sleep charges
+    since its run's last slot. remaining(), debit() and a visit collect them
+    from one node; flush() and total_remaining() from every node. Read
+    `per_node`, `SensorNode.remaining_energy` or a sleep record's amount
+    directly only after flush().
     """
 
     def __init__(self, field: NodeField, wake_cost: float = 0.001):
@@ -90,12 +139,35 @@ class EnergyLedger:
         self.e_ix = wake_cost
         self.e_sx_total = 0.0  # running network total; == sum of applied debits
         # per node: [record, last slot, mode] of its latest platform record
-        self._runs = {n.id: [None, None, None] for n in field.nodes}
+        self._runs = {n.id: [None, -1, None] for n in field.nodes}
+        self._index = {n.id: i for i, n in enumerate(field.nodes)}
+        self._through = -1        # last settled slot
+        self._sleep_cost = None   # per-slot cost the lazy sleepers owe
+        self._horizon = -1        # last slot in which no lazy sleeper can die
+        self._last_awake = ()     # ids in the last settled slot's mode map
+        self._alive_before = None  # alive nodes before each index; None after a death
+
+    def _catch_up(self, node) -> None:
+        """Charge a sleeper the sleep slots it owes since its run's last slot."""
+        run = self._runs[node.id]
+        owed = self._through - run[1]
+        if owed > 0 and node.alive:
+            level = _repeat_add(self.per_node[node.id], -self._sleep_cost, owed)
+            self.per_node[node.id] = node.remaining_energy = level
+            run[0][3] = _repeat_add(run[0][3], self._sleep_cost, owed)
+            run[1] = self._through
+
+    def flush(self) -> None:
+        """Bring every node's level and open record up to the last settled slot."""
+        for node in self.field.nodes:
+            self._catch_up(node)
 
     def remaining(self, node_id: int) -> float:
+        self._catch_up(self.field.node(node_id))
         return self.per_node[node_id]
 
     def total_remaining(self) -> float:
+        self.flush()
         return math.fsum(self.per_node.values())
 
     def debit(self, node_id: int, amount: float, reason: str, slot: int) -> float:
@@ -103,13 +175,19 @@ class EnergyLedger:
         if amount < 0:
             raise ValueError("debit amount must be non-negative")
         node = self.field.node(node_id)
+        sleep_cost = self._sleep_cost  # None until a slot is settled: no lazy sleepers
+        if sleep_cost is not None and self._runs[node_id][1] < self._through:
+            self._catch_up(node)
         current = self.per_node[node_id]
         applied = amount if amount <= current else current
         new_level = current - applied
         if new_level <= 0:
             new_level = 0.0
             node.alive = False
-            node.mode = NodeMode.SLEEP
+            self.field.set_mode(node, NodeMode.SLEEP)
+            self._alive_before = None
+        elif sleep_cost is not None:
+            self._horizon = min(self._horizon, self._through + _safe_slots(new_level, sleep_cost))
         self.per_node[node_id] = new_level
         node.remaining_energy = new_level
         self.debits.append((slot, node_id, reason, applied))
@@ -140,26 +218,53 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
                 slot_modes: dict[int, NodeMode], woken=(), slot: int = 0) -> None:
     """Charge one slot: platform cost per mode, radio cost per frame, wake-up costs.
 
-    `slot_modes` holds the mode each node occupied during the slot body;
-    `woken` lists nodes pulled out of sleep by a wake message this slot.
-    Platform costs are charged inline, in field order, with debit()'s float
-    operations, so levels, deaths and totals match a per-node debit() loop bit
-    for bit. Radio charges follow the MAC outcome records, so the ledger's
-    tx/rx debit counts reconcile exactly with the MAC's own counters.
+    `slot_modes` holds the mode of each node not asleep during the slot body;
+    every other alive node slept. `woken` lists nodes pulled out of sleep by a
+    wake message this slot. Platform costs are charged inline, in field order,
+    with debit()'s float operations, so levels, deaths and totals match a
+    per-node debit() loop bit for bit. Radio charges follow the MAC outcome
+    records, so the ledger's tx/rx debit counts reconcile exactly with the
+    MAC's own counters.
+
+    Only the nodes in this slot's or the last slot's map are visited; the
+    total takes the sleep cost of the alive nodes between them with
+    `_repeat_add`, and those sleepers pay later (see EnergyLedger). Every node
+    is visited instead after a skipped slot, a change of sleep cost, past the
+    slot in which a lazy sleeper could die, or when the maps hold a quarter
+    of the field or more, where sorting them costs more than the walk.
     """
     sleep, detect = NodeMode.SLEEP, NodeMode.DETECT
     charges = _mode_charges(costs)
     asleep, sensing, monitoring = charges[sleep], charges[detect], charges[NodeMode.MONITOR]
     levels, log, runs = ledger.per_node, ledger.debits, ledger._runs
-    total = ledger.e_sx_total
+    nodes, c = field.nodes, asleep[0]
+    total, through = ledger.e_sx_total, ledger._through
     prev = slot - 1
-    for node in field.nodes:
+    lazy = (prev == through and c == ledger._sleep_cost and slot <= ledger._horizon
+            and 4 * (len(slot_modes) + len(ledger._last_awake)) < len(nodes))
+    if lazy:
+        index = ledger._index
+        order = sorted({index[nid] for nid in chain(slot_modes, ledger._last_awake)})
+        before = ledger._alive_before
+        if before is None:
+            before = ledger._alive_before = list(accumulate(
+                (n.alive for n in nodes), initial=0))
+    else:
+        order = range(len(nodes))
+    low = math.inf  # lowest level a visited node keeps
+    gap_from = 0
+    for i in order:
+        if lazy and i > gap_from:  # alive sleepers between two visited nodes
+            total = _repeat_add(total, c, before[i] - before[gap_from])
+        gap_from = i + 1
+        node = nodes[i]
         if not node.alive:
             continue
         nid = node.id
-        mode = slot_modes.get(nid)
-        if mode is None:
-            continue
+        run = runs[nid]
+        if run[1] < through:
+            ledger._catch_up(node)
+        mode = slot_modes.get(nid, sleep)
         charge = asleep if mode is sleep else sensing if mode is detect else monitoring
         amount = charge[0]
         current = levels[nid]
@@ -168,18 +273,27 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
         if level <= 0:
             level = 0.0
             node.alive = False
-            node.mode = sleep
+            field.set_mode(node, sleep)
+            ledger._alive_before = None
+        elif level < low:
+            low = level
         levels[nid] = level
         node.remaining_energy = level
         total += applied
-        run = runs[nid]
         if run[1] == prev and run[2] is mode:
             run[0][3] += applied
         else:
             run[0], run[2] = [slot, nid, charge[1], applied], mode
             log.append(run[0])
         run[1] = slot
+    if lazy:
+        total = _repeat_add(total, c, before[-1] - before[gap_from])
     ledger.e_sx_total = total
+    if low < math.inf:  # after a full walk, every alive node is at its level now
+        horizon = slot + _safe_slots(low, c)
+        ledger._horizon = min(ledger._horizon, horizon) if lazy else horizon
+    ledger._through, ledger._sleep_cost = slot, c
+    ledger._last_awake = tuple(slot_modes)
     for out in outcomes:
         _charge_outcome(ledger, field, out, rm, slot)
     for node_id in sorted(woken):

@@ -80,7 +80,12 @@ class FieldConfig:
 
 
 class NodeField:
-    """A deployed field: ordered node list plus the config that produced it."""
+    """A deployed field: ordered node list plus the config that produced it.
+
+    `awake` holds the ids of the nodes not asleep. It stays exact as long as
+    every mode change goes through set_mode(), so that a slot can visit its
+    awake nodes without a scan of the field.
+    """
 
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
         self.nodes: list[SensorNode] = list(nodes)
@@ -88,6 +93,15 @@ class NodeField:
         self._by_id = {n.id: n for n in self.nodes}
         if len(self._by_id) != len(self.nodes):
             raise ConfigError("duplicate node ids in field")
+        sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
+        self.awake: set[int] = {n.id for n in self.nodes if n.mode is not sleep}
+
+    def set_mode(self, node: SensorNode, mode: NodeMode) -> None:
+        node.mode = mode
+        if mode is NodeMode.SLEEP:
+            self.awake.discard(node.id)
+        else:
+            self.awake.add(node.id)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -14,7 +14,6 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
-from operator import countOf
 
 from .energy import (EnergyLedger, MetricCounters, debit_counts_by_reason,
                      mean_delay, pdr, settle_radio, settle_slot, throughput)
@@ -68,10 +67,12 @@ def _baseline_step(field: NodeField, target_pos: Point, mac: MacService,
                    slot: int) -> StepResult:
     """One all-active slot: everyone senses, detectors report to the lowest id."""
     cfg = mac.cfg
-    for n in field.alive_nodes():
-        if n.mode is not NodeMode.DETECT:
-            n.mode = NodeMode.DETECT
-    slot_modes = {n.id: NodeMode.DETECT for n in field.alive_nodes()}
+    detect = NodeMode.DETECT  # a local: the class attribute lookup costs more than the test
+    alive = field.alive_nodes()
+    for n in alive:
+        if n.mode is not detect:
+            field.set_mode(n, detect)
+    slot_modes = dict.fromkeys([n.id for n in alive], detect)
     dets = detectors_of(field, target_pos)
     outcomes = []
     frames_sent = 0
@@ -142,8 +143,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
                     res.slot_modes, res.woken, k)
         per_step.append(ledger.e_sx_total - before)
 
-        per_awake.append(len(res.slot_modes)
-                         - countOf(res.slot_modes.values(), NodeMode.SLEEP))
+        per_awake.append(len(res.slot_modes))
         per_tracking.append(tracking_now)
         events_all.extend(res.events)
 

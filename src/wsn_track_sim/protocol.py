@@ -24,7 +24,6 @@ class Episode(Enum):
     IDLE = "idle"          # target not yet acquired; whole field senses
     TRACKING = "tracking"
     LOST = "lost"
-    EXITED = "exited"
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class EventKind(Enum):
     OBSERVATION_NOTICE = "observation_notice"
     NODES_SLEPT = "nodes_slept"
     TARGET_LOST = "target_lost"
-    TARGET_EXITED = "target_exited"
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
 class StepResult:
     tracker: TrackerState
     events: list[ProtocolEvent]
-    slot_modes: dict[int, NodeMode]   # mode held during the slot body
+    slot_modes: dict[int, NodeMode]   # slot-body mode of each node not asleep
     outcomes: list[SlotOutcome]
     woken: set[int]            # pulled out of sleep by a wake message (one-shot cost)
     detectors: set[int]
@@ -150,13 +148,13 @@ class StepResult:
 
 
 def tracking_step(tracker: TrackerState, field: NodeField,
-                  true_target: Point | None, mac: MacService, slot: int, *,
+                  true_target: Point, mac: MacService, slot: int, *,
                   alpha: float = 1.5, radius_floor_frac: float = 0.1,
                   speed_prior: float | None = None) -> StepResult:
     """Advance the protocol by one slot; mutates node modes to their end-of-slot values.
 
     `true_target` is ground truth: nodes only see it through in-range sensing
-    and the ranges their sensors measure. None means the target left the area.
+    and the ranges their sensors measure.
     """
     cfg = mac.cfg
     events: list[ProtocolEvent] = []
@@ -164,46 +162,28 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     woken: set[int] = set()
     r_s = field.config.r_s
 
-    def sleep_everyone():
-        slept = []
-        for n in field.alive_nodes():
-            if n.mode != NodeMode.SLEEP:
-                slept.append(n.id)
-                n.mode = NodeMode.SLEEP
-        return slept
-
-    # target left the area: episode over, field powers down
-    if true_target is None:
-        slot_modes = {n.id: n.mode for n in field.alive_nodes()}
-        slept = sleep_everyone()
-        events.append(ProtocolEvent(EventKind.TARGET_EXITED, slot))
-        if slept:
-            events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot, tuple(sorted(slept))))
-        return StepResult(TrackerState(episode=Episode.EXITED), events,
-                          slot_modes, outcomes, woken, set(), set())
-
     # acquisition: until the target is first seen, the whole field senses
     if tracker.episode is Episode.IDLE:
         for n in field.alive_nodes():
-            n.mode = NodeMode.DETECT
+            field.set_mode(n, NodeMode.DETECT)
 
-    slot_modes = {n.id: n.mode for n in field.alive_nodes()}
-    sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
-    awake = {nid for nid, m in slot_modes.items() if m is not sleep}
+    slot_modes = {nid: field.node(nid).mode for nid in field.awake}
+    awake = set(slot_modes)
     dets = detectors_of(field, true_target) & awake
 
     if not dets:
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
             lost_ids = tracker.closest.ids() if tracker.closest else ()
-            slept = sleep_everyone()
+            slept = tuple(sorted(awake))
+            for nid in slept:
+                field.set_mode(field.node(nid), NodeMode.SLEEP)
             events.append(ProtocolEvent(EventKind.TARGET_LOST, slot, lost_ids))
             if slept:
-                events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot,
-                                            tuple(sorted(slept))))
+                events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot, slept))
             return StepResult(TrackerState(episode=Episode.LOST), events,
                               slot_modes, outcomes, woken, set(), set())
-        # Idle keeps sensing; Lost/Exited stay dormant
+        # Idle keeps sensing; Lost stays dormant
         return StepResult(tracker, events, slot_modes, outcomes, woken, set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
@@ -281,14 +261,14 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     for nid in awake | keep_awake:
         n = field.node(nid)
         if nid in dets:
-            n.mode = NodeMode.MONITOR
+            field.set_mode(n, NodeMode.MONITOR)
         elif nid in keep_awake:
             if n.mode is NodeMode.SLEEP and nid in wake_targets:
                 woken.add(nid)
-            n.mode = NodeMode.DETECT
+            field.set_mode(n, NodeMode.DETECT)
         else:
             slept.append(nid)
-            n.mode = NodeMode.SLEEP
+            field.set_mode(n, NodeMode.SLEEP)
     if slept:
         events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot,
                                     tuple(sorted(slept))))

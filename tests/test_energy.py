@@ -10,7 +10,7 @@ from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
                            ModeCosts, NodeField, NodeMode, Point, RadioModel,
                            SensorNode, delay, distance, pdr, rx_energy,
                            settle_slot, throughput, tx_energy)
-from wsn_track_sim.energy import debit_counts_by_reason
+from wsn_track_sim.energy import _repeat_add, debit_counts_by_reason
 from wsn_track_sim.errors import ConfigError
 from wsn_track_sim.mac import SlotOutcome
 
@@ -188,15 +188,14 @@ class TestSettleSlot:
 def reference_settle(ledger, field, outcomes, rm, costs, slot_modes,
                      woken=(), slot=0):
     """Per-node debit() settlement: one log record per charge, as settle_slot
-    did before it booked platform costs inline as runs of slots."""
+    did before it booked platform costs inline as runs of slots. An alive
+    node absent from `slot_modes` slept."""
     per_mode = {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
                 NodeMode.DETECT: (costs.sense_per_slot, "sense"),
                 NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
     for node in field.nodes:
-        mode = slot_modes.get(node.id)
-        if mode is None or not node.alive:
-            continue
-        ledger.debit(node.id, *per_mode[mode], slot)
+        if node.alive:
+            ledger.debit(node.id, *per_mode[slot_modes.get(node.id, NodeMode.SLEEP)], slot)
     for out in outcomes:
         for rec in out.records:
             if rec.op == "tx":
@@ -246,6 +245,7 @@ class TestSettlementMatchesReference:
             settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot)
             reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot)
             assert new.e_sx_total == ref.e_sx_total
+            new.flush()
             assert new.per_node == ref.per_node
             assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
                     == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
@@ -265,8 +265,134 @@ class TestSettlementMatchesReference:
                         slot=slot)
         settle_slot(ledger, field, [], RM, costs, {0: NodeMode.DETECT}, slot=6)
         assert [tuple(d[:3]) for d in ledger.debits] == [
-            (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense")]
+            (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense"),
+            (6, 1, "sleep")]
         assert ledger.debits[1][3] == pytest.approx(5 * costs.sleep_per_slot)
+
+
+def naive_add(t, c, k):
+    for _ in range(k):
+        t += c
+    return t
+
+
+@st.composite
+def repeated_additions(draw):
+    """(t, c, k) with t on binade edges or at 0, and c a multiple of the grid
+    spacing of t that falls on rounding ties, or 0, or of either sign."""
+    e = draw(st.integers(-40, 12))
+    t = draw(st.one_of(
+        st.just(0.0),
+        st.floats(-1e4, 1e4),
+        st.builds(lambda j, sign: sign * (2.0 ** e + j * 2.0 ** (e - 52)),
+                  st.integers(-6, 6), st.sampled_from([1, -1]))))
+    spacing = math.ulp(t) if t else 2.0 ** (e - 52)
+    c = draw(st.one_of(
+        st.just(0.0),
+        st.floats(-3.0, 3.0),
+        st.sampled_from([0.00027, 0.012, 0.0378, -0.00027, -0.012, -0.0378]),
+        st.builds(lambda m, sign: sign * m * spacing,
+                  st.sampled_from([0.25, 0.5, 0.75, 1, 1.5, 2.5, 3, 1000.5]),
+                  st.sampled_from([1, -1])),
+        st.builds(lambda j, sign: sign * 3 * 2.0 ** -j,
+                  st.integers(1, 60), st.sampled_from([1, -1]))))
+    return t, c, draw(st.integers(0, 3000))
+
+
+class TestRepeatAdd:
+    @settings(max_examples=500, deadline=None)
+    @given(repeated_additions())
+    def test_equals_the_loop(self, case):
+        t, c, k = case
+        assert _repeat_add(t, c, k).hex() == naive_add(t, c, k).hex()
+
+    @pytest.mark.parametrize("t,c,k", [
+        (0.0, -0.04742259023270237, 17),  # lands in a binade from a finer grid
+        (5.0, -0.00027, 18_518),          # a full battery asleep to empty
+        (1.0, 3 * 2.0 ** -54, 5000),      # a tie at the grid of [1, 2)
+        (1.0, 2.0 ** -54, 5000),          # half a grid step: t stays put
+        (-0.5, 0.3, 40),                  # crosses zero
+    ])
+    def test_examples(self, t, c, k):
+        assert _repeat_add(t, c, k).hex() == naive_add(t, c, k).hex()
+
+
+PLATFORM = ("sleep", "sense", "comm")
+
+
+def merged_runs(log):
+    """A per-slot log with each node's platform records merged into runs of
+    consecutive slots of one reason, amounts summed in slot order."""
+    merged, last = [], {}
+    for slot, nid, why, amount in log:
+        run = last.get(nid)
+        if why in PLATFORM and run and run[0][2] == why and run[1] == slot - 1:
+            run[0][3] += amount
+            run[1] = slot
+            continue
+        record = [slot, nid, why, amount]
+        if why in PLATFORM:
+            last[nid] = [record, slot]
+        merged.append(record)
+    return [tuple(r) for r in merged]
+
+
+@st.composite
+def lazy_settlement_runs(draw):
+    """A field of 20-120 nodes with at most two awake per slot, so that
+    settle_slot visits only those; batteries low enough that sleepers die."""
+    n = draw(st.integers(20, 120))
+    positions = [(float(i % 11 * 9), float(i // 11 * 9)) for i in range(n)]
+    energies = draw(st.lists(st.floats(0.0003, 0.03), min_size=n, max_size=n))
+    ids = st.integers(0, n - 1)
+    slot = draw(st.integers(0, 1000))
+    slots = []
+    for _ in range(draw(st.integers(20, 50))):
+        slot += draw(st.sampled_from([1] * 12 + [0, 2, 5]))  # a few gaps
+        modes = draw(st.dictionaries(ids, st.sampled_from(list(NodeMode)), max_size=2))
+        out = SlotOutcome(slot=slot)
+        for op, node, peer, bits in draw(st.lists(st.tuples(
+                st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
+                max_size=2)):
+            (out.add_tx if op == "tx" else out.add_rx)(node, peer, bits)
+        costs = draw(st.sampled_from([ModeCosts()] * 15 + [ModeCosts(sleep_per_slot=0.0004)]))
+        slots.append((slot, modes, [out], draw(st.sets(ids, max_size=1)), costs,
+                      draw(st.booleans())))
+    return positions, energies, slots
+
+
+class TestLazySettlement:
+    @settings(max_examples=40, deadline=None)
+    @given(lazy_settlement_runs())
+    def test_matches_per_node_debits(self, run):
+        positions, energies, slots = run
+        fields = [small_field(positions) for _ in range(2)]
+        for f in fields:
+            for node, e in zip(f.nodes, energies):
+                node.remaining_energy = e
+        new, ref = (EnergyLedger(f) for f in fields)
+        for slot, modes, outcomes, woken, costs, check in slots:
+            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot)
+            reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot)
+            assert new.e_sx_total == ref.e_sx_total
+            if check:
+                new.flush()
+                assert new.per_node == ref.per_node
+                assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
+                        == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
+                assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+        assert new.total_remaining() == ref.total_remaining()
+        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+
+    def test_sleepers_pay_when_read(self):
+        field = small_field([(i * 5.0, 0.0) for i in range(40)])
+        ledger = EnergyLedger(field)
+        for slot in range(10):
+            settle_slot(ledger, field, [], RM, ModeCosts(), {0: NodeMode.DETECT}, slot=slot)
+        # slot 0 walked every node; slots 1-9 visited node 0 only
+        assert field.nodes[7].remaining_energy == 5.0 - 0.00027
+        assert ledger.remaining(7) == naive_add(5.0, -0.00027, 10)
+        assert field.nodes[7].remaining_energy == ledger.remaining(7)
 
 
 class TestMetrics:

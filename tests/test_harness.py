@@ -13,6 +13,8 @@ import pytest
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
                            Point, SensorNode, default_scenario, emit_csv, run,
                            run_baseline, sweep)
+from wsn_track_sim import harness
+from wsn_track_sim.energy import settle_slot
 from wsn_track_sim.harness import CSV_COLUMNS, paired_runs
 from wsn_track_sim.mobility import TraceRow
 from wsn_track_sim.scenario import with_seed
@@ -219,3 +221,45 @@ class TestGoldenReports:
         emit_csv(reports, str(path))
         recorded = json.loads(self.DIGESTS.read_text(encoding="utf-8"))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[workload][str(seed)]
+
+
+def csv_sha256(reports, tmp_path):
+    path = tmp_path / "report.csv"
+    emit_csv(reports, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSweepGoldens:
+    """Report digests of sweeps that bench/digests.json does not cover,
+    recorded before sleepers were charged lazily."""
+
+    def test_c02_node_count_axis(self, tmp_path):
+        reports = sweep(default_scenario(), "node-count", [100, 150, 200, 250], [0, 1, 2, 3])
+        assert csv_sha256(reports, tmp_path) == (
+            "94719e75399eb3d2b3174000b3685944bd24d4284d283010284297e799bb131a")
+
+    def test_low_battery_sleepers_run_dry(self, tmp_path):
+        base = default_scenario()
+        low = replace(base, mode_costs=replace(base.mode_costs, initial_energy=0.1))
+        reports = sweep(low, "comm-radius", [50, 60], [0, 1, 2, 3])
+        assert csv_sha256(reports, tmp_path) == (
+            "41a4fd039a4fc8206641d35de9a449070703204644416b201581c77189ac51cc")
+
+
+@pytest.mark.parametrize("method", ["proposed", "baseline"])
+@pytest.mark.parametrize("energy", [5.0, 0.05])
+def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
+    settled = []
+
+    def checked(ledger, field, *args):
+        settle_slot(ledger, field, *args)
+        assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
+        settled.append(len(field.awake))
+
+    monkeypatch.setattr(harness, "settle_slot", checked)
+    for seed in range(3):
+        cfg = small_cfg(seed=seed, slots=200)
+        cfg = replace(cfg, method=method,
+                      mode_costs=replace(cfg.mode_costs, initial_energy=energy))
+        run(cfg)
+    assert len(settled) == 600

@@ -178,14 +178,6 @@ class TestTrackingStep:
         lost = next(e for e in res.events if e.kind is EventKind.TARGET_LOST)
         assert lost.ids == first.tracker.closest.ids()
 
-    def test_exit_sleeps_everyone(self):
-        field = make_field([(0, 0), (30, 0)])
-        first = tracking_step(TrackerState(), field, Point(10, 0), mac(), 0)
-        res = tracking_step(first.tracker, field, None, mac(), 1)
-        assert res.tracker.episode is Episode.EXITED
-        assert all(n.mode is NodeMode.SLEEP for n in field.nodes)
-        assert any(e.kind is EventKind.TARGET_EXITED for e in res.events)
-
     def test_notice_failure_skips_wake_messages(self):
         # representative (lowest id) is not in the closest pair; the notice
         # never gets through, so nobody broadcasts wake calls
@@ -205,9 +197,8 @@ class TestTrackingStep:
         # node 2 is already awake: it hears the wake call but pays no wake-up
         # cost; node 3 sleeps at 35 m and gets woken (region 15 + r_s 25 = 40)
         field = make_field([(0, 0), (10, 0), (30, 0), (40, 0)])
-        field.nodes[0].mode = NodeMode.DETECT
-        field.nodes[1].mode = NodeMode.DETECT
-        field.nodes[2].mode = NodeMode.DETECT
+        for n in field.nodes[:3]:
+            field.set_mode(n, NodeMode.DETECT)
         tracker = TrackerState(episode=Episode.TRACKING, est_pos=Point(15, 0),
                                est_speed=10.0, closest=ClosestPair(0, 5.0, 1, 5.0))
         res = tracking_step(tracker, field, Point(5, 0), mac(), 1)
