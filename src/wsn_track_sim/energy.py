@@ -7,15 +7,19 @@ float operations inline for platform costs. The append-only log holds one
 record per run of same-mode slots of a node plus one per radio or wake debit,
 so conservation checks can fsum it and tx/rx records reconcile with the MAC.
 
-A node that sleeps on from one slot to the next is charged lazily: the
-network total still takes its sleep cost in every slot, in field order, but
-its level and its open sleep record catch up only when something reads or
-debits them. `_repeat_add` replays those k float additions exactly, so every
-level, record and total equals a per-slot charge of every node bit for bit.
+Each slot has a common mode, the one mode of every alive node outside the
+slot's mode map: sleep while the proposed method tracks, detect while the
+whole field senses. A node that stays in the common mode from one slot to the
+next is charged lazily: the network total still takes the mode's cost in
+every slot, in field order, but the node's level and its open record catch
+up only when something reads or debits them. `_repeat_add` replays those k
+float additions exactly, so every level, record and total equals a per-slot
+charge of every node bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -125,11 +129,11 @@ class EnergyLedger:
     call) is a tuple of its own, so radio records count one per MAC operation.
     The applied amounts sum to the energy drawn.
 
-    A sleeper that settle_slot did not visit still owes its sleep charges
-    since its run's last slot. remaining(), debit() and a visit collect them
-    from one node; flush() and total_remaining() from every node. Read
-    `per_node`, `SensorNode.remaining_energy` or a sleep record's amount
-    directly only after flush().
+    A node in the common mode that settle_slot did not visit still owes that
+    mode's charges since its run's last slot. remaining(), debit() and a visit
+    collect them from one node; flush() and total_remaining() from every node.
+    Read `per_node`, `SensorNode.remaining_energy` or an open platform record's
+    amount directly only after flush().
     """
 
     def __init__(self, field: NodeField, wake_cost: float = 0.001):
@@ -142,25 +146,31 @@ class EnergyLedger:
         self._runs = {n.id: [None, -1, None] for n in field.nodes}
         self._index = {n.id: i for i, n in enumerate(field.nodes)}
         self._through = -1        # last settled slot
-        self._sleep_cost = None   # per-slot cost the lazy sleepers owe
-        self._horizon = -1        # last slot in which no lazy sleeper can die
+        self._common = None       # the common mode of the lazy nodes
+        self._cost = None         # its per-slot cost, which the lazy nodes owe
+        self._horizon = -1        # last slot in which no lazy node can die
         self._last_awake = ()     # ids in the last settled slot's mode map
         self._alive_before = None  # alive nodes before each index; None after a death
 
-    def _catch_up(self, node) -> None:
-        """Charge a sleeper the sleep slots it owes since its run's last slot."""
+    def _catch_up(self, node, add=_repeat_add) -> None:
+        """Charge a lazy node the common-mode slots it owes since its run's last slot."""
         run = self._runs[node.id]
         owed = self._through - run[1]
         if owed > 0 and node.alive:
-            level = _repeat_add(self.per_node[node.id], -self._sleep_cost, owed)
+            level = add(self.per_node[node.id], -self._cost, owed)
             self.per_node[node.id] = node.remaining_energy = level
-            run[0][3] = _repeat_add(run[0][3], self._sleep_cost, owed)
+            run[0][3] = add(run[0][3], self._cost, owed)
             run[1] = self._through
 
     def flush(self) -> None:
-        """Bring every node's level and open record up to the last settled slot."""
+        """Bring every node's level and open record up to the last settled slot.
+
+        Most lazy nodes share their level, record amount and owed count, so
+        one call replays each distinct (value, owed count) once.
+        """
+        add = functools.lru_cache(maxsize=None)(_repeat_add)
         for node in self.field.nodes:
-            self._catch_up(node)
+            self._catch_up(node, add)
 
     def remaining(self, node_id: int) -> float:
         self._catch_up(self.field.node(node_id))
@@ -175,19 +185,18 @@ class EnergyLedger:
         if amount < 0:
             raise ValueError("debit amount must be non-negative")
         node = self.field.node(node_id)
-        sleep_cost = self._sleep_cost  # None until a slot is settled: no lazy sleepers
-        if sleep_cost is not None and self._runs[node_id][1] < self._through:
+        cost = self._cost  # None until a slot is settled: no lazy nodes
+        if cost is not None and self._runs[node_id][1] < self._through:
             self._catch_up(node)
         current = self.per_node[node_id]
         applied = amount if amount <= current else current
         new_level = current - applied
         if new_level <= 0:
             new_level = 0.0
-            node.alive = False
-            self.field.set_mode(node, NodeMode.SLEEP)
+            self.field.kill(node)
             self._alive_before = None
-        elif sleep_cost is not None:
-            self._horizon = min(self._horizon, self._through + _safe_slots(new_level, sleep_cost))
+        elif cost is not None:
+            self._horizon = min(self._horizon, self._through + _safe_slots(new_level, cost))
         self.per_node[node_id] = new_level
         node.remaining_energy = new_level
         self.debits.append((slot, node_id, reason, applied))
@@ -215,32 +224,35 @@ def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
 
 def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
                 rm: RadioModel, costs: ModeCosts,
-                slot_modes: dict[int, NodeMode], woken=(), slot: int = 0) -> None:
+                slot_modes: dict[int, NodeMode], woken=(), slot: int = 0, *,
+                common: NodeMode) -> None:
     """Charge one slot: platform cost per mode, radio cost per frame, wake-up costs.
 
-    `slot_modes` holds the mode of each node not asleep during the slot body;
-    every other alive node slept. `woken` lists nodes pulled out of sleep by a
-    wake message this slot. Platform costs are charged inline, in field order,
-    with debit()'s float operations, so levels, deaths and totals match a
-    per-node debit() loop bit for bit. Radio charges follow the MAC outcome
-    records, so the ledger's tx/rx debit counts reconcile exactly with the
-    MAC's own counters.
+    `slot_modes` holds the slot-body mode of each node not in the slot's
+    `common` mode; every other alive node spent the slot body in `common`.
+    `woken` lists nodes pulled out of sleep by a wake message this slot.
+    Platform costs are charged inline, in field order, with debit()'s float
+    operations, so levels, deaths and totals match a per-node debit() loop bit
+    for bit. Radio charges follow the MAC outcome records, so the ledger's
+    tx/rx debit counts reconcile exactly with the MAC's own counters.
 
     Only the nodes in this slot's or the last slot's map are visited; the
-    total takes the sleep cost of the alive nodes between them with
-    `_repeat_add`, and those sleepers pay later (see EnergyLedger). Every node
-    is visited instead after a skipped slot, a change of sleep cost, past the
-    slot in which a lazy sleeper could die, or when the maps hold a quarter
-    of the field or more, where sorting them costs more than the walk.
+    total takes the common mode's cost of the alive nodes between them with
+    `_repeat_add`, and those nodes pay later (see EnergyLedger). Every node is
+    visited instead after a skipped slot, a change of common mode or of its
+    cost, past the slot in which a lazy node could die, or when the maps hold
+    a quarter of the field or more, where sorting them costs more than the
+    walk.
     """
     sleep, detect = NodeMode.SLEEP, NodeMode.DETECT
     charges = _mode_charges(costs)
     asleep, sensing, monitoring = charges[sleep], charges[detect], charges[NodeMode.MONITOR]
     levels, log, runs = ledger.per_node, ledger.debits, ledger._runs
-    nodes, c = field.nodes, asleep[0]
+    nodes, c = field.nodes, charges[common][0]
     total, through = ledger.e_sx_total, ledger._through
     prev = slot - 1
-    lazy = (prev == through and c == ledger._sleep_cost and slot <= ledger._horizon
+    lazy = (prev == through and common is ledger._common and c == ledger._cost
+            and slot <= ledger._horizon
             and 4 * (len(slot_modes) + len(ledger._last_awake)) < len(nodes))
     if lazy:
         index = ledger._index
@@ -254,7 +266,7 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
     low = math.inf  # lowest level a visited node keeps
     gap_from = 0
     for i in order:
-        if lazy and i > gap_from:  # alive sleepers between two visited nodes
+        if lazy and i > gap_from:  # alive lazy nodes between two visited nodes
             total = _repeat_add(total, c, before[i] - before[gap_from])
         gap_from = i + 1
         node = nodes[i]
@@ -264,7 +276,7 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
         run = runs[nid]
         if run[1] < through:
             ledger._catch_up(node)
-        mode = slot_modes.get(nid, sleep)
+        mode = slot_modes.get(nid, common)
         charge = asleep if mode is sleep else sensing if mode is detect else monitoring
         amount = charge[0]
         current = levels[nid]
@@ -272,8 +284,7 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
         level = current - applied
         if level <= 0:
             level = 0.0
-            node.alive = False
-            field.set_mode(node, sleep)
+            field.kill(node)
             ledger._alive_before = None
         elif level < low:
             low = level
@@ -289,10 +300,11 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
     if lazy:
         total = _repeat_add(total, c, before[-1] - before[gap_from])
     ledger.e_sx_total = total
-    if low < math.inf:  # after a full walk, every alive node is at its level now
-        horizon = slot + _safe_slots(low, c)
-        ledger._horizon = min(ledger._horizon, horizon) if lazy else horizon
-    ledger._through, ledger._sleep_cost = slot, c
+    # after a full walk, every alive node is at its level now; none is left
+    # alive when `low` stayed infinite
+    horizon = slot + _safe_slots(low, c) if low < math.inf else math.inf
+    ledger._horizon = min(ledger._horizon, horizon) if lazy else horizon
+    ledger._through, ledger._common, ledger._cost = slot, common, c
     ledger._last_awake = tuple(slot_modes)
     for out in outcomes:
         _charge_outcome(ledger, field, out, rm, slot)

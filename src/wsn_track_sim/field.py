@@ -82,9 +82,10 @@ class FieldConfig:
 class NodeField:
     """A deployed field: ordered node list plus the config that produced it.
 
-    `awake` holds the ids of the nodes not asleep. It stays exact as long as
-    every mode change goes through set_mode(), so that a slot can visit its
-    awake nodes without a scan of the field.
+    `awake` holds the ids of the nodes not asleep and `n_alive` counts the
+    alive nodes. They stay exact as long as every mode change goes through
+    set_mode() and every death through kill(), so that a slot can visit its
+    awake nodes, or learn that every alive node is awake, without a scan.
     """
 
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
@@ -95,6 +96,7 @@ class NodeField:
             raise ConfigError("duplicate node ids in field")
         sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
         self.awake: set[int] = {n.id for n in self.nodes if n.mode is not sleep}
+        self.n_alive = sum(n.alive for n in self.nodes)
 
     def set_mode(self, node: SensorNode, mode: NodeMode) -> None:
         node.mode = mode
@@ -102,6 +104,13 @@ class NodeField:
             self.awake.discard(node.id)
         else:
             self.awake.add(node.id)
+
+    def kill(self, node: SensorNode) -> None:
+        """Mark a node dead and asleep; killing a dead node changes nothing."""
+        if node.alive:
+            node.alive = False
+            self.n_alive -= 1
+        self.set_mode(node, NodeMode.SLEEP)
 
     def __len__(self) -> int:
         return len(self.nodes)

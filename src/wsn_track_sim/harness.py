@@ -68,11 +68,10 @@ def _baseline_step(field: NodeField, target_pos: Point, mac: MacService,
     """One all-active slot: everyone senses, detectors report to the lowest id."""
     cfg = mac.cfg
     detect = NodeMode.DETECT  # a local: the class attribute lookup costs more than the test
-    alive = field.alive_nodes()
-    for n in alive:
-        if n.mode is not detect:
-            field.set_mode(n, detect)
-    slot_modes = dict.fromkeys([n.id for n in alive], detect)
+    if len(field.awake) < field.n_alive:
+        for n in field.alive_nodes():
+            if n.mode is not detect:
+                field.set_mode(n, detect)
     dets = detectors_of(field, target_pos)
     outcomes = []
     frames_sent = 0
@@ -84,8 +83,8 @@ def _baseline_step(field: NodeField, target_pos: Point, mac: MacService,
         frames_sent = len(queues)
         outs, _dropped = mac.data_window(queues, slot)
         outcomes.extend(outs)
-    return StepResult(tracker=TrackerState(), events=[],
-                      slot_modes=slot_modes, outcomes=outcomes, woken=set(),
+    return StepResult(tracker=TrackerState(), events=[], common=detect, slot_modes={},
+                      n_awake=field.n_alive, outcomes=outcomes, woken=set(),
                       detectors=dets, wake_targets=set(), frames_sent=frames_sent)
 
 
@@ -140,10 +139,10 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
         before = ledger.e_sx_total
         settle_slot(ledger, field, res.outcomes, cfg.radio, cfg.mode_costs,
-                    res.slot_modes, res.woken, k)
+                    res.slot_modes, res.woken, k, common=res.common)
         per_step.append(ledger.e_sx_total - before)
 
-        per_awake.append(len(res.slot_modes))
+        per_awake.append(res.n_awake)
         per_tracking.append(tracking_now)
         events_all.extend(res.events)
 
@@ -174,7 +173,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
     tracked = sum(per_tracking)
     tracked_awake = [a for a, t in zip(per_awake, per_tracking) if t]
-    alive_end = len(field.alive_nodes())
+    alive_end = field.n_alive
     total_bps = throughput(counters)
     lost = sum(1 for ev in events_all if ev.kind is EventKind.TARGET_LOST)
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 from .field import FieldConfig, Point, distance
 
 
@@ -49,7 +49,6 @@ class TargetState:
     waypoint: Point
     speed: float      # m/s, constant until the waypoint is reached
     slot_index: int = 0
-    inside: bool = True
 
 
 def _draw_waypoint(fc: FieldConfig, rng: random.Random) -> Point:
@@ -76,8 +75,7 @@ def spawn_target(mc: MobilityConfig, fc: FieldConfig,
     pos = mc.entry_point if mc.entry_point is not None else _draw_entry(fc, rng)
     waypoint = _draw_waypoint(fc, rng)
     speed = rng.uniform(mc.v_min, mc.v_max)
-    return TargetState(pos=pos, waypoint=waypoint, speed=speed,
-                       slot_index=0, inside=True)
+    return TargetState(pos=pos, waypoint=waypoint, speed=speed, slot_index=0)
 
 
 def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
@@ -87,8 +85,6 @@ def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
     The per-slot displacement is min(speed*T, remaining distance), so it never
     exceeds speed*T and in particular never exceeds r_s.
     """
-    if not ts.inside:
-        raise StateError("cannot step a target that has exited the area")
     step = ts.speed * mc.slot_duration
     remaining = distance(ts.pos, ts.waypoint)
     if remaining <= step:
@@ -103,7 +99,7 @@ def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
         waypoint = ts.waypoint
         speed = ts.speed
     return TargetState(pos=new_pos, waypoint=waypoint, speed=speed,
-                       slot_index=ts.slot_index + 1, inside=True)
+                       slot_index=ts.slot_index + 1)
 
 
 def observed_speed(prev: Point, curr: Point, slot_duration: float) -> float:

@@ -139,7 +139,9 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
 class StepResult:
     tracker: TrackerState
     events: list[ProtocolEvent]
-    slot_modes: dict[int, NodeMode]   # slot-body mode of each node not asleep
+    common: NodeMode                  # slot-body mode of every alive node outside slot_modes
+    slot_modes: dict[int, NodeMode]   # slot-body mode of each node not in `common`
+    n_awake: int               # nodes awake during the slot body
     outcomes: list[SlotOutcome]
     woken: set[int]            # pulled out of sleep by a wake message (one-shot cost)
     detectors: set[int]
@@ -164,27 +166,31 @@ def tracking_step(tracker: TrackerState, field: NodeField,
 
     # acquisition: until the target is first seen, the whole field senses
     if tracker.episode is Episode.IDLE:
-        for n in field.alive_nodes():
-            field.set_mode(n, NodeMode.DETECT)
-
-    slot_modes = {nid: field.node(nid).mode for nid in field.awake}
-    awake = set(slot_modes)
-    dets = detectors_of(field, true_target) & awake
+        if len(field.awake) < field.n_alive:
+            for n in field.alive_nodes():
+                field.set_mode(n, NodeMode.DETECT)
+        common, slot_modes, n_awake = NodeMode.DETECT, {}, field.n_alive
+    else:
+        slot_modes = {nid: field.node(nid).mode for nid in field.awake}
+        common, n_awake = NodeMode.SLEEP, len(slot_modes)
+    # until the end-of-slot schedule, field.awake holds the slot-body awake set
+    dets = detectors_of(field, true_target) & field.awake
 
     if not dets:
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
             lost_ids = tracker.closest.ids() if tracker.closest else ()
-            slept = tuple(sorted(awake))
+            slept = tuple(sorted(field.awake))
             for nid in slept:
                 field.set_mode(field.node(nid), NodeMode.SLEEP)
             events.append(ProtocolEvent(EventKind.TARGET_LOST, slot, lost_ids))
             if slept:
                 events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot, slept))
-            return StepResult(TrackerState(episode=Episode.LOST), events,
-                              slot_modes, outcomes, woken, set(), set())
+            return StepResult(TrackerState(episode=Episode.LOST), events, common,
+                              slot_modes, n_awake, outcomes, woken, set(), set())
         # Idle keeps sensing; Lost stays dormant
-        return StepResult(tracker, events, slot_modes, outcomes, woken, set(), set())
+        return StepResult(tracker, events, common, slot_modes, n_awake, outcomes,
+                          woken, set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
     rep = elect_representative(dets)
@@ -254,11 +260,11 @@ def tracking_step(tracker: TrackerState, field: NodeField,
 
     # end-of-slot schedule: detectors monitor, wake recipients (and anyone
     # already awake inside the region that heard the call) detect, rest sleep.
-    # A node outside `awake` slept through the slot body and stays asleep
-    # unless kept awake, so only awake | keep_awake can change mode.
+    # A node outside field.awake slept through the slot body and stays asleep
+    # unless kept awake, so only field.awake | keep_awake can change mode.
     keep_awake = dets | wake_targets | set(pair.ids())
     slept = []
-    for nid in awake | keep_awake:
+    for nid in field.awake | keep_awake:
         n = field.node(nid)
         if nid in dets:
             field.set_mode(n, NodeMode.MONITOR)
@@ -278,5 +284,5 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                                representative=rep, closest=pair,
                                predicted=region, est_pos=est,
                                est_speed=est_speed)
-    return StepResult(new_tracker, events, slot_modes, outcomes,
+    return StepResult(new_tracker, events, common, slot_modes, n_awake, outcomes,
                       woken, dets, wake_targets, frames_sent)

@@ -217,7 +217,7 @@ def test_c07_ledger_conservation(paired_by_radius, bench_reports):
             tx_mac.update(out.tx_counts)
             rx_mac.update(out.rx_counts)
         settle_slot(ledger, field, res.outcomes, cfg.radio, cfg.mode_costs,
-                    res.slot_modes, res.woken, k)
+                    res.slot_modes, res.woken, k, common=res.common)
     assert tx_mac == debit_counts_by_reason(ledger, "tx")
     assert rx_mac == debit_counts_by_reason(ledger, "rx")
     assert sum(tx_mac.values()) > 0

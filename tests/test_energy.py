@@ -15,6 +15,7 @@ from wsn_track_sim.errors import ConfigError
 from wsn_track_sim.mac import SlotOutcome
 
 RM = RadioModel()  # e_elect 50e-9, e_amp 0.0013e-12
+SLEEP, DETECT = NodeMode.SLEEP, NodeMode.DETECT
 
 
 def small_field(positions, energy=5.0, r_s=25.0, r_c=100.0):
@@ -79,6 +80,16 @@ class TestLedger:
         assert field.nodes[0].mode is NodeMode.SLEEP
         assert ledger.debits[-1] == (0, 0, "sense", 0.001)
 
+    def test_debiting_a_dead_node_keeps_the_alive_count(self):
+        field = small_field([(0, 0), (10, 0)], energy=0.001)
+        ledger = EnergyLedger(field)
+        ledger.debit(0, 0.012, "sense", 0)
+        assert field.n_alive == 1
+        for reason in ("rx", "tx"):  # radio records can re-debit a dead node
+            assert ledger.debit(0, 0.5, reason, 0) == 0.0
+            assert field.n_alive == 1
+        assert field.awake == set()
+
     def test_unknown_node(self):
         ledger = EnergyLedger(small_field([(0, 0)]))
         with pytest.raises(KeyError):
@@ -124,7 +135,7 @@ class TestSettleSlot:
         field = small_field([(i % 25 * 20.0, i // 25 * 20.0) for i in range(250)])
         ledger = EnergyLedger(field)
         modes = {n.id: NodeMode.SLEEP for n in field.nodes}
-        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0)
+        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0, common=SLEEP)
         assert ledger.e_sx_total == pytest.approx(250 * 0.00027, rel=1e-9)
 
     def test_one_monitor_rest_sleeping(self):
@@ -132,7 +143,7 @@ class TestSettleSlot:
         ledger = EnergyLedger(field)
         modes = {n.id: NodeMode.SLEEP for n in field.nodes}
         modes[0] = NodeMode.MONITOR
-        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=3)
+        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=3, common=SLEEP)
         per_node = {nid: amt for _, nid, _, amt in ledger.debits}
         assert per_node[0] == 0.0378
         assert all(per_node[i] == 0.00027 for i in range(1, 250))
@@ -152,11 +163,12 @@ class TestSettleSlot:
         out.add_tx(1, 0, 32)
         out.add_rx(0, 1, 32)
         modes0 = {0: NodeMode.MONITOR, 1: NodeMode.DETECT, 2: NodeMode.SLEEP}
-        settle_slot(ledger, field, [out], RM, costs, modes0, woken={2}, slot=0)
+        settle_slot(ledger, field, [out], RM, costs, modes0, woken={2}, slot=0,
+                    common=SLEEP)
 
         # slot 1: roles rotate, no traffic
         modes1 = {0: NodeMode.SLEEP, 1: NodeMode.MONITOR, 2: NodeMode.DETECT}
-        settle_slot(ledger, field, [], RM, costs, modes1, slot=1)
+        settle_slot(ledger, field, [], RM, costs, modes1, slot=1, common=SLEEP)
 
         hand_node0 = (0.0378                                   # monitor slot 0
                       + 544 * e_el + 544 * e_amp * 50.0 ** 2   # data out
@@ -181,21 +193,21 @@ class TestSettleSlot:
         ledger = EnergyLedger(field)
         ledger.per_node[1] = 0.0
         modes = {0: NodeMode.DETECT, 1: NodeMode.DETECT}
-        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0)
+        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0, common=SLEEP)
         assert ledger.e_sx_total == 0.012
 
 
 def reference_settle(ledger, field, outcomes, rm, costs, slot_modes,
-                     woken=(), slot=0):
+                     woken=(), slot=0, common=SLEEP):
     """Per-node debit() settlement: one log record per charge, as settle_slot
     did before it booked platform costs inline as runs of slots. An alive
-    node absent from `slot_modes` slept."""
+    node absent from `slot_modes` spent the slot in `common`."""
     per_mode = {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
                 NodeMode.DETECT: (costs.sense_per_slot, "sense"),
                 NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
     for node in field.nodes:
         if node.alive:
-            ledger.debit(node.id, *per_mode[slot_modes.get(node.id, NodeMode.SLEEP)], slot)
+            ledger.debit(node.id, *per_mode[slot_modes.get(node.id, common)], slot)
     for out in outcomes:
         for rec in out.records:
             if rec.op == "tx":
@@ -242,7 +254,8 @@ class TestSettlementMatchesReference:
         new, ref = (EnergyLedger(f, wake_cost=wake_cost) for f in fields)
         initial = math.fsum(energies)
         for slot, modes, outcomes, woken in slots:
-            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot)
+            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot,
+                        common=SLEEP)
             reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot)
             assert new.e_sx_total == ref.e_sx_total
             new.flush()
@@ -262,8 +275,9 @@ class TestSettlementMatchesReference:
         costs = ModeCosts()
         for slot, mode in enumerate([NodeMode.SLEEP] * 3 + [NodeMode.DETECT] * 2):
             settle_slot(ledger, field, [], RM, costs, {0: mode, 1: NodeMode.SLEEP},
-                        slot=slot)
-        settle_slot(ledger, field, [], RM, costs, {0: NodeMode.DETECT}, slot=6)
+                        slot=slot, common=SLEEP)
+        settle_slot(ledger, field, [], RM, costs, {0: NodeMode.DETECT}, slot=6,
+                    common=SLEEP)
         assert [tuple(d[:3]) for d in ledger.debits] == [
             (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense"),
             (6, 1, "sleep")]
@@ -339,24 +353,35 @@ def merged_runs(log):
 
 @st.composite
 def lazy_settlement_runs(draw):
-    """A field of 20-120 nodes with at most two awake per slot, so that
-    settle_slot visits only those; batteries low enough that sleepers die."""
+    """A field of 20-120 nodes with at most two outside the common mode per
+    slot, so that settle_slot visits only those; the common mode is sleep or
+    detect and now and then switches; batteries that last 1-100 slots of
+    sleep, or of sensing when scaled by 40, so that nodes die."""
     n = draw(st.integers(20, 120))
     positions = [(float(i % 11 * 9), float(i // 11 * 9)) for i in range(n)]
-    energies = draw(st.lists(st.floats(0.0003, 0.03), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1, 40]))
+    energies = [scale * e for e in draw(st.lists(st.floats(0.0003, 0.03),
+                                                 min_size=n, max_size=n))]
     ids = st.integers(0, n - 1)
     slot = draw(st.integers(0, 1000))
+    common = draw(st.sampled_from([SLEEP, DETECT]))
+    # with sleep and sense at one cost, only the common mode tells the runs apart
+    usual = draw(st.sampled_from([ModeCosts(), ModeCosts(sleep_per_slot=0.012)]))
     slots = []
     for _ in range(draw(st.integers(20, 50))):
         slot += draw(st.sampled_from([1] * 12 + [0, 2, 5]))  # a few gaps
-        modes = draw(st.dictionaries(ids, st.sampled_from(list(NodeMode)), max_size=2))
+        if draw(st.integers(0, 9)) == 0:
+            common = DETECT if common is SLEEP else SLEEP
+        others = [m for m in NodeMode if m is not common]
+        modes = draw(st.dictionaries(ids, st.sampled_from(others), max_size=2))
         out = SlotOutcome(slot=slot)
         for op, node, peer, bits in draw(st.lists(st.tuples(
                 st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
                 max_size=2)):
             (out.add_tx if op == "tx" else out.add_rx)(node, peer, bits)
-        costs = draw(st.sampled_from([ModeCosts()] * 15 + [ModeCosts(sleep_per_slot=0.0004)]))
-        slots.append((slot, modes, [out], draw(st.sets(ids, max_size=1)), costs,
+        costs = draw(st.sampled_from([usual] * 15 + [ModeCosts(sleep_per_slot=0.0004),
+                                                     ModeCosts(sense_per_slot=0.013)]))
+        slots.append((slot, common, modes, [out], draw(st.sets(ids, max_size=1)), costs,
                       draw(st.booleans())))
     return positions, energies, slots
 
@@ -371,10 +396,14 @@ class TestLazySettlement:
             for node, e in zip(f.nodes, energies):
                 node.remaining_energy = e
         new, ref = (EnergyLedger(f) for f in fields)
-        for slot, modes, outcomes, woken, costs, check in slots:
-            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot)
-            reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot)
+        for slot, common, modes, outcomes, woken, costs, check in slots:
+            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot,
+                        common=common)
+            reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot,
+                             common)
             assert new.e_sx_total == ref.e_sx_total
+            alive = sum(n.alive for n in fields[1].nodes)
+            assert fields[0].n_alive == fields[1].n_alive == alive
             if check:
                 new.flush()
                 assert new.per_node == ref.per_node
@@ -388,11 +417,50 @@ class TestLazySettlement:
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
         ledger = EnergyLedger(field)
         for slot in range(10):
-            settle_slot(ledger, field, [], RM, ModeCosts(), {0: NodeMode.DETECT}, slot=slot)
+            settle_slot(ledger, field, [], RM, ModeCosts(), {0: NodeMode.DETECT},
+                        slot=slot, common=SLEEP)
         # slot 0 walked every node; slots 1-9 visited node 0 only
         assert field.nodes[7].remaining_energy == 5.0 - 0.00027
         assert ledger.remaining(7) == naive_add(5.0, -0.00027, 10)
         assert field.nodes[7].remaining_energy == ledger.remaining(7)
+
+    def test_detecting_field_pays_when_read(self):
+        field = small_field([(i * 5.0, 0.0) for i in range(40)])
+        ledger = EnergyLedger(field)
+        for slot in range(10):
+            settle_slot(ledger, field, [], RM, ModeCosts(), {}, slot=slot, common=DETECT)
+        assert ledger.e_sx_total == naive_add(0.0, 0.012, 400)
+        assert field.nodes[7].remaining_energy == 5.0 - 0.012  # only slot 0 walked it
+        assert ledger.remaining(7) == naive_add(5.0, -0.012, 10)
+        ledger.flush()
+        assert ledger.debits == [[0, i, "sense", naive_add(0.0, 0.012, 10)]
+                                 for i in range(40)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]),
+           st.lists(st.sampled_from([0.02, 0.5, 5.0]), min_size=90, max_size=90),
+           st.lists(st.sets(st.integers(0, 89), max_size=3), min_size=2, max_size=30))
+    def test_flush_equals_catch_up_per_node(self, n, common, energies, awake_sets):
+        """Many nodes share a level and an owed count; the memoised flush()
+        must equal catching each node up on its own, bit for bit."""
+        fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
+        for f in fields:
+            for node, e in zip(f.nodes, energies):
+                node.remaining_energy = e
+        ledgers = [EnergyLedger(f) for f in fields]
+        for slot, awake in enumerate(awake_sets):
+            modes = {i: NodeMode.MONITOR for i in awake if i < n}
+            for ledger, f in zip(ledgers, fields):
+                settle_slot(ledger, f, [], RM, ModeCosts(), modes, slot=slot, common=common)
+        ledgers[0].flush()
+        for node in fields[1].nodes:
+            ledgers[1]._catch_up(node)
+        flushed, one_by_one = ([v.hex() for v in ledger.per_node.values()] for ledger in ledgers)
+        assert flushed == one_by_one
+        assert ([n.remaining_energy.hex() for n in fields[0].nodes]
+                == [n.remaining_energy.hex() for n in fields[1].nodes])
+        assert ([(*d[:3], d[3].hex()) for d in ledgers[0].debits]
+                == [(*d[:3], d[3].hex()) for d in ledgers[1].debits])
 
 
 class TestMetrics:

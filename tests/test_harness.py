@@ -251,9 +251,10 @@ class TestSweepGoldens:
 def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
     settled = []
 
-    def checked(ledger, field, *args):
-        settle_slot(ledger, field, *args)
+    def checked(ledger, field, *args, **kwargs):
+        settle_slot(ledger, field, *args, **kwargs)
         assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
+        assert field.n_alive == sum(n.alive for n in field.nodes)
         settled.append(len(field.awake))
 
     monkeypatch.setattr(harness, "settle_slot", checked)

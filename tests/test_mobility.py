@@ -6,7 +6,7 @@ import re
 import pytest
 
 from wsn_track_sim import (ConfigError, FieldConfig, MobilityConfig, Point,
-                           StateError, TargetState, distance, generate_trace,
+                           TargetState, distance, generate_trace,
                            observed_speed, read_trace, spawn_target,
                            step_target, write_trace)
 
@@ -18,7 +18,7 @@ class TestSpawn:
         mc = MobilityConfig(entry_point=Point(0, 250), seed=1)
         ts = spawn_target(mc, FC)
         assert ts.pos == Point(0, 250)
-        assert ts.inside and ts.slot_index == 0
+        assert ts.slot_index == 0
 
     def test_speed_at_bound_accepted(self):
         mc = MobilityConfig(v_min=20, v_max=20, slot_duration=1.0, seed=0)
@@ -57,12 +57,6 @@ class TestStep:
         assert nxt.pos == Point(10.0, 0.0)
         assert nxt.waypoint != ts.waypoint
         assert MobilityConfig().v_min <= nxt.speed <= MobilityConfig().v_max
-
-    def test_exited_target_rejected(self):
-        ts = TargetState(pos=Point(0, 0), waypoint=Point(1, 1), speed=5.0,
-                         inside=False)
-        with pytest.raises(StateError):
-            step_target(ts, MobilityConfig(), FC, random.Random(0))
 
     def test_displacement_bound_over_trace(self):
         rows = generate_trace(MobilityConfig(seed=17), FC, 12_000)

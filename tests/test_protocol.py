@@ -163,7 +163,9 @@ class TestTrackingStep:
         res = tracking_step(TrackerState(), field, Point(600, 600), mac(), 0)
         # nobody in range: still idle, everybody keeps sensing
         assert res.tracker.episode is Episode.IDLE
-        assert all(m is NodeMode.DETECT for m in res.slot_modes.values())
+        assert res.common is NodeMode.DETECT
+        assert res.slot_modes == {}
+        assert res.n_awake == 3
         assert all(n.mode is NodeMode.DETECT for n in field.nodes)
 
     def test_loss_sleeps_everyone(self):
@@ -207,6 +209,16 @@ class TestTrackingStep:
         assert res.wake_targets == {2, 3}
         assert res.woken == {3}
         assert field.nodes[2].mode is NodeMode.MONITOR  # it detects the target
+
+
+def awake_during(res, field):
+    """Nodes awake in the slot body: the map's nodes not asleep, plus every
+    other alive node when the slot's common mode is not sleep."""
+    awake = {nid for nid, m in res.slot_modes.items() if m is not NodeMode.SLEEP}
+    if res.common is not NodeMode.SLEEP:
+        awake |= {n.id for n in field.alive_nodes() if n.id not in res.slot_modes}
+    assert len(awake) == res.n_awake
+    return awake
 
 
 def reference_schedule(positions, r_s, r_c, trace, alpha, floor, prior):
@@ -287,10 +299,8 @@ class TestAgainstReferenceSchedule:
                                 speed_prior=prior)
             tracker = res.tracker
             ep, during, dets, rep = expected[k]
-            awake_during = {nid for nid, m in res.slot_modes.items()
-                            if m is not NodeMode.SLEEP}
             assert tracker.episode.value == ep, f"slot {k}"
-            assert awake_during == during, f"slot {k}"
+            assert awake_during(res, field) == during, f"slot {k}"
             assert res.detectors == dets, f"slot {k}"
             if rep is not None:
                 assert tracker.representative == rep, f"slot {k}"
@@ -313,11 +323,10 @@ class TestInvariants:
             res = tracking_step(tracker, field, Point(row.x, row.y), service, k,
                                 speed_prior=20.0)
             tracker = res.tracker
-            awake_during = {nid for nid, m in res.slot_modes.items()
-                            if m is not NodeMode.SLEEP}
+            awake = awake_during(res, field)
             if prev is not None and tracker.episode is Episode.TRACKING:
                 dets_prev, wake_prev, pair_prev = prev
-                assert awake_during <= dets_prev | wake_prev | pair_prev
+                assert awake <= dets_prev | wake_prev | pair_prev
             if res.detectors:
                 assert tracker.representative == min(res.detectors)
             if tracker.episode is Episode.LOST:
