@@ -5,8 +5,7 @@ from .energy import (EnergyLedger, MetricCounters, ModeCosts, RadioModel,
 from .errors import ConfigError, MacError, StateError
 from .field import (FieldConfig, NodeField, NodeMode, Point, SensorNode,
                     deploy, detectors_of, distance, k_closest, neighbors_of)
-from .harness import (RunReport, bench_run, emit_csv, paired_runs, run,
-                      run_baseline, sweep)
+from .harness import RunReport, bench_run, emit_csv, paired_runs, run, sweep
 from .mac import (Frame, FrameKind, MacService, SlotConfig, SlotOutcome,
                   contend, drain_queue, transmit)
 from .mobility import (MobilityConfig, TargetState, TraceRow, generate_trace,

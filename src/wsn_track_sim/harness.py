@@ -9,6 +9,7 @@ activation strategy.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import random
@@ -63,9 +64,12 @@ class RunReport:
     radio_reconciled: bool = True
 
 
-def _baseline_step(field: NodeField, target_pos: Point, mac: MacService,
-                   slot: int) -> StepResult:
-    """One all-active slot: everyone senses, detectors report to the lowest id."""
+def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
+                   mac: MacService, slot: int) -> StepResult:
+    """One all-active slot: everyone senses, detectors report to the lowest id.
+
+    The tracker only records acquisition: TRACKING from the first detection on.
+    """
     cfg = mac.cfg
     detect = NodeMode.DETECT  # a local: the class attribute lookup costs more than the test
     if len(field.awake) < field.n_alive:
@@ -83,7 +87,9 @@ def _baseline_step(field: NodeField, target_pos: Point, mac: MacService,
         frames_sent = len(queues)
         outs, _dropped = mac.data_window(queues, slot)
         outcomes.extend(outs)
-    return StepResult(tracker=TrackerState(), events=[], common=detect, slot_modes={},
+    if dets:
+        tracker = TrackerState(episode=Episode.TRACKING)
+    return StepResult(tracker=tracker, events=[], common=detect, slot_modes={},
                       n_awake=field.n_alive, outcomes=outcomes, woken=set(),
                       detectors=dets, wake_targets=set(), frames_sent=frames_sent)
 
@@ -95,7 +101,6 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     `trace` and `field` exist for paired comparisons and constructed test
     scenarios; left unset, both are derived from the scenario's seeds.
     """
-    digest = config_digest(cfg)
     if field is None:
         field = deploy(cfg.field, cfg.mode_costs.initial_energy)
     if trace is None:
@@ -109,10 +114,14 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     mac = MacService(cfg.slots, random.Random(mac_seed(cfg)))
     counters = MetricCounters()
     slot_seconds = cfg.slots.slot_duration
-    proposed = cfg.method == "proposed"
+    if cfg.method == "proposed":
+        step = functools.partial(tracking_step, alpha=cfg.alpha,
+                                 radius_floor_frac=cfg.radius_floor_frac,
+                                 speed_prior=cfg.mobility.v_max)
+    else:
+        step = _baseline_step
 
     tracker = TrackerState()
-    baseline_acquired = False
     per_step: list[float] = []
     per_awake: list[int] = []
     per_tracking: list[bool] = []
@@ -124,18 +133,9 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
     for k in range(n_slots):
         target_pos = Point(trace[k].x, trace[k].y)
-        if proposed:
-            tracking_now = tracker.episode is Episode.TRACKING
-            res = tracking_step(tracker, field, target_pos, mac, k,
-                                alpha=cfg.alpha,
-                                radius_floor_frac=cfg.radius_floor_frac,
-                                speed_prior=cfg.mobility.v_max)
-            tracker = res.tracker
-        else:
-            tracking_now = baseline_acquired
-            res = _baseline_step(field, target_pos, mac, k)
-            if res.detectors:
-                baseline_acquired = True
+        tracking_now = tracker.episode is Episode.TRACKING
+        res = step(tracker, field, target_pos, mac, k)
+        tracker = res.tracker
 
         before = ledger.e_sx_total
         settle_slot(ledger, field, res.outcomes, cfg.radio, cfg.mode_costs,
@@ -165,9 +165,6 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
             if res.detectors:
                 detected_slots += 1
 
-    final_energy = ledger.total_remaining()
-    applied = math.fsum(d[3] for d in ledger.debits)
-    conservation = abs(initial_energy - final_energy - applied) / initial_energy
     reconciled = (tx_seen == debit_counts_by_reason(ledger, "tx")
                   and rx_seen == debit_counts_by_reason(ledger, "rx"))
 
@@ -177,35 +174,42 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     total_bps = throughput(counters)
     lost = sum(1 for ev in events_all if ev.kind is EventKind.TARGET_LOST)
 
+    return _report(
+        cfg, ledger, initial_energy, counters,
+        slots=n_slots,
+        mean_active_nodes=(sum(tracked_awake) / tracked) if tracked else 0.0,
+        max_active_nodes=max(tracked_awake, default=0),
+        throughput_bps=(total_bps / alive_end) if alive_end else 0.0,
+        lost_episodes=lost,
+        tracked_slots=tracked,
+        detection_fraction=(detected_slots / covered_slots) if covered_slots else 0.0,
+        per_step_energy=per_step,
+        per_slot_awake=per_awake,
+        per_slot_tracking=per_tracking,
+        events=events_all,
+        radio_reconciled=reconciled,
+    )
+
+
+def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: float,
+            counters: MetricCounters, **fields) -> RunReport:
+    """A report whose config, energy, PDR, delay and conservation fields are
+    derived alike for every run; `fields` holds the rest."""
+    final_energy = ledger.total_remaining()
+    applied = math.fsum(d[3] for d in ledger.debits)
     return RunReport(
         method=cfg.method,
         seed=cfg.seed,
         n_nodes=cfg.field.n_nodes,
         r_s_m=cfg.field.r_s,
         r_c_m=cfg.field.r_c,
-        slots=n_slots,
         total_energy_j=ledger.e_sx_total,
-        mean_active_nodes=(sum(tracked_awake) / tracked) if tracked else 0.0,
-        max_active_nodes=max(tracked_awake, default=0),
         pdr=pdr(counters),
-        throughput_bps=(total_bps / alive_end) if alive_end else 0.0,
         mean_delay_s=mean_delay(counters),
-        lost_episodes=lost,
-        tracked_slots=tracked,
-        detection_fraction=(detected_slots / covered_slots) if covered_slots else 0.0,
-        config_digest=digest,
-        per_step_energy=per_step,
-        per_slot_awake=per_awake,
-        per_slot_tracking=per_tracking,
-        events=events_all,
-        conservation_rel_err=conservation,
-        radio_reconciled=reconciled,
+        config_digest=config_digest(cfg),
+        conservation_rel_err=abs(initial_energy - final_energy - applied) / initial_energy,
+        **fields,
     )
-
-
-def run_baseline(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
-                 field: NodeField | None = None) -> RunReport:
-    return run(replace(cfg, method="baseline"), trace=trace, field=field)
 
 
 def paired_runs(cfg: ScenarioConfig, seed: int) -> tuple[RunReport, RunReport]:
@@ -272,30 +276,18 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
             counters.delays.append((delivery_slot - t_s) * cfg.slots.slot_duration)
     counters.elapsed = airtime_bits / cfg.slots.data_rate
 
-    final_energy = ledger.total_remaining()
-    applied = math.fsum(d[3] for d in ledger.debits)
-
-    return RunReport(
-        method=cfg.method,
-        seed=cfg.seed,
-        n_nodes=cfg.field.n_nodes,
-        r_s_m=cfg.field.r_s,
-        r_c_m=cfg.field.r_c,
+    return _report(
+        cfg, ledger, initial_energy, counters,
         slots=len(outcomes),
-        total_energy_j=ledger.e_sx_total,
         mean_active_nodes=float(len(senders) + 1),
         max_active_nodes=len(senders) + 1,
-        pdr=pdr(counters),
         # flow throughput over channel-busy time (the bench's counter sits at
         # the destination; per-node averaging is a tracking-run concept)
         throughput_bps=throughput(counters) if counters.elapsed > 0 else 0.0,
-        mean_delay_s=mean_delay(counters),
         lost_episodes=0,
         tracked_slots=len(outcomes),
         detection_fraction=0.0,
-        config_digest=config_digest(cfg),
         per_step_energy=per_step,
-        conservation_rel_err=abs(initial_energy - final_energy - applied) / initial_energy,
     )
 
 
@@ -309,9 +301,7 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         return replace(cfg, field=replace(cfg.field, r_c=float(value)))
     if axis == "node-count":
         return replace(cfg, field=replace(cfg.field, n_nodes=int(value)))
-    if axis == "data-rate":
-        return replace(cfg, slots=replace(cfg.slots, data_rate=float(value)))
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
+    return replace(cfg, slots=replace(cfg.slots, data_rate=float(value)))  # data-rate
 
 
 def sweep(base: ScenarioConfig, axis: str, values, seeds) -> list[RunReport]:

@@ -100,7 +100,8 @@ def _parse_entry(raw: str):
     return Point(float(parts[0]), float(parts[1]))
 
 
-# key -> (section, field name, parser)
+# key -> (section: the ScenarioConfig attribute, None for the scenario itself;
+#         field name; parser)
 _KEY_TABLE = {
     "field.area_width": ("field", "area_width", float),
     "field.area_height": ("field", "area_height", float),
@@ -110,32 +111,32 @@ _KEY_TABLE = {
     "mobility.v_min": ("mobility", "v_min", float),
     "mobility.v_max": ("mobility", "v_max", float),
     "mobility.entry": ("mobility", "entry_point", _parse_entry),
-    "slot.duration": ("slot", "slot_duration", float),
-    "slot.data_packet_bits": ("slot", "data_packet_bits", int),
-    "slot.control_packet_bits": ("slot", "control_packet_bits", int),
-    "slot.data_rate": ("slot", "data_rate", float),
-    "slot.p_persist": ("slot", "p_persist", float),
-    "slot.max_retries": ("slot", "max_retries", int),
-    "slot.ack_enabled": ("slot", "ack_enabled", _parse_bool),
-    "slot.crc_enabled": ("slot", "crc_enabled", _parse_bool),
-    "slot.crc_bits": ("slot", "crc_bits", int),
-    "slot.sense_fraction": ("slot", "sense_fraction", float),
+    "slot.duration": ("slots", "slot_duration", float),
+    "slot.data_packet_bits": ("slots", "data_packet_bits", int),
+    "slot.control_packet_bits": ("slots", "control_packet_bits", int),
+    "slot.data_rate": ("slots", "data_rate", float),
+    "slot.p_persist": ("slots", "p_persist", float),
+    "slot.max_retries": ("slots", "max_retries", int),
+    "slot.ack_enabled": ("slots", "ack_enabled", _parse_bool),
+    "slot.crc_enabled": ("slots", "crc_enabled", _parse_bool),
+    "slot.crc_bits": ("slots", "crc_bits", int),
+    "slot.sense_fraction": ("slots", "sense_fraction", float),
     "radio.e_elect": ("radio", "e_elect", float),
     "radio.e_amp": ("radio", "e_amp", float),
     "radio.e_tx_fixed": ("radio", "e_tx_fixed", float),
     "radio.e_rx_fixed": ("radio", "e_rx_fixed", float),
-    "energy.sleep_per_slot": ("energy", "sleep_per_slot", float),
-    "energy.sense_per_slot": ("energy", "sense_per_slot", float),
-    "energy.comm_per_slot": ("energy", "comm_per_slot", float),
-    "energy.initial": ("energy", "initial_energy", float),
-    "energy.wake_cost": ("energy", "wake_cost", float),
-    "protocol.alpha": ("scenario", "alpha", float),
-    "protocol.radius_floor_frac": ("scenario", "radius_floor_frac", float),
-    "bench.packets": ("scenario", "bench_packets", int),
-    "bench.background_senders": ("scenario", "bench_background_senders", int),
-    "run.method": ("scenario", "method", str),
-    "run.max_slots": ("scenario", "max_slots", int),
-    "run.seed": ("scenario", "seed", int),
+    "energy.sleep_per_slot": ("mode_costs", "sleep_per_slot", float),
+    "energy.sense_per_slot": ("mode_costs", "sense_per_slot", float),
+    "energy.comm_per_slot": ("mode_costs", "comm_per_slot", float),
+    "energy.initial": ("mode_costs", "initial_energy", float),
+    "energy.wake_cost": ("mode_costs", "wake_cost", float),
+    "protocol.alpha": (None, "alpha", float),
+    "protocol.radius_floor_frac": (None, "radius_floor_frac", float),
+    "bench.packets": (None, "bench_packets", int),
+    "bench.background_senders": (None, "bench_background_senders", int),
+    "run.method": (None, "method", str),
+    "run.max_slots": (None, "max_slots", int),
+    "run.seed": (None, "seed", int),
 }
 
 
@@ -169,8 +170,7 @@ def build_scenario(values: dict[str, str] | None = None, *,
                    method: str | None = None, seed: int | None = None,
                    max_slots: int | None = None) -> ScenarioConfig:
     """Assemble a ScenarioConfig from file values plus explicit overrides."""
-    sections: dict[str, dict] = {"field": {}, "mobility": {}, "slot": {},
-                                 "radio": {}, "energy": {}, "scenario": {}}
+    sections: dict[str | None, dict] = {sec: {} for sec, _, _ in _KEY_TABLE.values()}
     for key, raw in (values or {}).items():
         section, name, parse = _KEY_TABLE[key]
         try:
@@ -180,7 +180,7 @@ def build_scenario(values: dict[str, str] | None = None, *,
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
-    scen = sections["scenario"]
+    scen = sections[None]
     if method is not None:
         scen["method"] = method
     if seed is not None:
@@ -188,13 +188,13 @@ def build_scenario(values: dict[str, str] | None = None, *,
     if max_slots is not None:
         scen["max_slots"] = max_slots
 
-    duration = sections["slot"].get("slot_duration", 1.0)
+    duration = sections["slots"].get("slot_duration", 1.0)
     cfg = ScenarioConfig(
         field=FieldConfig(**sections["field"]),
         mobility=MobilityConfig(slot_duration=duration, **sections["mobility"]),
-        slots=SlotConfig(**sections["slot"]),
+        slots=SlotConfig(**sections["slots"]),
         radio=RadioModel(**sections["radio"]),
-        mode_costs=ModeCosts(**sections["energy"]),
+        mode_costs=ModeCosts(**sections["mode_costs"]),
         **scen,
     )
     return with_seed(cfg, cfg.seed)
@@ -202,45 +202,13 @@ def build_scenario(values: dict[str, str] | None = None, *,
 
 def resolved_items(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     """Canonical (key, value) lines for the fully resolved configuration."""
-    entry = cfg.mobility.entry_point
-    mapping = {
-        "field.area_width": cfg.field.area_width,
-        "field.area_height": cfg.field.area_height,
-        "field.n_nodes": cfg.field.n_nodes,
-        "field.r_s": cfg.field.r_s,
-        "field.r_c": cfg.field.r_c,
-        "mobility.v_min": cfg.mobility.v_min,
-        "mobility.v_max": cfg.mobility.v_max,
-        "mobility.entry": "random-edge" if entry is None else f"{entry.x},{entry.y}",
-        "slot.duration": cfg.slots.slot_duration,
-        "slot.data_packet_bits": cfg.slots.data_packet_bits,
-        "slot.control_packet_bits": cfg.slots.control_packet_bits,
-        "slot.data_rate": cfg.slots.data_rate,
-        "slot.p_persist": cfg.slots.p_persist,
-        "slot.max_retries": cfg.slots.max_retries,
-        "slot.ack_enabled": cfg.slots.ack_enabled,
-        "slot.crc_enabled": cfg.slots.crc_enabled,
-        "slot.crc_bits": cfg.slots.crc_bits,
-        "slot.sense_fraction": cfg.slots.sense_fraction,
-        "radio.e_elect": cfg.radio.e_elect,
-        "radio.e_amp": cfg.radio.e_amp,
-        "radio.e_tx_fixed": cfg.radio.e_tx_fixed,
-        "radio.e_rx_fixed": cfg.radio.e_rx_fixed,
-        "energy.sleep_per_slot": cfg.mode_costs.sleep_per_slot,
-        "energy.sense_per_slot": cfg.mode_costs.sense_per_slot,
-        "energy.comm_per_slot": cfg.mode_costs.comm_per_slot,
-        "energy.initial": cfg.mode_costs.initial_energy,
-        "energy.wake_cost": cfg.mode_costs.wake_cost,
-        "protocol.alpha": cfg.alpha,
-        "protocol.radius_floor_frac": cfg.radius_floor_frac,
-        "bench.packets": cfg.bench_packets,
-        "bench.background_senders": cfg.bench_background_senders,
-        "run.method": cfg.method,
-        "run.max_slots": cfg.max_slots,
-        "run.seed": cfg.seed,
-        "prng": PRNG_NAME,
-    }
-    return [(k, str(v)) for k, v in sorted(mapping.items())]
+    items = [("prng", PRNG_NAME)]
+    for key, (section, name, _) in _KEY_TABLE.items():
+        value = getattr(cfg if section is None else getattr(cfg, section), name)
+        if key == "mobility.entry":
+            value = "random-edge" if value is None else f"{value.x},{value.y}"
+        items.append((key, str(value)))
+    return sorted(items)
 
 
 def config_digest(cfg: ScenarioConfig) -> str:

@@ -5,14 +5,15 @@ import hashlib
 import json
 import logging
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
-                           Point, SensorNode, default_scenario, emit_csv, run,
-                           run_baseline, sweep)
+from wsn_track_sim import (ConfigError, Episode, FieldConfig, MacService, NodeField,
+                           NodeMode, Point, SensorNode, TrackerState, default_scenario,
+                           deploy, detectors_of, emit_csv, generate_trace, run, sweep)
 from wsn_track_sim import harness
 from wsn_track_sim.energy import settle_slot
 from wsn_track_sim.harness import CSV_COLUMNS, paired_runs
@@ -79,15 +80,38 @@ class TestBaseline:
         field = strip_field()
         cfg = default_scenario(seed=0, max_slots=1)
         trace = [TraceRow(0, 0.0, 0.0, 10.0)]
-        report = run_baseline(cfg, trace=trace, field=field)
+        report = run(replace(cfg, method="baseline"), trace=trace, field=field)
         assert report.total_energy_j == pytest.approx(250 * 0.012, rel=1e-9)
         assert report.pdr is None  # nothing was ever sent
 
     def test_all_alive_nodes_awake_every_slot(self):
         cfg = small_cfg(seed=4, slots=80)
-        report = run_baseline(cfg)
+        report = run(replace(cfg, method="baseline"))
         # no node dies in 80 slots, so the awake count is the node count
         assert report.per_slot_awake == [80] * 80
+
+    def test_step_tracks_from_the_first_detection_on(self):
+        cfg = small_cfg(seed=0, slots=3)
+        field = deploy(cfg.field, cfg.mode_costs.initial_energy)
+        mac = MacService(cfg.slots, random.Random(0))
+        unseen, seen = Point(-1000.0, -1000.0), field.nodes[0].pos
+        res = harness._baseline_step(TrackerState(), field, unseen, mac, 0)
+        assert not res.detectors and res.tracker.episode is Episode.IDLE
+        res = harness._baseline_step(res.tracker, field, seen, mac, 1)
+        assert res.detectors and res.tracker.episode is Episode.TRACKING
+        res = harness._baseline_step(res.tracker, field, unseen, mac, 2)
+        assert not res.detectors and res.tracker.episode is Episode.TRACKING
+
+    def test_tracking_after_the_first_detected_slot(self):
+        cfg = replace(small_cfg(seed=0, slots=120), method="baseline")
+        field = deploy(cfg.field, cfg.mode_costs.initial_energy)
+        trace = generate_trace(cfg.mobility, cfg.field, cfg.max_slots)
+        seen = [bool(detectors_of(field, Point(row.x, row.y))) for row in trace]
+        first = seen.index(True)
+        assert first > 0 and not all(seen[first:])  # acquisition, then empty slots
+        report = run(cfg)
+        assert report.per_slot_awake == [80] * 120  # no death: the fresh field's detectors hold
+        assert report.per_slot_tracking == [any(seen[:k]) for k in range(120)]
 
     def test_paired_energy_direction(self):
         for seed in (0, 1):

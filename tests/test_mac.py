@@ -4,6 +4,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, Frame, FrameKind, MacError,
                            SlotConfig, contend, drain_queue, transmit)
@@ -146,16 +147,33 @@ class TestDrainQueue:
         cfg = SlotConfig(p_persist=0.4, max_retries=2)
         queues = {i: deque(data_frame(src=i, dst=99) for _ in range(200))
                   for i in range(1, 5)}
-        enqueued = sum(len(q) for q in queues.values())
+        frames = [f for q in queues.values() for f in q]
         outs = drain_queue(queues, 50_000, cfg, random.Random(9))
-        delivered = sum(len(o.delivered) for o in outs)
-        remaining = sum(len(q) for q in queues.values())
+        delivered = [f for o in outs for f, _ in o.delivered]
         tx_attempts = sum(1 for o in outs for r in o.records
                           if r.op == "tx" and r.bits > cfg.control_packet_bits)
-        assert remaining == 0
-        dropped = enqueued - delivered
-        assert delivered + dropped == enqueued
-        assert tx_attempts >= enqueued - dropped  # every delivery was transmitted
+        assert not any(queues.values())
+        dropped = [f for f in frames if f.retries > cfg.max_retries]
+        assert dropped and delivered
+        assert sorted(map(id, delivered + dropped)) == sorted(map(id, frames))
+        assert tx_attempts >= len(delivered)  # every delivery was transmitted
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+           budget=st.integers(0, 30), max_retries=st.integers(0, 3),
+           p_persist=st.floats(0.05, 1.0), seed=st.integers(0, 2**32))
+    def test_every_frame_delivered_dropped_or_queued(self, sizes, budget, max_retries,
+                                                     p_persist, seed):
+        cfg = SlotConfig(p_persist=p_persist, max_retries=max_retries)
+        queues = {src: deque(data_frame(src=src, dst=99) for _ in range(n))
+                  for src, n in enumerate(sizes, start=1)}
+        frames = [f for q in queues.values() for f in q]
+        outs = drain_queue(queues, budget, cfg, random.Random(seed))
+        assert len(outs) <= budget
+        delivered = [f for o in outs for f, _ in o.delivered]
+        dropped = [f for f in frames if f.retries > cfg.max_retries]
+        queued = [f for q in queues.values() for f in q]
+        assert sorted(map(id, delivered + dropped + queued)) == sorted(map(id, frames))
 
     def test_determinism(self):
         cfg = SlotConfig()

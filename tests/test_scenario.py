@@ -1,10 +1,13 @@
 """Configuration assembly, file parsing, seed substreams, digests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wsn_track_sim import ConfigError, build_scenario, config_digest, default_scenario
-from wsn_track_sim.scenario import (derive_seed, mac_seed, parse_config_text,
-                                    resolved_items, with_seed)
+from wsn_track_sim import (ConfigError, FieldConfig, MobilityConfig, ModeCosts,
+                           Point, RadioModel, ScenarioConfig, SlotConfig,
+                           build_scenario, config_digest, default_scenario)
+from wsn_track_sim.scenario import (_KEY_TABLE, METHODS, derive_seed, mac_seed,
+                                    parse_config_text, resolved_items, with_seed)
 
 SAMPLE = """
 # comment line
@@ -113,3 +116,52 @@ class TestDigest:
     def test_prng_recorded(self):
         keys = dict(resolved_items(default_scenario()))
         assert keys["prng"] == "mt19937"
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios that pass every config invariant, built without the file path."""
+    r_s = draw(floats(0.5, 100.0))
+    field = FieldConfig(area_width=draw(floats(1.0, 1e4)), area_height=draw(floats(1.0, 1e4)),
+                        n_nodes=draw(st.integers(1, 5000)), r_s=r_s,
+                        r_c=r_s * draw(st.just(2.0) | floats(2.0, 6.0)))
+    duration = draw(st.just(1.0) | floats(0.1, 10.0))
+    v_max = r_s / duration * draw(st.just(1.0) | floats(0.01, 1.0))
+    entry = draw(st.none() | st.builds(Point, floats(-1e3, 1e4), floats(-1e3, 1e4)))
+    mobility = MobilityConfig(v_min=v_max * draw(floats(0.01, 1.0)), v_max=v_max,
+                              slot_duration=duration, entry_point=entry)
+    slots = SlotConfig(slot_duration=duration, data_packet_bits=draw(st.integers(1, 4096)),
+                       control_packet_bits=draw(st.integers(1, 512)),
+                       data_rate=draw(floats(1e5, 1e8)), p_persist=draw(floats(0.01, 1.0)),
+                       max_retries=draw(st.integers(0, 10)), ack_enabled=draw(st.booleans()),
+                       crc_enabled=draw(st.booleans()), crc_bits=draw(st.integers(0, 64)),
+                       sense_fraction=draw(floats(0.0, 0.5)))
+    radio = RadioModel(*(draw(floats(0.0, 1e-6)) for _ in range(4)))
+    sleep, sense, comm = sorted(draw(floats(0.0, 0.1)) for _ in range(3))
+    costs = ModeCosts(sleep, sense, comm, initial_energy=draw(floats(1e-3, 100.0)),
+                      wake_cost=draw(floats(0.0, 0.01)))
+    cfg = ScenarioConfig(field=field, mobility=mobility, slots=slots, radio=radio,
+                         mode_costs=costs, method=draw(st.sampled_from(METHODS)),
+                         max_slots=draw(st.integers(1, 10_000)),
+                         alpha=draw(floats(0.01, 10.0)),
+                         radius_floor_frac=draw(floats(1e-3, 1.0)),
+                         seed=draw(st.integers(0, 2**63)),
+                         bench_packets=draw(st.integers(1, 10_000)),
+                         bench_background_senders=draw(st.integers(0, 10)))
+    return with_seed(cfg, cfg.seed)
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_scenarios())
+    def test_resolved_items_rebuild_the_scenario(self, cfg):
+        items = resolved_items(cfg)
+        assert {k for k, _ in items} == set(_KEY_TABLE) | {"prng"}
+        text = "\n".join(f"{k} = {v}" for k, v in items if k != "prng")
+        rebuilt = build_scenario(parse_config_text(text))
+        assert config_digest(rebuilt) == config_digest(cfg)
+        assert rebuilt == cfg
