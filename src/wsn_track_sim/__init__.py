@@ -11,10 +11,9 @@ from .mac import (Frame, FrameKind, MacService, SlotConfig, SlotOutcome,
 from .mobility import (MobilityConfig, TargetState, TraceRow, generate_trace,
                        observed_speed, read_trace, spawn_target, step_target,
                        write_trace)
-from .protocol import (ClosestPair, Episode, EventKind, PredictedRegion,
-                       ProtocolEvent, TrackerState, elect_representative,
-                       estimate_position, predicted_region, tracking_step,
-                       wake_set)
+from .protocol import (ClosestPair, Episode, PredictedRegion, TrackerState,
+                       elect_representative, estimate_position,
+                       predicted_region, tracking_step, wake_set)
 from .scenario import (ScenarioConfig, build_scenario, config_digest,
                        default_scenario, load_config_file, with_seed)
 

@@ -15,19 +15,24 @@ import sys
 from .errors import ConfigError
 from .harness import AXES, emit_csv, run, sweep
 from .mobility import generate_trace, read_trace, write_trace
-from .scenario import build_scenario, load_config_file
+from .scenario import build_scenario, load_config_file, parse_finite
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s.strip()]
+    try:
+        if ".." in spec:
+            lo, _, hi = spec.partition("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds {spec!r}: {exc}") from None
 
 
 def _parse_values(spec: str) -> list[float]:
-    return [float(s) for s in spec.split(",") if s.strip()]
+    try:
+        return [parse_finite(s) for s in spec.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values {spec!r}: {exc}") from None
 
 
 def _load_scenario(args):

@@ -182,8 +182,8 @@ class EnergyLedger:
 
     def debit(self, node_id: int, amount: float, reason: str, slot: int) -> float:
         """Draw `amount` joules from a node, clamped at zero. Returns the applied amount."""
-        if amount < 0:
-            raise ValueError("debit amount must be non-negative")
+        if not amount >= 0:  # also catches NaN
+            raise ValueError(f"debit amount must be non-negative, got {amount!r}")
         node = self.field.node(node_id)
         cost = self._cost  # None until a slot is settled: no lazy nodes
         if cost is not None and self._runs[node_id][1] < self._through:

@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .field import NodeField, NodeMode, Point, deploy, detectors_of, distance, neighbors_of
 from .mac import Frame, FrameKind, MacService, drain_queue
 from .mobility import TraceRow, generate_trace
-from .protocol import Episode, EventKind, StepResult, TrackerState, tracking_step
+from .protocol import Episode, StepResult, TrackerState, tracking_step
 from .scenario import ScenarioConfig, config_digest, derive_seed, mac_seed, with_seed
 
 log = logging.getLogger(__name__)
@@ -59,7 +59,6 @@ class RunReport:
     per_step_energy: list[float] = dc_field(default_factory=list, repr=False)
     per_slot_awake: list[int] = dc_field(default_factory=list, repr=False)
     per_slot_tracking: list[bool] = dc_field(default_factory=list, repr=False)
-    events: list = dc_field(default_factory=list, repr=False)
     conservation_rel_err: float = 0.0
     radio_reconciled: bool = True
 
@@ -85,11 +84,10 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
                                   cfg.data_packet_bits, slot)])
                   for d in sorted(dets) if d != sink}
         frames_sent = len(queues)
-        outs, _dropped = mac.data_window(queues, slot)
-        outcomes.extend(outs)
+        outcomes, _dropped = mac.data_window(queues, slot)
     if dets:
         tracker = TrackerState(episode=Episode.TRACKING)
-    return StepResult(tracker=tracker, events=[], common=detect, slot_modes={},
+    return StepResult(tracker=tracker, common=detect, slot_modes={},
                       n_awake=field.n_alive, outcomes=outcomes, woken=set(),
                       detectors=dets, wake_targets=set(), frames_sent=frames_sent)
 
@@ -125,7 +123,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     per_step: list[float] = []
     per_awake: list[int] = []
     per_tracking: list[bool] = []
-    events_all: list = []
+    lost = 0
     covered_slots = 0
     detected_slots = 0
     tx_seen: Counter = Counter()
@@ -136,6 +134,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         tracking_now = tracker.episode is Episode.TRACKING
         res = step(tracker, field, target_pos, mac, k)
         tracker = res.tracker
+        lost += tracking_now and tracker.episode is Episode.LOST
 
         before = ledger.e_sx_total
         settle_slot(ledger, field, res.outcomes, cfg.radio, cfg.mode_costs,
@@ -144,7 +143,6 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
         per_awake.append(res.n_awake)
         per_tracking.append(tracking_now)
-        events_all.extend(res.events)
 
         counters.sent_pckt += res.frames_sent
         for out in res.outcomes:
@@ -170,23 +168,19 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
     tracked = sum(per_tracking)
     tracked_awake = [a for a, t in zip(per_awake, per_tracking) if t]
-    alive_end = field.n_alive
-    total_bps = throughput(counters)
-    lost = sum(1 for ev in events_all if ev.kind is EventKind.TARGET_LOST)
 
     return _report(
         cfg, ledger, initial_energy, counters,
         slots=n_slots,
         mean_active_nodes=(sum(tracked_awake) / tracked) if tracked else 0.0,
         max_active_nodes=max(tracked_awake, default=0),
-        throughput_bps=(total_bps / alive_end) if alive_end else 0.0,
+        throughput_bps=(throughput(counters) / field.n_alive) if field.n_alive else 0.0,
         lost_episodes=lost,
         tracked_slots=tracked,
         detection_fraction=(detected_slots / covered_slots) if covered_slots else 0.0,
         per_step_energy=per_step,
         per_slot_awake=per_awake,
         per_slot_tracking=per_tracking,
-        events=events_all,
         radio_reconciled=reconciled,
     )
 
@@ -300,17 +294,19 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if axis == "comm-radius":
         return replace(cfg, field=replace(cfg.field, r_c=float(value)))
     if axis == "node-count":
+        if not float(value).is_integer():
+            raise ConfigError(f"node count must be a whole number, got {value!r}")
         return replace(cfg, field=replace(cfg.field, n_nodes=int(value)))
     return replace(cfg, slots=replace(cfg.slots, data_rate=float(value)))  # data-rate
 
 
 def sweep(base: ScenarioConfig, axis: str, values, seeds) -> list[RunReport]:
-    """Paired (proposed, baseline) runs per (axis value, seed).
+    """Paired runs per (axis value, seed), the baseline's report first.
 
-    Tracking axes share one trajectory per seed; the data-rate axis (alias
-    `throughput-bench`) runs the throughput bench instead of the tracking
-    loop. Axis values that violate the config invariants are skipped with a
-    warning.
+    Tracking axes share one trajectory per seed (`paired_runs`); the
+    data-rate axis (alias `throughput-bench`) runs the throughput bench
+    instead of the tracking loop. Axis values that violate the config
+    invariants are skipped with a warning.
     """
     if axis == "throughput-bench":
         axis = "data-rate"
@@ -324,14 +320,11 @@ def sweep(base: ScenarioConfig, axis: str, values, seeds) -> list[RunReport]:
             log.warning("skipping %s=%s: %s", axis, value, exc)
             continue
         for seed in seeds:
-            scfg = with_seed(cfg_v, seed)
             if axis == "data-rate":
-                pair = [bench_run(replace(scfg, method=m))
+                pair = [bench_run(replace(with_seed(cfg_v, seed), method=m))
                         for m in ("baseline", "proposed")]
             else:
-                trace = generate_trace(scfg.mobility, scfg.field, scfg.max_slots)
-                pair = [run(replace(scfg, method=m), trace=trace)
-                        for m in ("baseline", "proposed")]
+                pair = paired_runs(cfg_v, seed)[::-1]  # baseline first
             for report in pair:
                 report.axis_name = axis
                 report.axis_value = _fmt_value(value)

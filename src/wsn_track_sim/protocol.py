@@ -5,6 +5,8 @@ and rank the two closest nodes; the representative pushes an observation
 notice through the MAC to the pair; the pair broadcast wake messages into the
 predicted region; everyone not needed goes back to sleep. An empty detector
 set while tracking means the target is lost and the whole field sleeps.
+A step reports only through its StepResult and new TrackerState (no event
+log); on a loss, the previous tracker's `closest` holds the pair that lost it.
 """
 
 from __future__ import annotations
@@ -62,26 +64,11 @@ class ClosestPair:
 @dataclass(frozen=True)
 class TrackerState:
     episode: Episode = Episode.IDLE
-    detectors: frozenset[int] = frozenset()
     representative: int | None = None
     closest: ClosestPair | None = None
     predicted: PredictedRegion | None = None
     est_pos: Point | None = None
     est_speed: float = 0.0
-
-
-class EventKind(Enum):
-    WAKE_SENT = "wake_sent"
-    OBSERVATION_NOTICE = "observation_notice"
-    NODES_SLEPT = "nodes_slept"
-    TARGET_LOST = "target_lost"
-
-
-@dataclass(frozen=True)
-class ProtocolEvent:
-    kind: EventKind
-    slot: int
-    ids: tuple[int, ...] = ()
 
 
 def elect_representative(detectors) -> int:
@@ -138,7 +125,6 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
 @dataclass
 class StepResult:
     tracker: TrackerState
-    events: list[ProtocolEvent]
     common: NodeMode                  # slot-body mode of every alive node outside slot_modes
     slot_modes: dict[int, NodeMode]   # slot-body mode of each node not in `common`
     n_awake: int               # nodes awake during the slot body
@@ -159,7 +145,6 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     and the ranges their sensors measure.
     """
     cfg = mac.cfg
-    events: list[ProtocolEvent] = []
     outcomes: list[SlotOutcome] = []
     woken: set[int] = set()
     r_s = field.config.r_s
@@ -179,17 +164,12 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     if not dets:
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
-            lost_ids = tracker.closest.ids() if tracker.closest else ()
-            slept = tuple(sorted(field.awake))
-            for nid in slept:
+            for nid in list(field.awake):
                 field.set_mode(field.node(nid), NodeMode.SLEEP)
-            events.append(ProtocolEvent(EventKind.TARGET_LOST, slot, lost_ids))
-            if slept:
-                events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot, slept))
-            return StepResult(TrackerState(episode=Episode.LOST), events, common,
+            return StepResult(TrackerState(episode=Episode.LOST), common,
                               slot_modes, n_awake, outcomes, woken, set(), set())
         # Idle keeps sensing; Lost stays dormant
-        return StepResult(tracker, events, common, slot_modes, n_awake, outcomes,
+        return StepResult(tracker, common, slot_modes, n_awake, outcomes,
                           woken, set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
@@ -227,16 +207,12 @@ def tracking_step(tracker: TrackerState, field: NodeField,
         frames_sent = 1
         window_outs, _dropped = mac.data_window({rep: deque([frame])}, slot)
         outcomes.extend(window_outs)
-        notice_ok = any(f is frame for out in window_outs for f, _ in out.delivered)
+        notice_out = next((out for out in window_outs
+                           if any(f is frame for f, _ in out.delivered)), None)
+        notice_ok = notice_out is not None
         if notice_ok:
-            for out in window_outs:
-                if any(f is frame for f, _ in out.delivered):
-                    for extra in recipients[1:]:
-                        out.add_rx(extra, rep, on_air_bits(frame, cfg))
-                    break
-    if notice_ok:
-        events.append(ProtocolEvent(EventKind.OBSERVATION_NOTICE, slot,
-                                    tuple(sorted({rep, *recipients}))))
+            for extra in recipients[1:]:
+                notice_out.add_rx(extra, rep, on_air_bits(frame, cfg))
 
     # wake messages: informed pair members broadcast into the predicted region
     senders = [nid for nid in pair.ids() if notice_ok or nid == rep]
@@ -254,16 +230,12 @@ def tracking_step(tracker: TrackerState, field: NodeField,
         wake_targets.update(targets)
     if control.records:
         outcomes.append(control)
-    if wake_targets:
-        events.append(ProtocolEvent(EventKind.WAKE_SENT, slot,
-                                    tuple(sorted(wake_targets))))
 
     # end-of-slot schedule: detectors monitor, wake recipients (and anyone
     # already awake inside the region that heard the call) detect, rest sleep.
     # A node outside field.awake slept through the slot body and stays asleep
     # unless kept awake, so only field.awake | keep_awake can change mode.
     keep_awake = dets | wake_targets | set(pair.ids())
-    slept = []
     for nid in field.awake | keep_awake:
         n = field.node(nid)
         if nid in dets:
@@ -273,16 +245,11 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                 woken.add(nid)
             field.set_mode(n, NodeMode.DETECT)
         else:
-            slept.append(nid)
             field.set_mode(n, NodeMode.SLEEP)
-    if slept:
-        events.append(ProtocolEvent(EventKind.NODES_SLEPT, slot,
-                                    tuple(sorted(slept))))
 
     new_tracker = TrackerState(episode=Episode.TRACKING,
-                               detectors=frozenset(dets),
                                representative=rep, closest=pair,
                                predicted=region, est_pos=est,
                                est_speed=est_speed)
-    return StepResult(new_tracker, events, common, slot_modes, n_awake, outcomes,
+    return StepResult(new_tracker, common, slot_modes, n_awake, outcomes,
                       woken, dets, wake_targets, frames_sent)

@@ -9,6 +9,7 @@ back to the exact inputs that produced it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .energy import ModeCosts, RadioModel
@@ -91,47 +92,55 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def parse_finite(raw: str) -> float:
+    """A float that is neither NaN nor infinite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_entry(raw: str):
     if raw.strip().lower() in ("random-edge", "random_edge"):
         return None
     parts = raw.split(",")
     if len(parts) != 2:
         raise ConfigError(f"entry point must be 'random-edge' or 'x,y', got {raw!r}")
-    return Point(float(parts[0]), float(parts[1]))
+    return Point(parse_finite(parts[0]), parse_finite(parts[1]))
 
 
 # key -> (section: the ScenarioConfig attribute, None for the scenario itself;
 #         field name; parser)
 _KEY_TABLE = {
-    "field.area_width": ("field", "area_width", float),
-    "field.area_height": ("field", "area_height", float),
+    "field.area_width": ("field", "area_width", parse_finite),
+    "field.area_height": ("field", "area_height", parse_finite),
     "field.n_nodes": ("field", "n_nodes", int),
-    "field.r_s": ("field", "r_s", float),
-    "field.r_c": ("field", "r_c", float),
-    "mobility.v_min": ("mobility", "v_min", float),
-    "mobility.v_max": ("mobility", "v_max", float),
+    "field.r_s": ("field", "r_s", parse_finite),
+    "field.r_c": ("field", "r_c", parse_finite),
+    "mobility.v_min": ("mobility", "v_min", parse_finite),
+    "mobility.v_max": ("mobility", "v_max", parse_finite),
     "mobility.entry": ("mobility", "entry_point", _parse_entry),
-    "slot.duration": ("slots", "slot_duration", float),
+    "slot.duration": ("slots", "slot_duration", parse_finite),
     "slot.data_packet_bits": ("slots", "data_packet_bits", int),
     "slot.control_packet_bits": ("slots", "control_packet_bits", int),
-    "slot.data_rate": ("slots", "data_rate", float),
-    "slot.p_persist": ("slots", "p_persist", float),
+    "slot.data_rate": ("slots", "data_rate", parse_finite),
+    "slot.p_persist": ("slots", "p_persist", parse_finite),
     "slot.max_retries": ("slots", "max_retries", int),
     "slot.ack_enabled": ("slots", "ack_enabled", _parse_bool),
     "slot.crc_enabled": ("slots", "crc_enabled", _parse_bool),
     "slot.crc_bits": ("slots", "crc_bits", int),
-    "slot.sense_fraction": ("slots", "sense_fraction", float),
-    "radio.e_elect": ("radio", "e_elect", float),
-    "radio.e_amp": ("radio", "e_amp", float),
-    "radio.e_tx_fixed": ("radio", "e_tx_fixed", float),
-    "radio.e_rx_fixed": ("radio", "e_rx_fixed", float),
-    "energy.sleep_per_slot": ("mode_costs", "sleep_per_slot", float),
-    "energy.sense_per_slot": ("mode_costs", "sense_per_slot", float),
-    "energy.comm_per_slot": ("mode_costs", "comm_per_slot", float),
-    "energy.initial": ("mode_costs", "initial_energy", float),
-    "energy.wake_cost": ("mode_costs", "wake_cost", float),
-    "protocol.alpha": (None, "alpha", float),
-    "protocol.radius_floor_frac": (None, "radius_floor_frac", float),
+    "slot.sense_fraction": ("slots", "sense_fraction", parse_finite),
+    "radio.e_elect": ("radio", "e_elect", parse_finite),
+    "radio.e_amp": ("radio", "e_amp", parse_finite),
+    "radio.e_tx_fixed": ("radio", "e_tx_fixed", parse_finite),
+    "radio.e_rx_fixed": ("radio", "e_rx_fixed", parse_finite),
+    "energy.sleep_per_slot": ("mode_costs", "sleep_per_slot", parse_finite),
+    "energy.sense_per_slot": ("mode_costs", "sense_per_slot", parse_finite),
+    "energy.comm_per_slot": ("mode_costs", "comm_per_slot", parse_finite),
+    "energy.initial": ("mode_costs", "initial_energy", parse_finite),
+    "energy.wake_cost": ("mode_costs", "wake_cost", parse_finite),
+    "protocol.alpha": (None, "alpha", parse_finite),
+    "protocol.radius_floor_frac": (None, "radius_floor_frac", parse_finite),
     "bench.packets": (None, "bench_packets", int),
     "bench.background_senders": (None, "bench_background_senders", int),
     "run.method": (None, "method", str),

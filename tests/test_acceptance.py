@@ -18,7 +18,7 @@ from wsn_track_sim.energy import debit_counts_by_reason
 from wsn_track_sim.field import deploy, detectors_of, neighbors_of
 from wsn_track_sim.harness import bench_run, paired_runs
 from wsn_track_sim.mobility import observed_speed
-from wsn_track_sim.protocol import EventKind, PredictedRegion, predicted_region
+from wsn_track_sim.protocol import PredictedRegion, predicted_region
 from wsn_track_sim.scenario import with_seed
 
 SEEDS_10 = range(10)
@@ -263,8 +263,9 @@ def test_c10_loss_handling():
 
     report = run(cfg, trace=trace, field=field)
     assert report.lost_episodes >= 1
-    loss_slot = next(e.slot for e in report.events
-                     if e.kind is EventKind.TARGET_LOST)
+    tracking = report.per_slot_tracking
+    loss_slot = next(k for k in range(len(tracking) - 1)
+                     if tracking[k] and not tracking[k + 1])
     assert report.per_slot_awake[loss_slot + 1] == 0  # nobody awake afterwards
     assert all(node.mode is NodeMode.SLEEP for node in field.nodes)
     report_line("C10 loss handling (coverage hole)")

@@ -167,3 +167,37 @@ def test_flag_error_is_not_blamed_on_config_file(tmp_path, capsys):
                  str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert "max_slots must be >= 1" in err and str(conf) not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("field.r_c", "nan"),
+    ("field.r_c", "inf"),
+    ("field.area_width", "inf"),
+    ("energy.initial", "nan"),
+    ("protocol.alpha", "nan"),
+    ("radio.e_amp", "nan"),
+])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{key} = {value}\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(conf), "--slots", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {conf}: bad value for {key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,spec", [
+    ("--seeds", "a"),
+    ("--seeds", "0..b"),
+    ("--values", "abc"),
+    ("--values", "nan"),
+    ("--values", "50,inf"),
+])
+def test_malformed_sweep_flag_is_config_error(tmp_path, capsys, flag, spec):
+    args = {"--values": "50", "--seeds": "0"}
+    args[flag] = spec
+    assert main(["sweep", "--axis", "comm-radius", "--values", args["--values"],
+                 "--seeds", args["--seeds"], "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flag}") and repr(spec) in err

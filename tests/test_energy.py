@@ -100,6 +100,12 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.debit(0, -0.1, "sense", 0)
 
+    def test_nan_amount_rejected(self):
+        ledger = EnergyLedger(small_field([(0, 0)]))
+        with pytest.raises(ValueError):
+            ledger.debit(0, math.nan, "tx", 0)
+        assert ledger.per_node[0] == 5.0 and not ledger.debits
+
     def test_replay_sum_oracle(self):
         # replaying the debit log with the same operation order reproduces the
         # ledger bit for bit

@@ -74,6 +74,16 @@ class TestRun:
         report = run(small_cfg(seed=3, slots=100))
         assert 0.0 <= report.detection_fraction <= 1.0
 
+    def test_lost_episodes_count_tracking_to_not_tracking(self):
+        # the proposed tracker loses the target exactly when it leaves
+        # TRACKING; the baseline never does
+        for seed in range(10):
+            rp, rb = paired_runs(default_scenario(), seed)
+            t = rp.per_slot_tracking
+            losses = sum(1 for k in range(len(t) - 1) if t[k] and not t[k + 1])
+            assert rp.lost_episodes == losses, f"seed {seed}"
+            assert rb.lost_episodes == 0, f"seed {seed}"
+
 
 class TestBaseline:
     def test_one_slot_no_detection_costs_pure_sensing(self):
@@ -141,6 +151,11 @@ class TestSweep:
             reports = sweep(cfg, "comm-radius", [40.0, 50.0], [0])
         assert len(reports) == 2  # the 40 m value violates r_c >= 2*r_s
         assert any("skipping" in rec.message for rec in caplog.records)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            reports = sweep(cfg, "node-count", [60.5, 60.0], [0])
+        assert [r.axis_value for r in reports] == ["60", "60"]  # no partial node
+        assert any("skipping node-count=60.5" in rec.message for rec in caplog.records)
 
     def test_empty_seeds(self):
         assert sweep(small_cfg(slots=10), "node-count", [50], []) == []

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wsn_track_sim import (ClosestPair, Episode, EventKind, FieldConfig,
+from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            MobilityConfig, NodeField, NodeMode, Point,
                            SensorNode, StateError, TrackerState,
                            elect_representative, estimate_position,
@@ -175,10 +175,6 @@ class TestTrackingStep:
         res = tracking_step(first.tracker, field, Point(500, 500), mac(), 1)
         assert res.tracker.episode is Episode.LOST
         assert all(n.mode is NodeMode.SLEEP for n in field.nodes)
-        kinds = [e.kind for e in res.events]
-        assert EventKind.TARGET_LOST in kinds
-        lost = next(e for e in res.events if e.kind is EventKind.TARGET_LOST)
-        assert lost.ids == first.tracker.closest.ids()
 
     def test_notice_failure_skips_wake_messages(self):
         # representative (lowest id) is not in the closest pair; the notice
@@ -189,7 +185,7 @@ class TestTrackingStep:
         assert res.tracker.representative == 0
         assert res.tracker.closest.ids() == (1, 2)
         assert res.wake_targets == set()
-        assert not any(e.kind is EventKind.OBSERVATION_NOTICE for e in res.events)
+        assert not any(out.delivered for out in res.outcomes)
         assert res.frames_sent == 1  # counted as sent, never delivered
         # detectors stay awake as monitors; pair kept awake; rest sleep
         assert field.nodes[0].mode is NodeMode.MONITOR
