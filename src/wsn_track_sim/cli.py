@@ -20,12 +20,14 @@ from .scenario import build_scenario, load_config_file, parse_finite
 
 def _parse_seeds(spec: str) -> list[int]:
     try:
-        if ".." in spec:
-            lo, _, hi = spec.partition("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in spec.split(",") if s.strip()]
+        lo, dots, hi = spec.partition("..")
+        seeds = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(s) for s in spec.split(",") if s.strip()])
     except ValueError as exc:
         raise ConfigError(f"--seeds {spec!r}: {exc}") from None
+    if not seeds:
+        raise ConfigError(f"--seeds {spec!r}: no seeds (a range runs low..high)")
+    return seeds
 
 
 def _parse_values(spec: str) -> list[float]:

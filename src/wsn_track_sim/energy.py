@@ -3,9 +3,10 @@
 Radio costs use the first-order model (electronics + d^2 amplifier term);
 platform costs are flat per-slot amounts per mode. Every joule leaves a node
 through debit()'s clamp at zero, which kills the node; settle_slot repeats its
-float operations inline for platform costs. The append-only log holds one
-record per run of same-mode slots of a node plus one per radio or wake debit,
-so conservation checks can fsum it and tx/rx records reconcile with the MAC.
+float operations inline for platform costs, _charge_outcome for radio records.
+The append-only log holds one record per run of same-mode slots of a node plus
+one per radio or wake debit, so conservation checks can fsum it and tx/rx
+records reconcile with the MAC.
 
 Each slot has a common mode, the one mode of every alive node outside the
 slot's mode map: sleep while the proposed method tracks, detect while the
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 from itertools import accumulate, chain
 from statistics import fmean
 
@@ -40,8 +41,8 @@ class RadioModel:
     e_rx_fixed: float = 0.0      # optional per-packet overhead, receive side
 
     def __post_init__(self) -> None:
-        if min(self.e_elect, self.e_amp, self.e_tx_fixed, self.e_rx_fixed) < 0:
-            raise ConfigError("radio energy constants must be non-negative")
+        if not all(0 <= v < math.inf for v in astuple(self)):  # also rejects NaN
+            raise ConfigError("radio energy constants must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ class ModeCosts:
     wake_cost: float = 0.001  # one-shot cost when a wake message pulls a node out of sleep
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, astuple(self))):
+            raise ConfigError("mode costs and battery parameters must be finite")
         if not (0 <= self.sleep_per_slot <= self.sense_per_slot <= self.comm_per_slot):
             raise ConfigError("mode costs must satisfy sleep <= sense <= comm")
         if self.initial_energy <= 0:
@@ -88,7 +91,7 @@ def _repeat_add(t: float, c: float, k: int) -> float:
     rounded to even). So the steps that keep clear of the binade's edges are
     one exact t + n·d; the others are taken one at a time.
     """
-    while k > 8:
+    while k > 40:
         s = t + c
         t = s + c
         k -= 2
@@ -213,13 +216,40 @@ def _mode_charges(costs: ModeCosts) -> dict[NodeMode, tuple[float, str]]:
 
 def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
                     slot: int) -> None:
-    """Debit one MAC outcome's radio records, one log record per operation."""
-    for rec in out.records:
-        if rec.op == "tx":
-            d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
-            ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", slot)
+    """Debit one MAC outcome's radio records, one log record per operation,
+    with debit()'s float operations inline. Lazy nodes, many of which share a
+    level and owed count, catch up through one memo made at the first of them."""
+    levels, log, runs = ledger.per_node, ledger.debits, ledger._runs
+    cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
+    add, low = None, math.inf
+    rx_bits = rx_amount = None
+    for op, nid, peer, bits in out.records:
+        node = field.node(nid)
+        if op == "tx":
+            amount = tx_energy(bits, distance(node.pos, field.node(peer).pos), rm)
         else:
-            ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
+            if bits != rx_bits:
+                rx_bits, rx_amount = bits, rx_energy(bits, rm)
+            amount = rx_amount
+        if cost is not None and runs[nid][1] < through:
+            if add is None:
+                add = functools.lru_cache(maxsize=None)(_repeat_add)
+            ledger._catch_up(node, add)
+        current = levels[nid]
+        applied = amount if amount <= current else current
+        level = current - applied
+        if level <= 0:
+            level = 0.0
+            field.kill(node)
+            ledger._alive_before = None
+        elif level < low:
+            low = level
+        levels[nid] = node.remaining_energy = level
+        log.append((slot, nid, op, applied))
+        total += applied
+    ledger.e_sx_total = total
+    if cost is not None and low < math.inf:
+        ledger._horizon = min(ledger._horizon, through + _safe_slots(low, cost))
 
 
 def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -66,6 +66,9 @@ class FieldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite,
+                       (self.area_width, self.area_height, self.r_s, self.r_c))):
+            raise ConfigError("field dimensions and radii must be finite")
         if self.area_width <= 0 or self.area_height <= 0:
             raise ConfigError("area dimensions must be positive")
         if self.n_nodes < 1:
@@ -84,8 +87,9 @@ class NodeField:
 
     `awake` holds the ids of the nodes not asleep and `n_alive` counts the
     alive nodes. They stay exact as long as every mode change goes through
-    set_mode() and every death through kill(), so that a slot can visit its
-    awake nodes, or learn that every alive node is awake, without a scan.
+    set_mode() or set_modes() and every death through kill(), so that a slot
+    can visit its awake nodes, or learn that every alive node is awake,
+    without a scan.
     """
 
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
@@ -104,6 +108,16 @@ class NodeField:
             self.awake.discard(node.id)
         else:
             self.awake.add(node.id)
+
+    def set_modes(self, ids: Collection[int], mode: NodeMode) -> None:
+        """set_mode() for each node id in `ids`, with one update of `awake`."""
+        by_id = self._by_id
+        for nid in ids:
+            by_id[nid].mode = mode
+        if mode is NodeMode.SLEEP:
+            self.awake.difference_update(ids)
+        else:
+            self.awake.update(ids)
 
     def kill(self, node: SensorNode) -> None:
         """Mark a node dead and asleep; killing a dead node changes nothing."""
@@ -183,11 +197,15 @@ def detectors_of(field: NodeField, target_pos: Point) -> set[int]:
             if n.alive and distance(n.pos, target_pos) <= r_s}
 
 
-def neighbors_of(field: NodeField, node_id: int) -> set[int]:
-    """Ids of alive nodes within communication range of `node_id` (exclusive of itself)."""
+def neighbors_of(field: NodeField, node_id: int,
+                 among: Iterable[int] | None = None) -> set[int]:
+    """Ids of alive nodes within communication range of `node_id` (exclusive of
+    itself); only those in `among`, when given, which then replaces the grid."""
     center = field.node(node_id).pos
     r_c = field.config.r_c
-    return {n.id for n in field.near(center, r_c)
+    pool = (field.near(center, r_c) if among is None
+            else map(field._by_id.__getitem__, among))
+    return {n.id for n in pool
             if n.alive and n.id != node_id and distance(n.pos, center) <= r_c}
 
 

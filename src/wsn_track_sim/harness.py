@@ -12,6 +12,7 @@ import csv
 import functools
 import logging
 import math
+import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
@@ -70,11 +71,8 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
     The tracker only records acquisition: TRACKING from the first detection on.
     """
     cfg = mac.cfg
-    detect = NodeMode.DETECT  # a local: the class attribute lookup costs more than the test
     if len(field.awake) < field.n_alive:
-        for n in field.alive_nodes():
-            if n.mode is not detect:
-                field.set_mode(n, detect)
+        field.set_modes([n.id for n in field.alive_nodes()], NodeMode.DETECT)
     dets = detectors_of(field, target_pos)
     outcomes = []
     frames_sent = 0
@@ -87,7 +85,7 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
         outcomes, _dropped = mac.data_window(queues, slot)
     if dets:
         tracker = TrackerState(episode=Episode.TRACKING)
-    return StepResult(tracker=tracker, common=detect, slot_modes={},
+    return StepResult(tracker=tracker, common=NodeMode.DETECT, slot_modes={},
                       n_awake=field.n_alive, outcomes=outcomes, woken=set(),
                       detectors=dets, wake_targets=set(), frames_sent=frames_sent)
 
@@ -126,8 +124,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     lost = 0
     covered_slots = 0
     detected_slots = 0
-    tx_seen: Counter = Counter()
-    rx_seen: Counter = Counter()
+    radio_ops: Counter = Counter()  # (op, node) of each MAC radio record
 
     for k in range(n_slots):
         target_pos = Point(trace[k].x, trace[k].y)
@@ -146,8 +143,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
         counters.sent_pckt += res.frames_sent
         for out in res.outcomes:
-            tx_seen.update(out.tx_counts)
-            rx_seen.update(out.rx_counts)
+            radio_ops.update(map(operator.itemgetter(0, 1), out.records))
             for fr, delivery_slot in out.delivered:
                 if fr.kind is not FrameKind.WAKE_MESSAGE:
                     counters.recv_pckt += 1
@@ -157,14 +153,14 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
                     counters.delays.append(delivery_slot * slot_seconds - t_s)
         counters.elapsed += slot_seconds
 
-        if any(distance(n.pos, target_pos) <= cfg.field.r_s
-               for n in field.near(target_pos, cfg.field.r_s)):
+        # a detector covers the target; so may a dead node (near() includes them)
+        if res.detectors or any(distance(n.pos, target_pos) <= cfg.field.r_s
+                                for n in field.near(target_pos, cfg.field.r_s)):
             covered_slots += 1
-            if res.detectors:
-                detected_slots += 1
+            detected_slots += bool(res.detectors)
 
-    reconciled = (tx_seen == debit_counts_by_reason(ledger, "tx")
-                  and rx_seen == debit_counts_by_reason(ledger, "rx"))
+    reconciled = all(Counter({nid: n for (o, nid), n in radio_ops.items() if o == op})
+                     == debit_counts_by_reason(ledger, op) for op in ("tx", "rx"))
 
     tracked = sum(per_tracking)
     tracked_awake = [a for a, t in zip(per_awake, per_tracking) if t]

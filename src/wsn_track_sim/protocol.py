@@ -146,14 +146,12 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     """
     cfg = mac.cfg
     outcomes: list[SlotOutcome] = []
-    woken: set[int] = set()
     r_s = field.config.r_s
 
     # acquisition: until the target is first seen, the whole field senses
     if tracker.episode is Episode.IDLE:
         if len(field.awake) < field.n_alive:
-            for n in field.alive_nodes():
-                field.set_mode(n, NodeMode.DETECT)
+            field.set_modes([n.id for n in field.alive_nodes()], NodeMode.DETECT)
         common, slot_modes, n_awake = NodeMode.DETECT, {}, field.n_alive
     else:
         slot_modes = {nid: field.node(nid).mode for nid in field.awake}
@@ -164,13 +162,12 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     if not dets:
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
-            for nid in list(field.awake):
-                field.set_mode(field.node(nid), NodeMode.SLEEP)
+            field.set_modes(field.awake, NodeMode.SLEEP)
             return StepResult(TrackerState(episode=Episode.LOST), common,
-                              slot_modes, n_awake, outcomes, woken, set(), set())
+                              slot_modes, n_awake, outcomes, set(), set(), set())
         # Idle keeps sensing; Lost stays dormant
         return StepResult(tracker, common, slot_modes, n_awake, outcomes,
-                          woken, set(), set())
+                          set(), set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
     rep = elect_representative(dets)
@@ -216,14 +213,15 @@ def tracking_step(tracker: TrackerState, field: NodeField,
 
     # wake messages: informed pair members broadcast into the predicted region
     senders = [nid for nid in pair.ids() if notice_ok or nid == rep]
+    listeners = wset.difference(senders)
     wake_targets: set[int] = set()
     control = SlotOutcome(slot=slot)
     for s in senders:
-        targets = sorted((wset & neighbors_of(field, s)) - set(senders))
+        targets = sorted(neighbors_of(field, s, among=listeners))
         if not targets:
             continue
-        far = max(targets, key=lambda t: (distance(field.node(t).pos,
-                                                   field.node(s).pos), t))
+        pos = field.node(s).pos
+        _, far = max((distance(field.node(t).pos, pos), t) for t in targets)
         control.add_tx(s, far, cfg.control_packet_bits)
         for t in targets:
             control.add_rx(t, s, cfg.control_packet_bits)
@@ -231,21 +229,15 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     if control.records:
         outcomes.append(control)
 
-    # end-of-slot schedule: detectors monitor, wake recipients (and anyone
-    # already awake inside the region that heard the call) detect, rest sleep.
-    # A node outside field.awake slept through the slot body and stays asleep
-    # unless kept awake, so only field.awake | keep_awake can change mode.
-    keep_awake = dets | wake_targets | set(pair.ids())
-    for nid in field.awake | keep_awake:
-        n = field.node(nid)
-        if nid in dets:
-            field.set_mode(n, NodeMode.MONITOR)
-        elif nid in keep_awake:
-            if n.mode is NodeMode.SLEEP and nid in wake_targets:
-                woken.add(nid)
-            field.set_mode(n, NodeMode.DETECT)
-        else:
-            field.set_mode(n, NodeMode.SLEEP)
+    # end-of-slot schedule: detectors (the pair among them) monitor, wake
+    # recipients detect, every other awake node sleeps. A recipient outside
+    # field.awake slept through the slot body, so the message woke it; no
+    # detector did.
+    keep_awake = dets | wake_targets
+    woken = wake_targets - field.awake
+    field.set_modes(field.awake - keep_awake, NodeMode.SLEEP)
+    field.set_modes(keep_awake - dets, NodeMode.DETECT)
+    field.set_modes(dets, NodeMode.MONITOR)
 
     new_tracker = TrackerState(episode=Episode.TRACKING,
                                representative=rep, closest=pair,

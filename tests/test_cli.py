@@ -190,6 +190,7 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("flag,spec", [
     ("--seeds", "a"),
     ("--seeds", "0..b"),
+    ("--seeds", "5..2"),  # a reversed range holds no seeds
     ("--values", "abc"),
     ("--values", "nan"),
     ("--values", "50,inf"),

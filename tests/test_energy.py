@@ -55,6 +55,19 @@ class TestRadioFormulas:
             d = rng.uniform(0, 200)
             assert rx_energy(bits, RM) <= tx_energy(bits, d, RM)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["e_elect", "e_amp", "e_tx_fixed", "e_rx_fixed"])
+    def test_radio_constants_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError):
+            RadioModel(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["sleep_per_slot", "sense_per_slot", "comm_per_slot",
+                                      "initial_energy", "wake_cost"])
+    def test_mode_costs_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError):
+            ModeCosts(**{name: value})
+
     def test_mode_cost_ordering(self):
         costs = ModeCosts()
         assert costs.sleep_per_slot < costs.sense_per_slot < costs.comm_per_slot
@@ -332,6 +345,9 @@ class TestRepeatAdd:
         (1.0, 3 * 2.0 ** -54, 5000),      # a tie at the grid of [1, 2)
         (1.0, 2.0 ** -54, 5000),          # half a grid step: t stays put
         (-0.5, 0.3, 40),                  # crosses zero
+        (5.0, -0.00027, 40),              # the longest run of plain additions
+        (1.0, -0.012, 41),                # the shortest run through the binade walk
+        (1.0, -0.012, 42),                # ... which ends below the binade's edge
     ])
     def test_examples(self, t, c, k):
         assert _repeat_add(t, c, k).hex() == naive_add(t, c, k).hex()
@@ -418,6 +434,42 @@ class TestLazySettlement:
                 assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
         assert new.total_remaining() == ref.total_remaining()
         assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(30, 90), st.sampled_from([0.004, 0.02, 5.0]),
+           st.lists(st.tuples(st.sets(st.integers(0, 89), max_size=3),
+                              st.sets(st.integers(0, 89), min_size=10),
+                              st.sampled_from([32, 512, 16384])),
+                    min_size=2, max_size=20))
+    def test_rx_to_many_lazy_sleepers(self, n, energy, slots):
+        """Radio records reach many lazy sleepers that share a level and an
+        owed count, so _charge_outcome catches them up through its memo; with
+        large frames, a late rx can also kill a node. Every level, record and
+        total must equal per-node debit() settlement bit for bit."""
+        fields = [small_field([(i * 5.0, 0.0) for i in range(n)], energy=energy)
+                  for _ in range(2)]
+        new, ref = (EnergyLedger(f) for f in fields)
+        for slot, (awake, listeners, bits) in enumerate(slots):
+            modes = {i: NodeMode.MONITOR for i in awake if i < n}
+            sender = min(modes, default=0)
+            out = SlotOutcome(slot=slot)
+            for t in sorted(listeners):
+                if t < n and t != sender:
+                    out.add_tx(sender, t, bits)
+                    out.add_rx(t, sender, bits)
+                    out.add_rx(t, sender, bits)
+            settle_slot(new, fields[0], [out], RM, ModeCosts(), modes, (), slot,
+                        common=SLEEP)
+            reference_settle(ref, fields[1], [out], RM, ModeCosts(), modes, (), slot)
+            assert new.e_sx_total.hex() == ref.e_sx_total.hex()
+            assert fields[0].n_alive == fields[1].n_alive
+        new.flush()
+        assert ([v.hex() for v in new.per_node.values()]
+                == [v.hex() for v in ref.per_node.values()])
+        assert ([(n.alive, n.mode) for n in fields[0].nodes]
+                == [(n.alive, n.mode) for n in fields[1].nodes])
+        assert ([(*d[:3], d[3].hex()) for d in new.debits]
+                == [(*d[:3], d[3].hex()) for d in merged_runs(ref.debits)])
 
     def test_sleepers_pay_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])

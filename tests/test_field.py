@@ -36,6 +36,12 @@ class TestFieldConfig:
         with pytest.raises(ConfigError):
             FieldConfig(n_nodes=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["area_width", "area_height", "r_s", "r_c"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigError):
+            FieldConfig(**{name: value})
+
 
 class TestDeploy:
     def test_table_defaults(self):
@@ -262,3 +268,14 @@ class TestGridMatchesLinearScan:
         for f in (field, dead):
             assert any(distance(n.pos, q) <= r_s for n in f.near(q, r_s)) == covered
         assert detectors_of(dead, q) == set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields_with_query(), st.data())
+    def test_neighbors_among_a_subset_equal_the_scan(self, case, data):
+        field, _, _ = case
+        r_c = field.config.r_c
+        among = data.draw(st.sets(st.sampled_from([n.id for n in field.nodes])))
+        for n in field.nodes:
+            if n.alive:
+                assert (neighbors_of(field, n.id, among=among)
+                        == (scan(field, n.pos, r_c) - {n.id}) & among)

@@ -15,7 +15,7 @@ from wsn_track_sim import (ConfigError, Episode, FieldConfig, MacService, NodeFi
                            NodeMode, Point, SensorNode, TrackerState, default_scenario,
                            deploy, detectors_of, emit_csv, generate_trace, run, sweep)
 from wsn_track_sim import harness
-from wsn_track_sim.energy import settle_slot
+from wsn_track_sim.energy import _charge_outcome, settle_slot
 from wsn_track_sim.harness import CSV_COLUMNS, paired_runs
 from wsn_track_sim.mobility import TraceRow
 from wsn_track_sim.scenario import with_seed
@@ -83,6 +83,22 @@ class TestRun:
             losses = sum(1 for k in range(len(t) - 1) if t[k] and not t[k + 1])
             assert rp.lost_episodes == losses, f"seed {seed}"
             assert rb.lost_episodes == 0, f"seed {seed}"
+
+    def test_a_radio_record_left_uncharged_breaks_reconciliation(self, monkeypatch):
+        # the ledger's counts come from charging, the MAC's from the outcomes:
+        # charging one rx record fewer must show
+        skipped = []
+
+        def skip_first_rx(ledger, field, out, rm, slot):
+            rx = [r for r in out.records if r.op == "rx"]
+            if rx and not skipped:
+                skipped.append(rx[0])
+                out = replace(out, records=[r for r in out.records if r is not rx[0]])
+            _charge_outcome(ledger, field, out, rm, slot)
+
+        monkeypatch.setattr("wsn_track_sim.energy._charge_outcome", skip_first_rx)
+        report = run(small_cfg(seed=0, slots=120))
+        assert skipped and not report.radio_reconciled
 
 
 class TestBaseline:
