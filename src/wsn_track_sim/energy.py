@@ -171,6 +171,8 @@ class EnergyLedger:
         Most lazy nodes share their level, record amount and owed count, so
         one call replays each distinct (value, owed count) once.
         """
+        if self._cost is None:  # no slot settled yet: nothing is owed
+            return
         add = functools.lru_cache(maxsize=None)(_repeat_add)
         for node in self.field.nodes:
             self._catch_up(node, add)

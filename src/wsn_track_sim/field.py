@@ -3,9 +3,10 @@
 Nodes are static once deployed; only the tracked target moves. All range
 checks are boundary-inclusive (<=) so that brute-force oracles are exact.
 Range queries narrow the candidates with a uniform grid of cells of side r_s,
-built on the first query, then apply the same `distance(...) <= r` test as a
-scan of all nodes, so they return exactly the scan's result at a cost that
-follows the nodes near the query point, not the field size.
+then apply the same `distance(...) <= r` test as a scan of all nodes, so they
+return exactly the scan's result at a cost that follows the nodes near the
+query point, not the field size. deploy() draws positions and grid once while
+its config repeats, as in a paired comparison, and builds fresh nodes each call.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ class FieldConfig:
             )
 
 
+def _grid(positions: Iterable[Point], side: float) -> tuple:
+    """(cell, ascending indices into `positions`) of each occupied cell."""
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(positions):
+        cells.setdefault((math.floor(p.x / side), math.floor(p.y / side)), []).append(i)
+    return tuple((key, tuple(cell)) for key, cell in cells.items())
+
+
 class NodeField:
     """A deployed field: ordered node list plus the config that produced it.
 
@@ -89,7 +98,8 @@ class NodeField:
     alive nodes. They stay exact as long as every mode change goes through
     set_mode() or set_modes() and every death through kill(), so that a slot
     can visit its awake nodes, or learn that every alive node is awake,
-    without a scan.
+    without a scan. Range queries use a grid of the nodes, alive or dead,
+    which deploy() hands over and a field built directly bins on first use.
     """
 
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
@@ -143,13 +153,14 @@ class NodeField:
 
     @functools.cached_property
     def _cells(self) -> dict[tuple[int, int], list[SensorNode]]:
-        """Every node, alive or dead, binned by (floor(x / r_s), floor(y / r_s))."""
-        side = self.config.r_s
-        cells: dict[tuple[int, int], list[SensorNode]] = {}
-        for n in self.nodes:
-            key = (math.floor(n.pos.x / side), math.floor(n.pos.y / side))
-            cells.setdefault(key, []).append(n)
-        return cells
+        """Every node, alive or dead, binned by (floor(x / r_s), floor(y / r_s));
+        built on the first query unless deploy() set it."""
+        return self._bind(_grid([n.pos for n in self.nodes], self.config.r_s))
+
+    def _bind(self, grid: tuple) -> dict[tuple[int, int], list[SensorNode]]:
+        """An index grid's cells as lists of this field's own nodes."""
+        nodes = self.nodes
+        return {key: [nodes[i] for i in cell] for key, cell in grid}
 
     def near(self, p: Point, r: float) -> list[SensorNode]:
         """A superset of the nodes, alive or dead, within r of p.
@@ -172,22 +183,30 @@ class NodeField:
         return found
 
 
+@functools.lru_cache(maxsize=1)
+def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple]:
+    """A config's positions and grid, immutable: its fields share nothing mutable."""
+    rng = random.Random(config.seed)
+    w, h = config.area_width, config.area_height
+    points = tuple(Point(rng.uniform(0.0, w), rng.uniform(0.0, h))
+                   for _ in range(config.n_nodes))
+    return points, _grid(points, config.r_s)
+
+
 def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
     """Place nodes uniformly at random inside the area.
 
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
-    battery. Same config and seed reproduce the exact same field.
+    battery. Same config and seed reproduce the exact same field, from one
+    cached layout while the config repeats, with nodes of its own.
     """
     if initial_energy <= 0:
         raise ConfigError("initial energy must be positive")
-    rng = random.Random(config.seed)
-    nodes = []
-    for i in range(config.n_nodes):
-        pos = Point(rng.uniform(0.0, config.area_width),
-                    rng.uniform(0.0, config.area_height))
-        nodes.append(SensorNode(id=i, pos=pos, mode=NodeMode.SLEEP,
-                                remaining_energy=initial_energy, alive=True))
-    return NodeField(nodes, config)
+    points, grid = _layout(config)
+    field = NodeField([SensorNode(i, p, NodeMode.SLEEP, initial_energy, True)
+                       for i, p in enumerate(points)], config)
+    field._cells = field._bind(grid)
+    return field
 
 
 def detectors_of(field: NodeField, target_pos: Point) -> set[int]:

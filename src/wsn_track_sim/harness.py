@@ -2,8 +2,8 @@
 
 A run binds one deployed field, one target trajectory, one MAC stream and one
 energy ledger, then walks max_slots slots. Paired comparisons feed the same
-trajectory (and field seed) to both methods so differences come only from the
-activation strategy.
+trajectory and field layout to both methods so differences come only from the
+activation strategy; each run deploys its own nodes onto that layout.
 """
 
 from __future__ import annotations
@@ -203,7 +203,8 @@ def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: float,
 
 
 def paired_runs(cfg: ScenarioConfig, seed: int) -> tuple[RunReport, RunReport]:
-    """(proposed, baseline) reports over the identical trajectory and layout."""
+    """(proposed, baseline) reports over the identical trajectory and layout;
+    deploy() draws the layout for the proposed run, and the baseline reuses it."""
     scfg = with_seed(cfg, seed)
     trace = generate_trace(scfg.mobility, scfg.field, scfg.max_slots)
     rp = run(replace(scfg, method="proposed"), trace=trace)

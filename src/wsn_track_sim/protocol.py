@@ -156,8 +156,9 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     else:
         slot_modes = {nid: field.node(nid).mode for nid in field.awake}
         common, n_awake = NodeMode.SLEEP, len(slot_modes)
-    # until the end-of-slot schedule, field.awake holds the slot-body awake set
-    dets = detectors_of(field, true_target) & field.awake
+    # until the end-of-slot schedule, field.awake holds the slot-body awake set;
+    # with nobody awake (a lost target) there is nobody to detect it
+    dets = detectors_of(field, true_target) & field.awake if field.awake else set()
 
     if not dets:
         if tracker.episode is Episode.TRACKING:

@@ -119,6 +119,19 @@ class TestLedger:
             ledger.debit(0, math.nan, "tx", 0)
         assert ledger.per_node[0] == 5.0 and not ledger.debits
 
+    def test_total_before_any_settle_reads_the_initial_levels(self):
+        levels = [5.0, 0.1, 1e-3, 3.3, 2.0 / 3]
+        cfg = FieldConfig(n_nodes=len(levels), seed=0)
+        field = NodeField([SensorNode(id=i, pos=Point(10.0 * i, 0.0), remaining_energy=e)
+                           for i, e in enumerate(levels)], cfg)
+        ledger = EnergyLedger(field)
+        assert ledger.total_remaining() == math.fsum(levels)
+        ledger.flush()
+        assert ledger.debits == []
+        assert ledger.per_node == dict(enumerate(levels))
+        assert [(n.mode, n.remaining_energy, n.alive) for n in field] == [
+            (NodeMode.SLEEP, e, True) for e in levels]
+
     def test_replay_sum_oracle(self):
         # replaying the debit log with the same operation order reproduces the
         # ledger bit for bit

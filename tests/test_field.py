@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
                            Point, SensorNode, deploy, detectors_of, distance,
                            k_closest, neighbors_of)
+from wsn_track_sim.field import _layout
 from wsn_track_sim.protocol import PredictedRegion, wake_set
 
 
@@ -67,6 +68,82 @@ class TestDeploy:
         a = deploy(FieldConfig(seed=1))
         b = deploy(FieldConfig(seed=2))
         assert any(x.pos != y.pos for x, y in zip(a, b))
+
+
+def reference_deploy(config, initial_energy):
+    """deploy() as a per-node loop that draws every position afresh."""
+    rng = random.Random(config.seed)
+    nodes = []
+    for i in range(config.n_nodes):
+        pos = Point(rng.uniform(0.0, config.area_width),
+                    rng.uniform(0.0, config.area_height))
+        nodes.append(SensorNode(id=i, pos=pos, mode=NodeMode.SLEEP,
+                                remaining_energy=initial_energy, alive=True))
+    return nodes
+
+
+def reference_cells(nodes, side):
+    """Node ids binned by (floor(x / side), floor(y / side)), in field order."""
+    cells = {}
+    for n in nodes:
+        key = (math.floor(n.pos.x / side), math.floor(n.pos.y / side))
+        cells.setdefault(key, []).append(n.id)
+    return cells
+
+
+def node_state(nodes):
+    return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.mode, n.remaining_energy.hex(), n.alive)
+            for n in nodes]
+
+
+@st.composite
+def field_configs(draw):
+    r_s = draw(st.floats(0.5, 60.0))
+    return FieldConfig(area_width=draw(st.floats(1.0, 1000.0)),
+                       area_height=draw(st.floats(1.0, 1000.0)),
+                       n_nodes=draw(st.integers(1, 80)), r_s=r_s,
+                       r_c=r_s * draw(st.floats(2.0, 5.0)),
+                       seed=draw(st.integers(0, 2**32)))
+
+
+class TestLayoutCache:
+    @settings(max_examples=100, deadline=None)
+    @given(field_configs(), field_configs(), st.floats(1e-3, 10.0))
+    def test_deploy_equals_the_per_node_loop(self, a, b, energy):
+        """A hit (a twice), an eviction (b) and a redraw (a again) all give the
+        loop's nodes and grid."""
+        _layout.cache_clear()
+        for cfg in (a, a, b, a):
+            field = deploy(cfg, energy)
+            reference = reference_deploy(cfg, energy)
+            assert node_state(field) == node_state(reference)
+            assert ({key: [n.id for n in cell] for key, cell in field._cells.items()}
+                    == reference_cells(reference, cfg.r_s))
+            assert field.awake == set() and field.n_alive == cfg.n_nodes
+        info = _layout.cache_info()
+        assert (info.hits, info.misses) == ((1, 3) if a != b else (3, 1))
+        assert info.currsize == 1
+
+    def test_fields_of_one_config_share_nothing_mutable(self):
+        cfg = FieldConfig(n_nodes=300, seed=3)
+        one, two = deploy(cfg), deploy(cfg)
+        untouched = node_state(two)
+        one.set_mode(one.nodes[0], NodeMode.DETECT)
+        one.set_modes([3, 4], NodeMode.MONITOR)
+        one.kill(one.nodes[1])
+        one.nodes[2].remaining_energy = 1.25
+        assert node_state(two) == untouched
+        assert two.awake == set() and two.n_alive == 300
+        rng = random.Random(11)
+        for field in (one, two):
+            own = {id(n) for n in field.nodes}
+            for _ in range(100):
+                p = Point(rng.uniform(-50, 550), rng.uniform(-50, 550))
+                r = rng.uniform(0.0, 60.0)
+                found = field.near(p, r)
+                assert all(id(n) in own for n in found)
+                assert ({n.id for n in found if distance(n.pos, p) <= r}
+                        == {n.id for n in field.nodes if distance(n.pos, p) <= r})
 
 
 class TestDistance:

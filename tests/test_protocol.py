@@ -11,6 +11,7 @@ from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            elect_representative, estimate_position,
                            generate_trace, predicted_region, tracking_step,
                            wake_set)
+from wsn_track_sim import protocol
 from wsn_track_sim.mac import MacService, SlotConfig
 from wsn_track_sim.mobility import observed_speed
 
@@ -175,6 +176,21 @@ class TestTrackingStep:
         res = tracking_step(first.tracker, field, Point(500, 500), mac(), 1)
         assert res.tracker.episode is Episode.LOST
         assert all(n.mode is NodeMode.SLEEP for n in field.nodes)
+
+    def test_lost_step_with_nobody_awake_detects_nothing(self, monkeypatch):
+        # node 1 is alive and covers the target, but sleeps; with nobody
+        # awake the step runs no range query
+        field = make_field([(0, 0), (100, 0)])
+
+        def no_query(*args):
+            raise AssertionError("range query in a slot with nobody awake")
+
+        monkeypatch.setattr(protocol, "detectors_of", no_query)
+        res = tracking_step(TrackerState(episode=Episode.LOST), field,
+                            Point(100, 10), mac(), 7)
+        assert res.tracker.episode is Episode.LOST
+        assert res.detectors == set() and res.n_awake == 0
+        assert field.nodes[1].alive and field.nodes[1].mode is NodeMode.SLEEP
 
     def test_notice_failure_skips_wake_messages(self):
         # representative (lowest id) is not in the closest pair; the notice
