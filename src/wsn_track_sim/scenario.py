@@ -151,6 +151,7 @@ _KEY_TABLE = {
 
 def parse_config_text(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -161,7 +162,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in _KEY_TABLE:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {lines[key]}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 

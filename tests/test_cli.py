@@ -194,6 +194,8 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key, value):
     ("--values", "abc"),
     ("--values", "nan"),
     ("--values", "50,inf"),
+    ("--values", ","),  # no values: not blamed on the axis
+    ("--values", ""),
 ])
 def test_malformed_sweep_flag_is_config_error(tmp_path, capsys, flag, spec):
     args = {"--values": "50", "--seeds": "0"}

@@ -10,9 +10,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from wsn_track_sim import (ConfigError, Episode, FieldConfig, MacService, NodeField,
-                           NodeMode, Point, SensorNode, TrackerState, default_scenario,
+from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
+                           MacService, MetricCounters, NodeField, NodeMode, Point,
+                           SensorNode, SlotOutcome, TrackerState, default_scenario,
                            deploy, detectors_of, emit_csv, generate_trace, run, sweep)
 from wsn_track_sim import harness
 from wsn_track_sim.energy import _charge_outcome, settle_slot
@@ -99,6 +101,61 @@ class TestRun:
         monkeypatch.setattr("wsn_track_sim.energy._charge_outcome", skip_first_rx)
         report = run(small_cfg(seed=0, slots=120))
         assert skipped and not report.radio_reconciled
+
+
+def reference_fold(records):
+    """The per-slot accumulation `run()` did before slot records: the oracle
+    for `_fold`."""
+    per_step, per_awake, per_tracking = [], [], []
+    lost = covered_slots = detected_slots = 0
+    for joules, awake, tracking, lost_now, covered, detected in records:
+        lost += lost_now
+        per_step.append(joules)
+        per_awake.append(awake)
+        per_tracking.append(tracking)
+        if covered:
+            covered_slots += 1
+            detected_slots += detected
+    tracked = sum(per_tracking)
+    tracked_awake = [a for a, t in zip(per_awake, per_tracking) if t]
+    return dict(
+        slots=len(records),
+        mean_active_nodes=(sum(tracked_awake) / tracked) if tracked else 0.0,
+        max_active_nodes=max(tracked_awake, default=0),
+        lost_episodes=lost,
+        tracked_slots=tracked,
+        detection_fraction=(detected_slots / covered_slots) if covered_slots else 0.0,
+        per_step_energy=per_step,
+        per_slot_awake=per_awake,
+        per_slot_tracking=per_tracking,
+    )
+
+
+# a loss needs tracking at the slot's start, a detection needs coverage
+slot_records = st.builds(
+    lambda j, a, t, lost, c, d: harness.SlotRecord(j, a, t, t and lost, c, c and d),
+    st.floats(0.0, 10.0), st.integers(0, 4000), st.booleans(), st.booleans(),
+    st.booleans(), st.booleans())
+
+
+class TestFold:
+    @given(st.lists(slot_records, max_size=60))
+    @example([])
+    @example([harness.SlotRecord(0.5, 3, False, False, False, False)] * 4)
+    def test_fold_equals_the_accumulation_loop(self, records):
+        assert harness._fold(records) == reference_fold(records)
+
+    def test_deliveries_delay_is_slots_times_t(self):
+        # the first send stands for T_s; a frame that never reached the air
+        # (ts_slot None) falls back to its enqueue slot
+        sent = Frame(1, 2, FrameKind.DATA_PAYLOAD, 512, enqueued_slot=0, ts_slot=1)
+        unsent = Frame(3, 4, FrameKind.DATA_PAYLOAD, 256, enqueued_slot=2)
+        out = SlotOutcome(slot=2, delivered=[(sent, 3), (unsent, 3)])
+        counters = MetricCounters()
+        harness._deliveries(counters, [out], 0.1)
+        assert counters.recv_pckt == 2 and counters.bits_received == 768
+        # (3 - 1) * 0.1 == 0.2, where 3 * 0.1 - 1 * 0.1 == 0.20000000000000004
+        assert counters.delays == [(3 - 1) * 0.1, (3 - 2) * 0.1]
 
 
 class TestBaseline:

@@ -38,6 +38,10 @@ class TestParsing:
         with pytest.raises(ConfigError):
             build_scenario({"field.n_nodes": "many"})
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 3: 'field.r_c' .* line 1"):
+            parse_config_text("field.r_c = 50\nfield.n_nodes = 100\nfield.r_c = 60")
+
 
 class TestBuild:
     def test_defaults(self):
