@@ -1,7 +1,10 @@
 """Energy accounting and run metrics.
 
 Radio costs use the first-order model (electronics + d^2 amplifier term);
-platform costs are flat per-slot amounts per mode. Every joule leaves a node
+platform costs are flat per-slot amounts per mode. A ledger is bound to one
+run's field, mode costs and radio model when it is built, so the settle
+functions take only the slot's outcomes and modes; battery levels live on the
+nodes, whose ids are their positions in the field. Every joule leaves a node
 through debit()'s clamp at zero, which kills the node; settle_slot repeats its
 float operations inline for platform costs, _charge_outcome for radio records.
 The append-only log holds one record per run of same-mode slots of a node plus
@@ -24,7 +27,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, field as dc_field
-from itertools import accumulate, chain
+from itertools import accumulate
 from statistics import fmean
 
 from .errors import ConfigError
@@ -119,11 +122,12 @@ def _safe_slots(level: float, cost: float) -> int:
 
 
 class EnergyLedger:
-    """Per-node battery bookkeeping with an append-only interval debit log.
+    """Battery bookkeeping of one run with an append-only interval debit log.
 
-    The ledger owns the remaining-energy truth and mirrors it onto the
-    SensorNode objects so that alive/mode state stays consistent: a node whose
-    battery clamps to zero is marked dead and dropped to sleep.
+    A ledger is bound to its field, mode costs and radio model when it is
+    built. Levels live on the SensorNode objects and nowhere else: the ledger
+    writes each charge to `remaining_energy`, and a node whose battery clamps
+    to zero is marked dead and dropped to sleep.
 
     A log record is `(first_slot, node, reason, applied_J)`. A platform record
     ("sleep", "sense", "comm") covers one node's run of consecutive slots in
@@ -135,19 +139,20 @@ class EnergyLedger:
     A node in the common mode that settle_slot did not visit still owes that
     mode's charges since its run's last slot. remaining(), debit() and a visit
     collect them from one node; flush() and total_remaining() from every node.
-    Read `per_node`, `SensorNode.remaining_energy` or an open platform record's
-    amount directly only after flush().
+    Read `SensorNode.remaining_energy` or an open platform record's amount
+    directly only after flush().
     """
 
-    def __init__(self, field: NodeField, wake_cost: float = 0.001):
-        self.field = field
-        self.per_node: dict[int, float] = {n.id: n.remaining_energy for n in field.nodes}
+    def __init__(self, field: NodeField, costs: ModeCosts, radio: RadioModel):
+        self.field, self.costs, self.radio = field, costs, radio
+        # per-slot platform charge of each mode: (joules, debit reason)
+        self._charges = {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
+                         NodeMode.DETECT: (costs.sense_per_slot, "sense"),
+                         NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
         self.debits: list[tuple | list] = []
-        self.e_ix = wake_cost
         self.e_sx_total = 0.0  # running network total; == sum of applied debits
-        # per node: [record, last slot, mode] of its latest platform record
-        self._runs = {n.id: [None, -1, None] for n in field.nodes}
-        self._index = {n.id: i for i, n in enumerate(field.nodes)}
+        # per node id: [record, last slot, mode] of its latest platform record
+        self._runs = [[None, -1, None] for _ in field.nodes]
         self._through = -1        # last settled slot
         self._common = None       # the common mode of the lazy nodes
         self._cost = None         # its per-slot cost, which the lazy nodes owe
@@ -160,8 +165,7 @@ class EnergyLedger:
         run = self._runs[node.id]
         owed = self._through - run[1]
         if owed > 0 and node.alive:
-            level = add(self.per_node[node.id], -self._cost, owed)
-            self.per_node[node.id] = node.remaining_energy = level
+            node.remaining_energy = add(node.remaining_energy, -self._cost, owed)
             run[0][3] = add(run[0][3], self._cost, owed)
             run[1] = self._through
 
@@ -178,12 +182,13 @@ class EnergyLedger:
             self._catch_up(node, add)
 
     def remaining(self, node_id: int) -> float:
-        self._catch_up(self.field.node(node_id))
-        return self.per_node[node_id]
+        node = self.field.node(node_id)
+        self._catch_up(node)
+        return node.remaining_energy
 
     def total_remaining(self) -> float:
         self.flush()
-        return math.fsum(self.per_node.values())
+        return math.fsum(n.remaining_energy for n in self.field.nodes)
 
     def debit(self, node_id: int, amount: float, reason: str, slot: int) -> float:
         """Draw `amount` joules from a node, clamped at zero. Returns the applied amount."""
@@ -193,7 +198,7 @@ class EnergyLedger:
         cost = self._cost  # None until a slot is settled: no lazy nodes
         if cost is not None and self._runs[node_id][1] < self._through:
             self._catch_up(node)
-        current = self.per_node[node_id]
+        current = node.remaining_energy
         applied = amount if amount <= current else current
         new_level = current - applied
         if new_level <= 0:
@@ -202,26 +207,17 @@ class EnergyLedger:
             self._alive_before = None
         elif cost is not None:
             self._horizon = min(self._horizon, self._through + _safe_slots(new_level, cost))
-        self.per_node[node_id] = new_level
         node.remaining_energy = new_level
         self.debits.append((slot, node_id, reason, applied))
         self.e_sx_total += applied
         return applied
 
 
-def _mode_charges(costs: ModeCosts) -> dict[NodeMode, tuple[float, str]]:
-    """Per-slot platform charge of each mode: (joules, debit reason)."""
-    return {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
-            NodeMode.DETECT: (costs.sense_per_slot, "sense"),
-            NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
-
-
-def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
-                    slot: int) -> None:
+def _charge_outcome(ledger: EnergyLedger, out, slot: int) -> None:
     """Debit one MAC outcome's radio records, one log record per operation,
     with debit()'s float operations inline. Lazy nodes, many of which share a
     level and owed count, catch up through one memo made at the first of them."""
-    levels, log, runs = ledger.per_node, ledger.debits, ledger._runs
+    field, rm, log, runs = ledger.field, ledger.radio, ledger.debits, ledger._runs
     cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
     add, low = None, math.inf
     rx_bits = rx_amount = None
@@ -237,7 +233,7 @@ def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
             if add is None:
                 add = functools.lru_cache(maxsize=None)(_repeat_add)
             ledger._catch_up(node, add)
-        current = levels[nid]
+        current = node.remaining_energy
         applied = amount if amount <= current else current
         level = current - applied
         if level <= 0:
@@ -246,7 +242,7 @@ def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
             ledger._alive_before = None
         elif level < low:
             low = level
-        levels[nid] = node.remaining_energy = level
+        node.remaining_energy = level
         log.append((slot, nid, op, applied))
         total += applied
     ledger.e_sx_total = total
@@ -254,10 +250,8 @@ def _charge_outcome(ledger: EnergyLedger, field: NodeField, out, rm: RadioModel,
         ledger._horizon = min(ledger._horizon, through + _safe_slots(low, cost))
 
 
-def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
-                rm: RadioModel, costs: ModeCosts,
-                slot_modes: dict[int, NodeMode], woken=(), slot: int = 0, *,
-                common: NodeMode) -> None:
+def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
+                woken=(), slot: int = 0, *, common: NodeMode) -> None:
     """Charge one slot: platform cost per mode, radio cost per frame, wake-up costs.
 
     `slot_modes` holds the slot-body mode of each node not in the slot's
@@ -271,24 +265,21 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
     Only the nodes in this slot's or the last slot's map are visited; the
     total takes the common mode's cost of the alive nodes between them with
     `_repeat_add`, and those nodes pay later (see EnergyLedger). Every node is
-    visited instead after a skipped slot, a change of common mode or of its
-    cost, past the slot in which a lazy node could die, or when the maps hold
-    a quarter of the field or more, where sorting them costs more than the
-    walk.
+    visited instead after a skipped slot, a change of common mode, past the
+    slot in which a lazy node could die, or when the maps hold a quarter of
+    the field or more, where sorting them costs more than the walk.
     """
     sleep, detect = NodeMode.SLEEP, NodeMode.DETECT
-    charges = _mode_charges(costs)
+    charges = ledger._charges
     asleep, sensing, monitoring = charges[sleep], charges[detect], charges[NodeMode.MONITOR]
-    levels, log, runs = ledger.per_node, ledger.debits, ledger._runs
+    field, log, runs = ledger.field, ledger.debits, ledger._runs
     nodes, c = field.nodes, charges[common][0]
     total, through = ledger.e_sx_total, ledger._through
     prev = slot - 1
-    lazy = (prev == through and common is ledger._common and c == ledger._cost
-            and slot <= ledger._horizon
+    lazy = (prev == through and common is ledger._common and slot <= ledger._horizon
             and 4 * (len(slot_modes) + len(ledger._last_awake)) < len(nodes))
     if lazy:
-        index = ledger._index
-        order = sorted({index[nid] for nid in chain(slot_modes, ledger._last_awake)})
+        order = sorted({*slot_modes, *ledger._last_awake})
         before = ledger._alive_before
         if before is None:
             before = ledger._alive_before = list(accumulate(
@@ -304,14 +295,13 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
         node = nodes[i]
         if not node.alive:
             continue
-        nid = node.id
-        run = runs[nid]
+        run = runs[i]
         if run[1] < through:
             ledger._catch_up(node)
-        mode = slot_modes.get(nid, common)
+        mode = slot_modes.get(i, common)
         charge = asleep if mode is sleep else sensing if mode is detect else monitoring
         amount = charge[0]
-        current = levels[nid]
+        current = node.remaining_energy
         applied = amount if amount <= current else current
         level = current - applied
         if level <= 0:
@@ -320,13 +310,12 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
             ledger._alive_before = None
         elif level < low:
             low = level
-        levels[nid] = level
         node.remaining_energy = level
         total += applied
         if run[1] == prev and run[2] is mode:
             run[0][3] += applied
         else:
-            run[0], run[2] = [slot, nid, charge[1], applied], mode
+            run[0], run[2] = [slot, i, charge[1], applied], mode
             log.append(run[0])
         run[1] = slot
     if lazy:
@@ -339,13 +328,12 @@ def settle_slot(ledger: EnergyLedger, field: NodeField, outcomes,
     ledger._through, ledger._common, ledger._cost = slot, common, c
     ledger._last_awake = tuple(slot_modes)
     for out in outcomes:
-        _charge_outcome(ledger, field, out, rm, slot)
+        _charge_outcome(ledger, out, slot)
     for node_id in sorted(woken):
-        ledger.debit(node_id, ledger.e_ix, "wake", slot)
+        ledger.debit(node_id, ledger.costs.wake_cost, "wake", slot)
 
 
-def settle_radio(ledger: EnergyLedger, field: NodeField, outcomes,
-                 rm: RadioModel) -> list[float]:
+def settle_radio(ledger: EnergyLedger, outcomes) -> list[float]:
     """Charge only the radio records of each outcome; returns per-outcome joules.
 
     Used by the throughput bench, which measures the MAC in isolation and does
@@ -354,7 +342,7 @@ def settle_radio(ledger: EnergyLedger, field: NodeField, outcomes,
     per_outcome = []
     for out in outcomes:
         before = ledger.e_sx_total
-        _charge_outcome(ledger, field, out, rm, out.slot)
+        _charge_outcome(ledger, out, out.slot)
         per_outcome.append(ledger.e_sx_total - before)
     return per_outcome
 

@@ -94,6 +94,8 @@ def _grid(positions: Iterable[Point], side: float) -> tuple:
 class NodeField:
     """A deployed field: ordered node list plus the config that produced it.
 
+    A node's id is its position in `nodes`: ids run 0..n-1 in list order.
+
     `awake` holds the ids of the nodes not asleep and `n_alive` counts the
     alive nodes. They stay exact as long as every mode change goes through
     set_mode() or set_modes() and every death through kill(), so that a slot
@@ -105,9 +107,8 @@ class NodeField:
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
         self.nodes: list[SensorNode] = list(nodes)
         self.config = config
-        self._by_id = {n.id: n for n in self.nodes}
-        if len(self._by_id) != len(self.nodes):
-            raise ConfigError("duplicate node ids in field")
+        if any(n.id != i for i, n in enumerate(self.nodes)):
+            raise ConfigError("node ids must be 0..n-1 in list order")
         sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
         self.awake: set[int] = {n.id for n in self.nodes if n.mode is not sleep}
         self.n_alive = sum(n.alive for n in self.nodes)
@@ -121,9 +122,9 @@ class NodeField:
 
     def set_modes(self, ids: Collection[int], mode: NodeMode) -> None:
         """set_mode() for each node id in `ids`, with one update of `awake`."""
-        by_id = self._by_id
+        nodes = self.nodes
         for nid in ids:
-            by_id[nid].mode = mode
+            nodes[nid].mode = mode
         if mode is NodeMode.SLEEP:
             self.awake.difference_update(ids)
         else:
@@ -143,10 +144,9 @@ class NodeField:
         return iter(self.nodes)
 
     def node(self, node_id: int) -> SensorNode:
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise KeyError(f"unknown node id {node_id}") from None
+        if 0 <= node_id < len(self.nodes):  # a plain index would wrap -1 to the last node
+            return self.nodes[node_id]
+        raise KeyError(f"unknown node id {node_id}")
 
     def alive_nodes(self) -> list[SensorNode]:
         return [n for n in self.nodes if n.alive]
@@ -217,15 +217,15 @@ def detectors_of(field: NodeField, target_pos: Point) -> set[int]:
 
 
 def neighbors_of(field: NodeField, node_id: int,
-                 among: Iterable[int] | None = None) -> set[int]:
-    """Ids of alive nodes within communication range of `node_id` (exclusive of
-    itself); only those in `among`, when given, which then replaces the grid."""
+                 among: Iterable[int] | None = None) -> dict[int, float]:
+    """{id: distance from `node_id`} of the alive nodes within its communication
+    range, itself excluded; only those in `among`, when given, which then
+    replaces the grid."""
     center = field.node(node_id).pos
     r_c = field.config.r_c
-    pool = (field.near(center, r_c) if among is None
-            else map(field._by_id.__getitem__, among))
-    return {n.id for n in pool
-            if n.alive and n.id != node_id and distance(n.pos, center) <= r_c}
+    pool = field.near(center, r_c) if among is None else map(field.nodes.__getitem__, among)
+    return {n.id: d for n in pool
+            if n.alive and n.id != node_id and (d := distance(n.pos, center)) <= r_c}
 
 
 def k_closest(field: NodeField, p: Point, k: int,

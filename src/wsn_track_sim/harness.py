@@ -120,7 +120,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     if n_slots < 1:
         raise ConfigError("nothing to run: empty trajectory")
 
-    ledger = EnergyLedger(field, wake_cost=cfg.mode_costs.wake_cost)
+    ledger = EnergyLedger(field, cfg.mode_costs, cfg.radio)
     initial_energy = ledger.total_remaining()
     mac = MacService(cfg.slots, random.Random(mac_seed(cfg)))
     counters = MetricCounters()
@@ -142,8 +142,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         tracker = res.tracker
 
         before = ledger.e_sx_total
-        settle_slot(ledger, field, res.outcomes, cfg.radio, cfg.mode_costs,
-                    res.slot_modes, res.woken, k, common=res.common)
+        settle_slot(ledger, res.outcomes, res.slot_modes, res.woken, k, common=res.common)
 
         counters.sent_pckt += res.frames_sent
         _deliveries(counters, res.outcomes, cfg.slots.slot_duration)
@@ -233,7 +232,7 @@ def _bench_endpoints(field: NodeField, n_background: int):
         nbrs = neighbors_of(field, node.id)
         if not nbrs:
             continue
-        ranked = sorted(nbrs, key=lambda t: (distance(field.node(t).pos, node.pos), t))
+        ranked = sorted(nbrs, key=lambda t: (nbrs[t], t))
         return node.id, ranked[0], ranked[1:1 + n_background]
     raise ConfigError("no node has a neighbor in range; cannot run the bench")
 
@@ -268,9 +267,9 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     budget = enqueued * (cfg.slots.max_retries + 2) * 8
     outcomes = drain_queue(queues, budget, cfg.slots, rng)
 
-    ledger = EnergyLedger(field, wake_cost=cfg.mode_costs.wake_cost)
+    ledger = EnergyLedger(field, cfg.mode_costs, cfg.radio)
     initial_energy = ledger.total_remaining()
-    per_step = settle_radio(ledger, field, outcomes, cfg.radio)
+    per_step = settle_radio(ledger, outcomes)
 
     counters = MetricCounters(sent_pckt=enqueued)
     _deliveries(counters, outcomes, cfg.slots.slot_duration)

@@ -22,12 +22,7 @@ from .errors import ConfigError, MacError
 
 class FrameKind(Enum):
     OBSERVATION_NOTICE = "notice"
-    WAKE_MESSAGE = "wake"
     DATA_PAYLOAD = "data"
-
-
-# frames that ride the data window and carry a CRC when enabled
-_DATA_KINDS = (FrameKind.OBSERVATION_NOTICE, FrameKind.DATA_PAYLOAD)
 
 
 @dataclass(frozen=True)
@@ -87,8 +82,9 @@ class Frame:
 
 
 def on_air_bits(frame: Frame, cfg: SlotConfig) -> int:
-    """Bits actually radiated: payload plus CRC for data-window frames."""
-    if cfg.crc_enabled and frame.kind in _DATA_KINDS:
+    """Bits actually radiated: payload plus CRC when enabled. Every frame rides
+    the data window; wake messages are radio records, not frames."""
+    if cfg.crc_enabled:
         return frame.bits + cfg.crc_bits
     return frame.bits
 

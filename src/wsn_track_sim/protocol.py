@@ -218,13 +218,12 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     wake_targets: set[int] = set()
     control = SlotOutcome(slot=slot)
     for s in senders:
-        targets = sorted(neighbors_of(field, s, among=listeners))
+        targets = neighbors_of(field, s, among=listeners)
         if not targets:
             continue
-        pos = field.node(s).pos
-        _, far = max((distance(field.node(t).pos, pos), t) for t in targets)
+        _, far = max((d, t) for t, d in targets.items())
         control.add_tx(s, far, cfg.control_packet_bits)
-        for t in targets:
+        for t in sorted(targets):
             control.add_rx(t, s, cfg.control_packet_bits)
         wake_targets.update(targets)
     if control.records:

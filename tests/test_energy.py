@@ -15,6 +15,7 @@ from wsn_track_sim.errors import ConfigError
 from wsn_track_sim.mac import SlotOutcome
 
 RM = RadioModel()  # e_elect 50e-9, e_amp 0.0013e-12
+COSTS = ModeCosts()
 SLEEP, DETECT = NodeMode.SLEEP, NodeMode.DETECT
 
 
@@ -78,14 +79,14 @@ class TestRadioFormulas:
 class TestLedger:
     def test_simple_debit(self):
         field = small_field([(0, 0)])
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         ledger.debit(0, 0.012, "sense", 0)
         assert ledger.remaining(0) == pytest.approx(4.988, rel=1e-12)
         assert field.nodes[0].alive
 
     def test_overdraw_clamps_and_kills(self):
         field = small_field([(0, 0)], energy=0.001)
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         applied = ledger.debit(0, 0.012, "sense", 0)
         assert applied == 0.001
         assert ledger.remaining(0) == 0.0
@@ -95,7 +96,7 @@ class TestLedger:
 
     def test_debiting_a_dead_node_keeps_the_alive_count(self):
         field = small_field([(0, 0), (10, 0)], energy=0.001)
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         ledger.debit(0, 0.012, "sense", 0)
         assert field.n_alive == 1
         for reason in ("rx", "tx"):  # radio records can re-debit a dead node
@@ -104,31 +105,31 @@ class TestLedger:
         assert field.awake == set()
 
     def test_unknown_node(self):
-        ledger = EnergyLedger(small_field([(0, 0)]))
+        ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
         with pytest.raises(KeyError):
             ledger.debit(42, 0.1, "sense", 0)
 
     def test_negative_amount_rejected(self):
-        ledger = EnergyLedger(small_field([(0, 0)]))
+        ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
         with pytest.raises(ValueError):
             ledger.debit(0, -0.1, "sense", 0)
 
     def test_nan_amount_rejected(self):
-        ledger = EnergyLedger(small_field([(0, 0)]))
+        field = small_field([(0, 0)])
+        ledger = EnergyLedger(field, COSTS, RM)
         with pytest.raises(ValueError):
             ledger.debit(0, math.nan, "tx", 0)
-        assert ledger.per_node[0] == 5.0 and not ledger.debits
+        assert field.nodes[0].remaining_energy == 5.0 and not ledger.debits
 
     def test_total_before_any_settle_reads_the_initial_levels(self):
         levels = [5.0, 0.1, 1e-3, 3.3, 2.0 / 3]
         cfg = FieldConfig(n_nodes=len(levels), seed=0)
         field = NodeField([SensorNode(id=i, pos=Point(10.0 * i, 0.0), remaining_energy=e)
                            for i, e in enumerate(levels)], cfg)
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         assert ledger.total_remaining() == math.fsum(levels)
         ledger.flush()
         assert ledger.debits == []
-        assert ledger.per_node == dict(enumerate(levels))
         assert [(n.mode, n.remaining_energy, n.alive) for n in field] == [
             (NodeMode.SLEEP, e, True) for e in levels]
 
@@ -136,7 +137,7 @@ class TestLedger:
         # replaying the debit log with the same operation order reproduces the
         # ledger bit for bit
         field = small_field([(i * 30.0, 0.0) for i in range(5)], r_c=300)
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         rng = random.Random(77)
         for k in range(1000):
             ledger.debit(rng.randrange(5), rng.uniform(0, 0.02), "x", k)
@@ -152,7 +153,7 @@ class TestLedger:
 
     def test_monotone_levels(self):
         field = small_field([(0, 0), (10, 0)])
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         rng = random.Random(5)
         last = {0: 5.0, 1: 5.0}
         for k in range(500):
@@ -165,17 +166,17 @@ class TestLedger:
 class TestSettleSlot:
     def test_all_sleep_slot(self):
         field = small_field([(i % 25 * 20.0, i // 25 * 20.0) for i in range(250)])
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         modes = {n.id: NodeMode.SLEEP for n in field.nodes}
-        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0, common=SLEEP)
+        settle_slot(ledger, [], modes, slot=0, common=SLEEP)
         assert ledger.e_sx_total == pytest.approx(250 * 0.00027, rel=1e-9)
 
     def test_one_monitor_rest_sleeping(self):
         field = small_field([(i * 2.0, 0.0) for i in range(250)])
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         modes = {n.id: NodeMode.SLEEP for n in field.nodes}
         modes[0] = NodeMode.MONITOR
-        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=3, common=SLEEP)
+        settle_slot(ledger, [], modes, slot=3, common=SLEEP)
         per_node = {nid: amt for _, nid, _, amt in ledger.debits}
         assert per_node[0] == 0.0378
         assert all(per_node[i] == 0.00027 for i in range(1, 250))
@@ -183,8 +184,7 @@ class TestSettleSlot:
     def test_three_node_two_slot_hand_trace(self):
         # node 0 at origin, node 1 at distance exactly 50, node 2 far away
         field = small_field([(0, 0), (30, 40), (100, 0)])
-        ledger = EnergyLedger(field, wake_cost=0.001)
-        costs = ModeCosts()
+        ledger = EnergyLedger(field, ModeCosts(wake_cost=0.001), RM)
         e_el, e_amp = 50e-9, 0.0013e-12
 
         # slot 0: 0 monitors and sends a 544-bit frame to 1 (ACKed with 32 bits),
@@ -195,12 +195,11 @@ class TestSettleSlot:
         out.add_tx(1, 0, 32)
         out.add_rx(0, 1, 32)
         modes0 = {0: NodeMode.MONITOR, 1: NodeMode.DETECT, 2: NodeMode.SLEEP}
-        settle_slot(ledger, field, [out], RM, costs, modes0, woken={2}, slot=0,
-                    common=SLEEP)
+        settle_slot(ledger, [out], modes0, woken={2}, slot=0, common=SLEEP)
 
         # slot 1: roles rotate, no traffic
         modes1 = {0: NodeMode.SLEEP, 1: NodeMode.MONITOR, 2: NodeMode.DETECT}
-        settle_slot(ledger, field, [], RM, costs, modes1, slot=1, common=SLEEP)
+        settle_slot(ledger, [], modes1, slot=1, common=SLEEP)
 
         hand_node0 = (0.0378                                   # monitor slot 0
                       + 544 * e_el + 544 * e_amp * 50.0 ** 2   # data out
@@ -222,18 +221,17 @@ class TestSettleSlot:
         field = small_field([(0, 0), (10, 0)])
         field.nodes[1].alive = False
         field.nodes[1].remaining_energy = 0.0
-        ledger = EnergyLedger(field)
-        ledger.per_node[1] = 0.0
+        ledger = EnergyLedger(field, COSTS, RM)
         modes = {0: NodeMode.DETECT, 1: NodeMode.DETECT}
-        settle_slot(ledger, field, [], RM, ModeCosts(), modes, slot=0, common=SLEEP)
+        settle_slot(ledger, [], modes, slot=0, common=SLEEP)
         assert ledger.e_sx_total == 0.012
 
 
-def reference_settle(ledger, field, outcomes, rm, costs, slot_modes,
-                     woken=(), slot=0, common=SLEEP):
+def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
     """Per-node debit() settlement: one log record per charge, as settle_slot
     did before it booked platform costs inline as runs of slots. An alive
     node absent from `slot_modes` spent the slot in `common`."""
+    field, costs, rm = ledger.field, ledger.costs, ledger.radio
     per_mode = {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
                 NodeMode.DETECT: (costs.sense_per_slot, "sense"),
                 NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
@@ -248,7 +246,7 @@ def reference_settle(ledger, field, outcomes, rm, costs, slot_modes,
             else:
                 ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
     for node_id in sorted(woken):
-        ledger.debit(node_id, ledger.e_ix, "wake", slot)
+        ledger.debit(node_id, costs.wake_cost, "wake", slot)
 
 
 @st.composite
@@ -278,20 +276,17 @@ class TestSettlementMatchesReference:
     @given(settlement_runs())
     def test_bit_identical_to_per_node_debits(self, run):
         positions, energies, wake_cost, slots = run
-        costs = ModeCosts()
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
                 node.remaining_energy, node.mode = e, NodeMode.MONITOR
-        new, ref = (EnergyLedger(f, wake_cost=wake_cost) for f in fields)
+        new, ref = (EnergyLedger(f, ModeCosts(wake_cost=wake_cost), RM) for f in fields)
         initial = math.fsum(energies)
         for slot, modes, outcomes, woken in slots:
-            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot,
-                        common=SLEEP)
-            reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot)
+            settle_slot(new, outcomes, modes, woken, slot, common=SLEEP)
+            reference_settle(ref, outcomes, modes, woken, slot)
             assert new.e_sx_total == ref.e_sx_total
             new.flush()
-            assert new.per_node == ref.per_node
             assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
                     == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
             for reason in ("tx", "rx"):
@@ -303,17 +298,14 @@ class TestSettlementMatchesReference:
 
     def test_runs_of_one_mode_share_a_record(self):
         field = small_field([(0, 0), (10, 0)])
-        ledger = EnergyLedger(field)
-        costs = ModeCosts()
+        ledger = EnergyLedger(field, COSTS, RM)
         for slot, mode in enumerate([NodeMode.SLEEP] * 3 + [NodeMode.DETECT] * 2):
-            settle_slot(ledger, field, [], RM, costs, {0: mode, 1: NodeMode.SLEEP},
-                        slot=slot, common=SLEEP)
-        settle_slot(ledger, field, [], RM, costs, {0: NodeMode.DETECT}, slot=6,
-                    common=SLEEP)
+            settle_slot(ledger, [], {0: mode, 1: NodeMode.SLEEP}, slot=slot, common=SLEEP)
+        settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=6, common=SLEEP)
         assert [tuple(d[:3]) for d in ledger.debits] == [
             (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense"),
             (6, 1, "sleep")]
-        assert ledger.debits[1][3] == pytest.approx(5 * costs.sleep_per_slot)
+        assert ledger.debits[1][3] == pytest.approx(5 * COSTS.sleep_per_slot)
 
 
 def naive_add(t, c, k):
@@ -391,7 +383,8 @@ def lazy_settlement_runs(draw):
     """A field of 20-120 nodes with at most two outside the common mode per
     slot, so that settle_slot visits only those; the common mode is sleep or
     detect and now and then switches; batteries that last 1-100 slots of
-    sleep, or of sensing when scaled by 40, so that nodes die."""
+    sleep, or of sensing when scaled by 40, so that nodes die; one table of
+    mode costs for the whole run."""
     n = draw(st.integers(20, 120))
     positions = [(float(i % 11 * 9), float(i // 11 * 9)) for i in range(n)]
     scale = draw(st.sampled_from([1, 40]))
@@ -401,7 +394,9 @@ def lazy_settlement_runs(draw):
     slot = draw(st.integers(0, 1000))
     common = draw(st.sampled_from([SLEEP, DETECT]))
     # with sleep and sense at one cost, only the common mode tells the runs apart
-    usual = draw(st.sampled_from([ModeCosts(), ModeCosts(sleep_per_slot=0.012)]))
+    costs = draw(st.sampled_from([ModeCosts(), ModeCosts(sleep_per_slot=0.012),
+                                  ModeCosts(sleep_per_slot=0.0004),
+                                  ModeCosts(sense_per_slot=0.013)]))
     slots = []
     for _ in range(draw(st.integers(20, 50))):
         slot += draw(st.sampled_from([1] * 12 + [0, 2, 5]))  # a few gaps
@@ -414,34 +409,29 @@ def lazy_settlement_runs(draw):
                 st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
                 max_size=2)):
             (out.add_tx if op == "tx" else out.add_rx)(node, peer, bits)
-        costs = draw(st.sampled_from([usual] * 15 + [ModeCosts(sleep_per_slot=0.0004),
-                                                     ModeCosts(sense_per_slot=0.013)]))
-        slots.append((slot, common, modes, [out], draw(st.sets(ids, max_size=1)), costs,
+        slots.append((slot, common, modes, [out], draw(st.sets(ids, max_size=1)),
                       draw(st.booleans())))
-    return positions, energies, slots
+    return positions, energies, costs, slots
 
 
 class TestLazySettlement:
     @settings(max_examples=40, deadline=None)
     @given(lazy_settlement_runs())
     def test_matches_per_node_debits(self, run):
-        positions, energies, slots = run
+        positions, energies, costs, slots = run
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
                 node.remaining_energy = e
-        new, ref = (EnergyLedger(f) for f in fields)
-        for slot, common, modes, outcomes, woken, costs, check in slots:
-            settle_slot(new, fields[0], outcomes, RM, costs, modes, woken, slot,
-                        common=common)
-            reference_settle(ref, fields[1], outcomes, RM, costs, modes, woken, slot,
-                             common)
+        new, ref = (EnergyLedger(f, costs, RM) for f in fields)
+        for slot, common, modes, outcomes, woken, check in slots:
+            settle_slot(new, outcomes, modes, woken, slot, common=common)
+            reference_settle(ref, outcomes, modes, woken, slot, common)
             assert new.e_sx_total == ref.e_sx_total
             alive = sum(n.alive for n in fields[1].nodes)
             assert fields[0].n_alive == fields[1].n_alive == alive
             if check:
                 new.flush()
-                assert new.per_node == ref.per_node
                 assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
                         == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
                 assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
@@ -461,7 +451,7 @@ class TestLazySettlement:
         total must equal per-node debit() settlement bit for bit."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)], energy=energy)
                   for _ in range(2)]
-        new, ref = (EnergyLedger(f) for f in fields)
+        new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
         for slot, (awake, listeners, bits) in enumerate(slots):
             modes = {i: NodeMode.MONITOR for i in awake if i < n}
             sender = min(modes, default=0)
@@ -471,14 +461,13 @@ class TestLazySettlement:
                     out.add_tx(sender, t, bits)
                     out.add_rx(t, sender, bits)
                     out.add_rx(t, sender, bits)
-            settle_slot(new, fields[0], [out], RM, ModeCosts(), modes, (), slot,
-                        common=SLEEP)
-            reference_settle(ref, fields[1], [out], RM, ModeCosts(), modes, (), slot)
+            settle_slot(new, [out], modes, (), slot, common=SLEEP)
+            reference_settle(ref, [out], modes, (), slot)
             assert new.e_sx_total.hex() == ref.e_sx_total.hex()
             assert fields[0].n_alive == fields[1].n_alive
         new.flush()
-        assert ([v.hex() for v in new.per_node.values()]
-                == [v.hex() for v in ref.per_node.values()])
+        assert ([n.remaining_energy.hex() for n in fields[0].nodes]
+                == [n.remaining_energy.hex() for n in fields[1].nodes])
         assert ([(n.alive, n.mode) for n in fields[0].nodes]
                 == [(n.alive, n.mode) for n in fields[1].nodes])
         assert ([(*d[:3], d[3].hex()) for d in new.debits]
@@ -486,10 +475,9 @@ class TestLazySettlement:
 
     def test_sleepers_pay_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         for slot in range(10):
-            settle_slot(ledger, field, [], RM, ModeCosts(), {0: NodeMode.DETECT},
-                        slot=slot, common=SLEEP)
+            settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=slot, common=SLEEP)
         # slot 0 walked every node; slots 1-9 visited node 0 only
         assert field.nodes[7].remaining_energy == 5.0 - 0.00027
         assert ledger.remaining(7) == naive_add(5.0, -0.00027, 10)
@@ -497,9 +485,9 @@ class TestLazySettlement:
 
     def test_detecting_field_pays_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
-        ledger = EnergyLedger(field)
+        ledger = EnergyLedger(field, COSTS, RM)
         for slot in range(10):
-            settle_slot(ledger, field, [], RM, ModeCosts(), {}, slot=slot, common=DETECT)
+            settle_slot(ledger, [], {}, slot=slot, common=DETECT)
         assert ledger.e_sx_total == naive_add(0.0, 0.012, 400)
         assert field.nodes[7].remaining_energy == 5.0 - 0.012  # only slot 0 walked it
         assert ledger.remaining(7) == naive_add(5.0, -0.012, 10)
@@ -518,16 +506,14 @@ class TestLazySettlement:
         for f in fields:
             for node, e in zip(f.nodes, energies):
                 node.remaining_energy = e
-        ledgers = [EnergyLedger(f) for f in fields]
+        ledgers = [EnergyLedger(f, COSTS, RM) for f in fields]
         for slot, awake in enumerate(awake_sets):
             modes = {i: NodeMode.MONITOR for i in awake if i < n}
-            for ledger, f in zip(ledgers, fields):
-                settle_slot(ledger, f, [], RM, ModeCosts(), modes, slot=slot, common=common)
+            for ledger in ledgers:
+                settle_slot(ledger, [], modes, slot=slot, common=common)
         ledgers[0].flush()
         for node in fields[1].nodes:
             ledgers[1]._catch_up(node)
-        flushed, one_by_one = ([v.hex() for v in ledger.per_node.values()] for ledger in ledgers)
-        assert flushed == one_by_one
         assert ([n.remaining_energy.hex() for n in fields[0].nodes]
                 == [n.remaining_energy.hex() for n in fields[1].nodes])
         assert ([(*d[:3], d[3].hex()) for d in ledgers[0].debits]

@@ -201,17 +201,30 @@ class TestDetectors:
 class TestNeighbors:
     def test_mutual_in_range(self):
         field = make_field([(0, 0), (49, 0)])
-        assert neighbors_of(field, 0) == {1}
-        assert neighbors_of(field, 1) == {0}
+        assert neighbors_of(field, 0) == {1: 49.0}
+        assert neighbors_of(field, 1) == {0: 49.0}
 
     def test_isolated(self):
         field = make_field([(0, 0), (400, 400)])
-        assert neighbors_of(field, 0) == set()
+        assert neighbors_of(field, 0) == {}
 
     def test_unknown_id(self):
         field = make_field([(0, 0)])
         with pytest.raises(KeyError):
             neighbors_of(field, 99)
+
+    @pytest.mark.parametrize("nid", [2, -1])
+    def test_id_outside_the_list(self, nid):
+        # ids are list positions, but -1 must not reach the last node
+        field = make_field([(0, 0), (10, 0)])
+        with pytest.raises(KeyError, match="unknown node id"):
+            field.node(nid)
+
+    @pytest.mark.parametrize("ids", [[1, 0], [0, 2], [0, 0]])
+    def test_ids_must_be_list_positions(self, ids):
+        nodes = [SensorNode(id=i, pos=Point(10.0 * k, 0.0)) for k, i in enumerate(ids)]
+        with pytest.raises(ConfigError):
+            NodeField(nodes, FieldConfig(n_nodes=len(ids), seed=0))
 
     def test_matches_pairwise_scan(self):
         field = deploy(FieldConfig(n_nodes=120, seed=11))
@@ -223,7 +236,9 @@ class TestNeighbors:
             expected = {n.id for n in field.nodes
                         if n.alive and n.id != nid
                         and math.hypot(n.pos.x - me.x, n.pos.y - me.y) <= 50.0}
-            assert neighbors_of(field, nid) == expected
+            found = neighbors_of(field, nid)
+            assert found.keys() == expected
+            assert all(d == distance(field.nodes[t].pos, me) for t, d in found.items())
 
 
 class TestKClosest:
@@ -336,7 +351,7 @@ class TestGridMatchesLinearScan:
         assert wake_set(field, PredictedRegion(q, radius)) == scan(field, q, radius + r_s)
         for n in field.nodes:
             if n.alive:
-                assert neighbors_of(field, n.id) == scan(field, n.pos, r_c) - {n.id}
+                assert neighbors_of(field, n.id).keys() == scan(field, n.pos, r_c) - {n.id}
         # the coverage test as harness.run writes it: dead nodes count too,
         # also in a field whose nodes were all dead before its grid was built
         covered = any(distance(n.pos, q) <= r_s for n in field.nodes)
@@ -354,5 +369,5 @@ class TestGridMatchesLinearScan:
         among = data.draw(st.sets(st.sampled_from([n.id for n in field.nodes])))
         for n in field.nodes:
             if n.alive:
-                assert (neighbors_of(field, n.id, among=among)
+                assert (neighbors_of(field, n.id, among=among).keys()
                         == (scan(field, n.pos, r_c) - {n.id}) & among)

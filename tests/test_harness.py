@@ -91,12 +91,12 @@ class TestRun:
         # charging one rx record fewer must show
         skipped = []
 
-        def skip_first_rx(ledger, field, out, rm, slot):
+        def skip_first_rx(ledger, out, slot):
             rx = [r for r in out.records if r.op == "rx"]
             if rx and not skipped:
                 skipped.append(rx[0])
                 out = replace(out, records=[r for r in out.records if r is not rx[0]])
-            _charge_outcome(ledger, field, out, rm, slot)
+            _charge_outcome(ledger, out, slot)
 
         monkeypatch.setattr("wsn_track_sim.energy._charge_outcome", skip_first_rx)
         report = run(small_cfg(seed=0, slots=120))
@@ -363,8 +363,9 @@ class TestSweepGoldens:
 def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
     settled = []
 
-    def checked(ledger, field, *args, **kwargs):
-        settle_slot(ledger, field, *args, **kwargs)
+    def checked(ledger, *args, **kwargs):
+        settle_slot(ledger, *args, **kwargs)
+        field = ledger.field
         assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
         assert field.n_alive == sum(n.alive for n in field.nodes)
         settled.append(len(field.awake))

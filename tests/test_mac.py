@@ -47,8 +47,6 @@ class TestSlotConfig:
         frame = data_frame()
         assert on_air_bits(frame, SlotConfig(crc_enabled=True)) == 544
         assert on_air_bits(frame, SlotConfig(crc_enabled=False)) == 512
-        wake = Frame(1, 2, FrameKind.WAKE_MESSAGE, 32, 0)
-        assert on_air_bits(wake, SlotConfig(crc_enabled=True)) == 32
 
 
 class TestContend:
