@@ -6,7 +6,8 @@ run's field, mode costs and radio model when it is built, so the settle
 functions take only the slot's outcomes and modes; battery levels live on the
 nodes, whose ids are their positions in the field. Every joule leaves a node
 through debit()'s clamp at zero, which kills the node; settle_slot repeats its
-float operations inline for platform costs, _charge_outcome for radio records.
+float operations inline for platform costs, _charge_outcomes for the radio
+records of a slot's or a whole drain's outcomes.
 The append-only log holds one record per run of same-mode slots of a node plus
 one per radio or wake debit, so conservation checks can fsum it and tx/rx
 records reconcile with the MAC.
@@ -159,6 +160,7 @@ class EnergyLedger:
         self._horizon = -1        # last slot in which no lazy node can die
         self._last_awake = ()     # ids in the last settled slot's mode map
         self._alive_before = None  # alive nodes before each index; None after a death
+        self._tx_costs: dict = {}  # tx record -> joules; positions and radio are fixed
 
     def _catch_up(self, node, add=_repeat_add) -> None:
         """Charge a lazy node the common-mode slots it owes since its run's last slot."""
@@ -213,41 +215,63 @@ class EnergyLedger:
         return applied
 
 
-def _charge_outcome(ledger: EnergyLedger, out, slot: int) -> None:
-    """Debit one MAC outcome's radio records, one log record per operation,
-    with debit()'s float operations inline. Lazy nodes, many of which share a
-    level and owed count, catch up through one memo made at the first of them."""
+def _charge_outcomes(ledger: EnergyLedger, outcomes, slot: int | None = None
+                     ) -> tuple[list[float], int]:
+    """Debit the radio records of `outcomes`, one log record per operation at
+    `slot` (each outcome's own slot when None), with debit()'s float
+    operations inline. Returns the joules each outcome drew and the bits
+    transmitted.
+
+    A tx record's cost depends only on (node, peer, bits) on a static field,
+    so the ledger keeps it per tx record. Lazy nodes, many of which share a
+    level and owed count, catch up through one memo made at the first of them.
+    """
     field, rm, log, runs = ledger.field, ledger.radio, ledger.debits, ledger._runs
+    nodes, tx_costs = field.nodes, ledger._tx_costs
+    n_nodes = len(nodes)
     cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
     add, low = None, math.inf
     rx_bits = rx_amount = None
-    for op, nid, peer, bits in out.records:
-        node = field.node(nid)
-        if op == "tx":
-            amount = tx_energy(bits, distance(node.pos, field.node(peer).pos), rm)
-        else:
-            if bits != rx_bits:
-                rx_bits, rx_amount = bits, rx_energy(bits, rm)
-            amount = rx_amount
-        if cost is not None and runs[nid][1] < through:
-            if add is None:
-                add = functools.lru_cache(maxsize=None)(_repeat_add)
-            ledger._catch_up(node, add)
-        current = node.remaining_energy
-        applied = amount if amount <= current else current
-        level = current - applied
-        if level <= 0:
-            level = 0.0
-            field.kill(node)
-            ledger._alive_before = None
-        elif level < low:
-            low = level
-        node.remaining_energy = level
-        log.append((slot, nid, op, applied))
-        total += applied
+    per_outcome = []
+    sent = 0
+    for out in outcomes:
+        at = out.slot if slot is None else slot
+        before = total
+        for rec in out.records:
+            op, nid, peer, bits = rec
+            # a plain index would wrap -1 to the last node; node() raises KeyError
+            node = nodes[nid] if 0 <= nid < n_nodes else field.node(nid)
+            if op == "tx":
+                amount = tx_costs.get(rec)
+                if amount is None:
+                    amount = tx_costs[rec] = tx_energy(
+                        bits, distance(node.pos, field.node(peer).pos), rm)
+                sent += bits
+            else:
+                if bits != rx_bits:
+                    rx_bits, rx_amount = bits, rx_energy(bits, rm)
+                amount = rx_amount
+            if cost is not None and runs[nid][1] < through:
+                if add is None:
+                    add = functools.lru_cache(maxsize=None)(_repeat_add)
+                ledger._catch_up(node, add)
+            current = node.remaining_energy
+            applied = amount if amount <= current else current
+            level = current - applied
+            if level <= 0:
+                level = 0.0
+                field.kill(node)
+                ledger._alive_before = None
+            elif level < low:
+                low = level
+            node.remaining_energy = level
+            log.append((at, nid, op, applied))
+            total += applied
+        per_outcome.append(total - before)
     ledger.e_sx_total = total
     if cost is not None and low < math.inf:
         ledger._horizon = min(ledger._horizon, through + _safe_slots(low, cost))
+    return per_outcome, sent
 
 
 def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
@@ -327,24 +351,19 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     ledger._horizon = min(ledger._horizon, horizon) if lazy else horizon
     ledger._through, ledger._common, ledger._cost = slot, common, c
     ledger._last_awake = tuple(slot_modes)
-    for out in outcomes:
-        _charge_outcome(ledger, out, slot)
+    _charge_outcomes(ledger, outcomes, slot)
     for node_id in sorted(woken):
         ledger.debit(node_id, ledger.costs.wake_cost, "wake", slot)
 
 
-def settle_radio(ledger: EnergyLedger, outcomes) -> list[float]:
-    """Charge only the radio records of each outcome; returns per-outcome joules.
+def settle_radio(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
+    """Charge only the radio records of each outcome, at its own slot; returns
+    the joules each outcome drew and the bits transmitted in all of them.
 
     Used by the throughput bench, which measures the MAC in isolation and does
     not advance the platform's per-slot mode costs.
     """
-    per_outcome = []
-    for out in outcomes:
-        before = ledger.e_sx_total
-        _charge_outcome(ledger, out, out.slot)
-        per_outcome.append(ledger.e_sx_total - before)
-    return per_outcome
+    return _charge_outcomes(ledger, outcomes)
 
 
 def debit_counts_by_reason(ledger: EnergyLedger, reason: str) -> Counter:

@@ -246,7 +246,9 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     airtime, so collision waste and ACK/CRC overhead both depress it.
 
     Unlike `run()`, the bench does not reconcile radio records with the ledger:
-    a per-outcome tally of them cost 22-25% more host time per bench run.
+    counting the MAC's records and scanning the log for tx and rx would add
+    about 9-12% to a baseline bench run's host time. The airtime is the tx
+    bits that settle_radio tallies while it charges them.
     """
     field = deploy(cfg.field, cfg.mode_costs.initial_energy)
     rng = random.Random(derive_seed(cfg.seed, f"bench:{cfg.method}"))
@@ -269,11 +271,11 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
 
     ledger = EnergyLedger(field, cfg.mode_costs, cfg.radio)
     initial_energy = ledger.total_remaining()
-    per_step = settle_radio(ledger, outcomes)
+    per_step, tx_bits = settle_radio(ledger, outcomes)
 
     counters = MetricCounters(sent_pckt=enqueued)
     _deliveries(counters, outcomes, cfg.slots.slot_duration)
-    counters.elapsed = sum(out.airtime_bits() for out in outcomes) / cfg.slots.data_rate
+    counters.elapsed = tx_bits / cfg.slots.data_rate
 
     return _report(
         cfg, ledger, initial_energy, counters,

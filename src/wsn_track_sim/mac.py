@@ -7,10 +7,16 @@ transmit energy and retry. All senders that share a slot are treated as one
 contention domain: in this protocol every concurrent sender sits within
 communication range of the same receiver neighborhood (r_c >= 2*r_s keeps
 co-detectors mutually in range), so spatial reuse never arises.
+
+A drain or data window keeps the ascending list of ids whose queues hold
+frames, builds it once, and drops an id when its queue empties; every round
+draws over that list with the draw routine `contend()` uses, so it makes the
+same draws in the same order as a `contend()` over the non-empty queues.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field
@@ -39,8 +45,8 @@ class SlotConfig:
     sense_fraction: float = 0.05  # share of the slot spent sensing the channel
 
     def __post_init__(self) -> None:
-        if self.slot_duration <= 0 or self.data_rate <= 0:
-            raise ConfigError("slot duration and data rate must be positive")
+        if not (0 < self.slot_duration < math.inf and 0 < self.data_rate < math.inf):
+            raise ConfigError("slot duration and data rate must be positive and finite")
         if self.data_packet_bits <= 0 or self.control_packet_bits <= 0:
             raise ConfigError("packet sizes must be positive")
         if not (0 < self.p_persist <= 1):
@@ -98,7 +104,11 @@ class RadioOp(NamedTuple):
     bits: int
 
 
-@dataclass
+# builds a RadioOp from a 4-tuple without the generated __new__'s argument handling
+_new = tuple.__new__
+
+
+@dataclass(slots=True)
 class SlotOutcome:
     """What happened on the channel during one contention round."""
 
@@ -110,10 +120,10 @@ class SlotOutcome:
     records: list[RadioOp] = dc_field(default_factory=list)
 
     def add_tx(self, node: int, peer: int, bits: int) -> None:
-        self.records.append(RadioOp("tx", node, peer, bits))
+        self.records.append(_new(RadioOp, ("tx", node, peer, bits)))
 
     def add_rx(self, node: int, peer: int, bits: int) -> None:
-        self.records.append(RadioOp("rx", node, peer, bits))
+        self.records.append(_new(RadioOp, ("rx", node, peer, bits)))
 
     @property
     def tx_counts(self) -> Counter:
@@ -127,6 +137,19 @@ class SlotOutcome:
         return sum(r.bits for r in self.records if r.op == "tx")
 
 
+def _draw(ready: list[int], slot: int, p: float,
+          rng: random.Random) -> tuple[SlotOutcome, list[int]]:
+    """One round's draws, one per id of `ready` in list order: the round's
+    outcome and the ids that transmitted."""
+    draw = rng.random
+    sent = [nid for nid in ready if draw() < p]
+    if len(sent) == 1:
+        return SlotOutcome(slot, sent[0]), sent
+    if sent:
+        return SlotOutcome(slot, None, set(sent)), sent
+    return SlotOutcome(slot), sent
+
+
 def contend(contenders: Iterable[int], slot: int, cfg: SlotConfig,
             rng: random.Random) -> SlotOutcome:
     """One p-persistent round: every contender transmits with probability p.
@@ -135,14 +158,7 @@ def contend(contenders: Iterable[int], slot: int, cfg: SlotConfig,
     Exactly one transmitter wins the round; two or more collide; zero leaves
     the round idle.
     """
-    out = SlotOutcome(slot=slot)
-    transmitters = [nid for nid in sorted(set(contenders))
-                    if rng.random() < cfg.p_persist]
-    if len(transmitters) == 1:
-        out.winner = transmitters[0]
-    elif len(transmitters) > 1:
-        out.collided = set(transmitters)
-    return out
+    return _draw(sorted(set(contenders)), slot, cfg.p_persist, rng)[0]
 
 
 def transmit(frame: Frame, outcome: SlotOutcome, cfg: SlotConfig,
@@ -153,19 +169,22 @@ def transmit(frame: Frame, outcome: SlotOutcome, cfg: SlotConfig,
     delivery slot is `slot + 1` (a frame that collides in its enqueue slot and
     wins the next one is delivered at enqueued_slot + 2).
     """
-    if outcome.winner != frame.src:
-        raise MacError(f"node {frame.src} transmitted without winning slot {slot}")
+    src, dst = frame.src, frame.dst
+    if outcome.winner != src:
+        raise MacError(f"node {src} transmitted without winning slot {slot}")
     air = on_air_bits(frame, cfg)
     if air / cfg.data_rate > cfg.data_window_seconds():
         raise ConfigError(
             f"{air}-bit frame does not fit the {cfg.data_window_seconds():.6f} s data window"
         )
-    outcome.add_tx(frame.src, frame.dst, air)
-    outcome.add_rx(frame.dst, frame.src, air)
+    records = outcome.records
+    records.append(_new(RadioOp, ("tx", src, dst, air)))
+    records.append(_new(RadioOp, ("rx", dst, src, air)))
     outcome.delivered.append((frame, slot + 1))
     if cfg.ack_enabled:
-        outcome.add_tx(frame.dst, frame.src, cfg.control_packet_bits)
-        outcome.add_rx(frame.src, frame.dst, cfg.control_packet_bits)
+        ack = cfg.control_packet_bits
+        records.append(_new(RadioOp, ("tx", dst, src, ack)))
+        records.append(_new(RadioOp, ("rx", src, dst, ack)))
         outcome.acked = True
     return outcome
 
@@ -173,25 +192,32 @@ def transmit(frame: Frame, outcome: SlotOutcome, cfg: SlotConfig,
 Queues = dict[int, deque]
 
 
-def _round(queues: Queues, slot: int, cfg: SlotConfig, rng: random.Random,
-           dropped: list[Frame]) -> SlotOutcome:
-    """One contention round over the heads of all non-empty queues."""
-    ready = [nid for nid, q in queues.items() if q]
+def _round(queues: Queues, ready: list[int], slot: int, cfg: SlotConfig,
+           rng: random.Random, dropped: list[Frame]) -> SlotOutcome:
+    """One contention round over `ready`, the ascending ids of the non-empty
+    queues; an id leaves `ready` when its queue empties."""
     for nid in ready:
         head = queues[nid][0]
         if head.ts_slot is None:
             head.ts_slot = slot  # the frame reaches the air interface here
-    out = contend(ready, slot, cfg, rng)
-    for nid in sorted(out.collided):
-        frame = queues[nid][0]
-        out.add_tx(nid, frame.dst, on_air_bits(frame, cfg))  # collided energy is spent
-        frame.retries += 1
-        if frame.retries > cfg.max_retries:
-            queues[nid].popleft()
-            dropped.append(frame)
+    out, sent = _draw(ready, slot, cfg.p_persist, rng)
     if out.winner is not None:
-        frame = queues[out.winner].popleft()
-        transmit(frame, out, cfg, slot)
+        q = queues[out.winner]
+        transmit(q.popleft(), out, cfg, slot)
+        if not q:
+            ready.remove(out.winner)
+    elif sent:
+        records = out.records
+        for nid in sent:
+            q = queues[nid]
+            frame = q[0]
+            # collided energy is spent
+            records.append(_new(RadioOp, ("tx", nid, frame.dst, on_air_bits(frame, cfg))))
+            frame.retries += 1
+            if frame.retries > cfg.max_retries:
+                dropped.append(q.popleft())
+                if not q:
+                    ready.remove(nid)
     return out
 
 
@@ -204,11 +230,11 @@ def drain_queue(queues: Queues, budget: int, cfg: SlotConfig,
     """
     outcomes: list[SlotOutcome] = []
     dropped: list[Frame] = []
-    slot = start_slot
-    while budget > 0 and any(queues.values()):
-        outcomes.append(_round(queues, slot, cfg, rng, dropped))
-        slot += 1
-        budget -= 1
+    ready = sorted(nid for nid, q in queues.items() if q)
+    for slot in range(start_slot, start_slot + budget):
+        if not ready:
+            break
+        outcomes.append(_round(queues, ready, slot, cfg, rng, dropped))
     return outcomes
 
 
@@ -222,13 +248,14 @@ def data_window(queues: Queues, slot: int, cfg: SlotConfig,
     """
     outcomes: list[SlotOutcome] = []
     dropped: list[Frame] = []
+    ready = sorted(nid for nid, q in queues.items() if q)
     for _ in range(cfg.max_retries + 1):
-        if not any(queues.values()):
+        if not ready:
             break
-        outcomes.append(_round(queues, slot, cfg, rng, dropped))
+        outcomes.append(_round(queues, ready, slot, cfg, rng, dropped))
     for q in queues.values():
-        while q:
-            dropped.append(q.popleft())
+        dropped.extend(q)
+        q.clear()
     return outcomes, dropped
 
 

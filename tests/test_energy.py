@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,9 @@ from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
                            ModeCosts, NodeField, NodeMode, Point, RadioModel,
                            SensorNode, delay, distance, pdr, rx_energy,
                            settle_slot, throughput, tx_energy)
-from wsn_track_sim.energy import _repeat_add, debit_counts_by_reason
+from wsn_track_sim.energy import _repeat_add, debit_counts_by_reason, settle_radio
 from wsn_track_sim.errors import ConfigError
-from wsn_track_sim.mac import SlotOutcome
+from wsn_track_sim.mac import Frame, FrameKind, SlotConfig, SlotOutcome, drain_queue
 
 RM = RadioModel()  # e_elect 50e-9, e_amp 0.0013e-12
 COSTS = ModeCosts()
@@ -108,6 +109,16 @@ class TestLedger:
         ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
         with pytest.raises(KeyError):
             ledger.debit(42, 0.1, "sense", 0)
+
+    @pytest.mark.parametrize("record", [("tx", -1, 0), ("tx", 2, 0), ("tx", 0, -1),
+                                        ("tx", 0, 2), ("rx", -1, 0), ("rx", 2, 0)])
+    def test_unknown_node_in_a_radio_record(self, record):
+        ledger = EnergyLedger(small_field([(0, 0), (10, 0)]), COSTS, RM)
+        op, node, peer = record
+        out = SlotOutcome(slot=0)
+        (out.add_tx if op == "tx" else out.add_rx)(node, peer, 32)
+        with pytest.raises(KeyError):
+            settle_radio(ledger, [out])
 
     def test_negative_amount_rejected(self):
         ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
@@ -247,6 +258,56 @@ def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEE
                 ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
     for node_id in sorted(woken):
         ledger.debit(node_id, costs.wake_cost, "wake", slot)
+
+
+def reference_radio(ledger, outcomes):
+    """Each radio record through debit() at its outcome's slot, one outcome
+    at a time: the joules each outcome drew and the bits transmitted."""
+    field, rm = ledger.field, ledger.radio
+    per_outcome = []
+    for out in outcomes:
+        before = ledger.e_sx_total
+        for rec in out.records:
+            if rec.op == "tx":
+                d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
+                ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", out.slot)
+            else:
+                ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", out.slot)
+        per_outcome.append(ledger.e_sx_total - before)
+    return per_outcome, sum(out.airtime_bits() for out in outcomes)
+
+
+class TestSettleRadio:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), min_size=2, max_size=5),
+           st.lists(st.floats(0.0002, 0.02), min_size=5, max_size=5),
+           st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           st.booleans(), st.booleans(), st.integers(0, 2**32))
+    def test_one_walk_equals_a_debit_per_record(self, positions, energies, sizes,
+                                                ack, crc, seed):
+        """A drain's records, some of them repeated (tx) triples and some
+        charged to nodes whose batteries run dry, charged in one walk: every
+        outcome's joules, the tx bits, the log, levels and deaths equal a
+        debit() per record, bit for bit."""
+        n = len(positions)
+        cfg = SlotConfig(p_persist=0.6, max_retries=2, ack_enabled=ack, crc_enabled=crc)
+        queues = {src: deque(Frame(src, (src + 1) % n, FrameKind.DATA_PAYLOAD, 512, 0)
+                             for _ in range(k))
+                  for src, k in enumerate(sizes[:n - 1])}
+        outcomes = drain_queue(queues, 500, cfg, random.Random(seed))
+        fields = [small_field(positions) for _ in range(2)]
+        for f in fields:
+            for node, e in zip(f.nodes, energies):
+                node.remaining_energy = e
+        new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
+        per_outcome, bits = settle_radio(new, outcomes)
+        ref_per_outcome, ref_bits = reference_radio(ref, outcomes)
+        assert [j.hex() for j in per_outcome] == [j.hex() for j in ref_per_outcome]
+        assert bits == ref_bits
+        assert new.debits == ref.debits
+        assert new.e_sx_total == ref.e_sx_total
+        assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
+                == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
 
 
 @st.composite
@@ -446,7 +507,7 @@ class TestLazySettlement:
                     min_size=2, max_size=20))
     def test_rx_to_many_lazy_sleepers(self, n, energy, slots):
         """Radio records reach many lazy sleepers that share a level and an
-        owed count, so _charge_outcome catches them up through its memo; with
+        owed count, so _charge_outcomes catches them up through its memo; with
         large frames, a late rx can also kill a node. Every level, record and
         total must equal per-node debit() settlement bit for bit."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)], energy=energy)

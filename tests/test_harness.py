@@ -17,8 +17,8 @@ from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
                            SensorNode, SlotOutcome, TrackerState, default_scenario,
                            deploy, detectors_of, emit_csv, generate_trace, run, sweep)
 from wsn_track_sim import harness
-from wsn_track_sim.energy import _charge_outcome, settle_slot
-from wsn_track_sim.harness import CSV_COLUMNS, paired_runs
+from wsn_track_sim.energy import _charge_outcomes, settle_slot
+from wsn_track_sim.harness import CSV_COLUMNS, bench_run, paired_runs
 from wsn_track_sim.mobility import TraceRow
 from wsn_track_sim.scenario import with_seed
 
@@ -91,14 +91,17 @@ class TestRun:
         # charging one rx record fewer must show
         skipped = []
 
-        def skip_first_rx(ledger, out, slot):
-            rx = [r for r in out.records if r.op == "rx"]
-            if rx and not skipped:
-                skipped.append(rx[0])
-                out = replace(out, records=[r for r in out.records if r is not rx[0]])
-            _charge_outcome(ledger, out, slot)
+        def skip_first_rx(ledger, outcomes, slot=None):
+            outcomes = list(outcomes)
+            for i, out in enumerate(outcomes):
+                rx = [r for r in out.records if r.op == "rx"]
+                if rx and not skipped:
+                    skipped.append(rx[0])
+                    outcomes[i] = replace(out, records=[r for r in out.records
+                                                        if r is not rx[0]])
+            return _charge_outcomes(ledger, outcomes, slot)
 
-        monkeypatch.setattr("wsn_track_sim.energy._charge_outcome", skip_first_rx)
+        monkeypatch.setattr("wsn_track_sim.energy._charge_outcomes", skip_first_rx)
         report = run(small_cfg(seed=0, slots=120))
         assert skipped and not report.radio_reconciled
 
@@ -252,6 +255,25 @@ class TestSweep:
         base = next(r for r in reports if r.method == "baseline")
         assert prop.throughput_bps >= base.throughput_bps
         assert prop.pdr == 1.0
+
+
+class TestBenchRun:
+    # (baseline, proposed) throughput_bps as float.hex, recorded when the
+    # airtime was summed over each outcome's airtime_bits()
+    THROUGHPUT = {
+        (0, True): ("0x1.c73765ef31de4p+19", "0x1.b2071c71c71c7p+22"),
+        (0, False): ("0x1.e7374ea5d7bdcp+19", "0x1.e848000000000p+22"),
+        (7, True): ("0x1.cf74db8072ee7p+19", "0x1.b2071c71c71c7p+22"),
+        (7, False): ("0x1.f019eb36a1b61p+19", "0x1.e848000000000p+22"),
+    }
+
+    @pytest.mark.parametrize("seed,ack_crc", sorted(THROUGHPUT))
+    def test_throughput_matches_recorded(self, seed, ack_crc):
+        base = default_scenario()
+        cfg = replace(with_seed(base, seed), slots=replace(
+            base.slots, ack_enabled=ack_crc, crc_enabled=ack_crc))
+        assert tuple(bench_run(replace(cfg, method=m)).throughput_bps.hex()
+                     for m in ("baseline", "proposed")) == self.THROUGHPUT[(seed, ack_crc)]
 
 
 class TestEmitCsv:

@@ -1,5 +1,6 @@
 """Slotted MAC: contention statistics, transmission accounting, queue draining."""
 
+import math
 import random
 from collections import deque
 
@@ -36,6 +37,13 @@ class TestSlotConfig:
         # 544 data bits + 32 ACK bits at 500 bit/s exceed a 1 s slot
         with pytest.raises(ConfigError):
             SlotConfig(data_rate=500.0)
+
+    @pytest.mark.parametrize("key", ["slot_duration", "data_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timing(self, key, value):
+        # a NaN data window would let every frame pass transmit's fit check
+        with pytest.raises(ConfigError):
+            SlotConfig(**{key: value})
 
     def test_rejects_bad_persistence(self):
         with pytest.raises(ConfigError):
@@ -219,3 +227,128 @@ class TestDataWindow:
         assert delivered == [frame]
         # within-slot retries still complete at the same slot boundary
         assert all(slot == 8 for o in outs for _, slot in o.delivered)
+
+
+class CountingRng:
+    """A seeded uniform stream that counts its draws."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+def reference_round(queues, slot, cfg, rng, dropped):
+    """One round rebuilt from the queues through contend() and transmit(), as
+    the MAC ran it before a drain kept its list of ready ids: the oracle."""
+    ready = [nid for nid, q in queues.items() if q]
+    for nid in ready:
+        head = queues[nid][0]
+        if head.ts_slot is None:
+            head.ts_slot = slot
+    out = contend(ready, slot, cfg, rng)
+    for nid in sorted(out.collided):
+        frame = queues[nid][0]
+        out.add_tx(nid, frame.dst, on_air_bits(frame, cfg))
+        frame.retries += 1
+        if frame.retries > cfg.max_retries:
+            queues[nid].popleft()
+            dropped.append(frame)
+    if out.winner is not None:
+        transmit(queues[out.winner].popleft(), out, cfg, slot)
+    return out
+
+
+def reference_drain(queues, budget, cfg, rng, start_slot):
+    outcomes, dropped = [], []
+    slot = start_slot
+    while budget > 0 and any(queues.values()):
+        outcomes.append(reference_round(queues, slot, cfg, rng, dropped))
+        slot += 1
+        budget -= 1
+    return outcomes
+
+
+def reference_window(queues, slot, cfg, rng):
+    outcomes, dropped = [], []
+    for _ in range(cfg.max_retries + 1):
+        if not any(queues.values()):
+            break
+        outcomes.append(reference_round(queues, slot, cfg, rng, dropped))
+    for q in queues.values():
+        while q:
+            dropped.append(q.popleft())
+    return outcomes, dropped
+
+
+@st.composite
+def queue_sets(draw):
+    """Queues in random key order, some empty, with frames of random size and
+    destination; a few frames arrive already stamped with a first send slot."""
+    ids = draw(st.lists(st.integers(0, 40), unique=True, min_size=1, max_size=6))
+    spec = {nid: [(draw(st.integers(41, 44)), draw(st.integers(1, 2048)),
+                   draw(st.none() | st.integers(0, 5)))
+                  for _ in range(draw(st.integers(0, 5)))]
+            for nid in ids}
+    return spec
+
+
+def build_queues(spec):
+    """Fresh queues for `spec`, plus every frame in spec order."""
+    queues = {nid: deque() for nid in spec}
+    for nid, frames in spec.items():
+        for dst, bits, ts in frames:
+            frame = data_frame(src=nid, dst=dst, bits=bits)
+            frame.ts_slot = ts
+            queues[nid].append(frame)
+    return queues, [f for q in queues.values() for f in q]
+
+
+def observed(outcomes, frames, queues, rng):
+    """Everything a drain leaves behind, with frames named by spec position."""
+    name = {id(f): i for i, f in enumerate(frames)}
+    return ([(o.slot, o.winner, o.collided, o.acked, o.records,
+              [(name[id(f)], at) for f, at in o.delivered]) for o in outcomes],
+            [(f.retries, f.ts_slot) for f in frames],
+            {nid: [name[id(f)] for f in q] for nid, q in queues.items()},
+            rng.draws)
+
+
+class TestDrainMatchesReference:
+    """The drain and the data window, which keep their ready ids across
+    rounds, against rounds rebuilt from the queues each time."""
+
+    configs = st.builds(SlotConfig, p_persist=st.floats(0.05, 1.0),
+                        max_retries=st.integers(0, 3), ack_enabled=st.booleans(),
+                        crc_enabled=st.booleans())
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=queue_sets(), cfg=configs, budget=st.integers(0, 40),
+           start_slot=st.integers(0, 1000), seed=st.integers(0, 2**32))
+    def test_drain_queue(self, spec, cfg, budget, start_slot, seed):
+        queues, frames = build_queues(spec)
+        rng = CountingRng(seed)
+        outs = drain_queue(queues, budget, cfg, rng, start_slot)
+        ref_queues, ref_frames = build_queues(spec)
+        ref_rng = CountingRng(seed)
+        ref = reference_drain(ref_queues, budget, cfg, ref_rng, start_slot)
+        assert (observed(outs, frames, queues, rng)
+                == observed(ref, ref_frames, ref_queues, ref_rng))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=queue_sets(), cfg=configs, slot=st.integers(0, 1000),
+           seed=st.integers(0, 2**32))
+    def test_data_window(self, spec, cfg, slot, seed):
+        queues, frames = build_queues(spec)
+        rng = CountingRng(seed)
+        outs, dropped = data_window(queues, slot, cfg, rng)
+        ref_queues, ref_frames = build_queues(spec)
+        ref_rng = CountingRng(seed)
+        ref, ref_dropped = reference_window(ref_queues, slot, cfg, ref_rng)
+        assert (observed(outs, frames, queues, rng)
+                == observed(ref, ref_frames, ref_queues, ref_rng))
+        assert ([frames.index(f) for f in dropped]
+                == [ref_frames.index(f) for f in ref_dropped])
