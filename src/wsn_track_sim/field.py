@@ -2,11 +2,11 @@
 
 Nodes are static once deployed; only the tracked target moves. All range
 checks are boundary-inclusive (<=) so that brute-force oracles are exact.
-Range queries narrow the candidates with a uniform grid of cells of side r_s,
-then apply the same `distance(...) <= r` test as a scan of all nodes, so they
-return exactly the scan's result at a cost that follows the nodes near the
-query point, not the field size. deploy() draws positions and grid once while
-its config repeats, as in a paired comparison, and builds fresh nodes each call.
+Range queries test the immutable (id, x, y) entries of a uniform grid of cells
+of side r_s with the float expression of `distance(...) <= r`, so they return
+exactly a scan's result at a cost that follows the nodes near the query point,
+not the field size. deploy() draws positions, entries and grid once while its
+config repeats, as in a paired comparison, and builds fresh nodes each call.
 """
 
 from __future__ import annotations
@@ -14,14 +14,17 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Iterator
 
 from .errors import ConfigError
 
+Entry = tuple[int, float, float]  # (id, x, y) of a node; range queries read these
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Point:
     """A position in the plane, meters."""
 
@@ -44,7 +47,7 @@ class NodeMode(Enum):
     MONITOR = "monitor"  # sensed the target, exchanging tracking messages
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorNode:
     """One sensor: fixed position, current mode, remaining battery."""
 
@@ -83,12 +86,13 @@ class FieldConfig:
             )
 
 
-def _grid(positions: Iterable[Point], side: float) -> tuple:
-    """(cell, ascending indices into `positions`) of each occupied cell."""
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(positions):
-        cells.setdefault((math.floor(p.x / side), math.floor(p.y / side)), []).append(i)
-    return tuple((key, tuple(cell)) for key, cell in cells.items())
+def _grid(entries: Iterable[Entry], side: float) -> dict[tuple[int, int], tuple[Entry, ...]]:
+    """The entries binned by (floor(x / side), floor(y / side)), in input order."""
+    cells: defaultdict[tuple[int, int], list[Entry]] = defaultdict(list)
+    floor = math.floor
+    for e in entries:
+        cells[floor(e[1] / side), floor(e[2] / side)].append(e)
+    return {key: tuple(cell) for key, cell in cells.items()}
 
 
 class NodeField:
@@ -100,8 +104,8 @@ class NodeField:
     alive nodes. They stay exact as long as every mode change goes through
     set_mode() or set_modes() and every death through kill(), so that a slot
     can visit its awake nodes, or learn that every alive node is awake,
-    without a scan. Range queries use a grid of the nodes, alive or dead,
-    which deploy() hands over and a field built directly bins on first use.
+    without a scan. Range queries read entries and a grid of all nodes, never
+    mutated, which deploy() shares from its layout and others build on first use.
     """
 
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
@@ -152,31 +156,30 @@ class NodeField:
         return [n for n in self.nodes if n.alive]
 
     @functools.cached_property
-    def _cells(self) -> dict[tuple[int, int], list[SensorNode]]:
-        """Every node, alive or dead, binned by (floor(x / r_s), floor(y / r_s));
-        built on the first query unless deploy() set it."""
-        return self._bind(_grid([n.pos for n in self.nodes], self.config.r_s))
+    def _entries(self) -> tuple[Entry, ...]:
+        """(id, x, y) of every node, alive or dead, in id order."""
+        return tuple((n.id, n.pos.x, n.pos.y) for n in self.nodes)
 
-    def _bind(self, grid: tuple) -> dict[tuple[int, int], list[SensorNode]]:
-        """An index grid's cells as lists of this field's own nodes."""
-        nodes = self.nodes
-        return {key: [nodes[i] for i in cell] for key, cell in grid}
+    @functools.cached_property
+    def _cells(self) -> dict[tuple[int, int], tuple[Entry, ...]]:
+        """The entries binned by (floor(x / r_s), floor(y / r_s))."""
+        return _grid(self._entries, self.config.r_s)
 
-    def near(self, p: Point, r: float) -> list[SensorNode]:
-        """A superset of the nodes, alive or dead, within r of p.
+    def near(self, p: Point, r: float) -> Iterable[Entry]:
+        """A superset of the entries of the nodes, alive or dead, within r of p.
 
-        The nodes of every grid cell that meets the square [p - m, p + m]²,
-        where m exceeds r by far more than `distance` can round, or all nodes
-        when that square spans more cells than there are nodes.
+        The entries of every grid cell that meets the square [p - m, p + m]²,
+        where m exceeds r by far more than `distance` can round, or all
+        entries when that square spans more cells than there are nodes.
         """
         side = self.config.r_s
         m = r + 1e-9 * (abs(p.x) + abs(p.y) + r)
         i_lo, i_hi = math.floor((p.x - m) / side), math.floor((p.x + m) / side)
         j_lo, j_hi = math.floor((p.y - m) / side), math.floor((p.y + m) / side)
         if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) > len(self.nodes):
-            return self.nodes
+            return self._entries
         cells = self._cells
-        found: list[SensorNode] = []
+        found: list[Entry] = []
         for i in range(i_lo, i_hi + 1):
             for j in range(j_lo, j_hi + 1):
                 found += cells.get((i, j), ())
@@ -184,36 +187,42 @@ class NodeField:
 
 
 @functools.lru_cache(maxsize=1)
-def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple]:
-    """A config's positions and grid, immutable: its fields share nothing mutable."""
-    rng = random.Random(config.seed)
-    w, h = config.area_width, config.area_height
-    points = tuple(Point(rng.uniform(0.0, w), rng.uniform(0.0, h))
-                   for _ in range(config.n_nodes))
-    return points, _grid(points, config.r_s)
+def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple[Entry, ...], dict]:
+    """A config's positions, entries and grid, shared by its fields and never mutated."""
+    draw, w, h = random.Random(config.seed).random, config.area_width, config.area_height
+    # w * random() is uniform(0.0, w) bit for bit, and x is drawn before y
+    entries = tuple([(i, w * draw(), h * draw()) for i in range(config.n_nodes)])
+    new, set_x, set_y, points = object.__new__, Point.x.__set__, Point.y.__set__, []
+    for _, x, y in entries:
+        p = new(Point)  # finite, so the slots are set directly, without __post_init__'s check
+        set_x(p, x)
+        set_y(p, y)
+        points.append(p)
+    return tuple(points), entries, _grid(entries, config.r_s)
 
 
 def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
     """Place nodes uniformly at random inside the area.
 
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
-    battery. Same config and seed reproduce the exact same field, from one
-    cached layout while the config repeats, with nodes of its own.
+    battery. Same config and seed reproduce the exact same field: fresh nodes
+    on the positions, entries and grid of one layout cached while the config repeats.
     """
     if initial_energy <= 0:
         raise ConfigError("initial energy must be positive")
-    points, grid = _layout(config)
-    field = NodeField([SensorNode(i, p, NodeMode.SLEEP, initial_energy, True)
+    points, entries, grid = _layout(config)
+    sleep = NodeMode.SLEEP  # a local, as in NodeField.__init__
+    field = NodeField([SensorNode(i, p, sleep, initial_energy, True)
                        for i, p in enumerate(points)], config)
-    field._cells = field._bind(grid)
+    field._entries, field._cells = entries, grid
     return field
 
 
 def detectors_of(field: NodeField, target_pos: Point) -> set[int]:
     """Ids of alive nodes whose sensing disk contains the target (inclusive)."""
-    r_s = field.config.r_s
-    return {n.id for n in field.near(target_pos, r_s)
-            if n.alive and distance(n.pos, target_pos) <= r_s}
+    r_s, px, py, nodes = field.config.r_s, target_pos.x, target_pos.y, field.nodes
+    return {i for i, x, y in field.near(target_pos, r_s)
+            if math.hypot(x - px, y - py) <= r_s and nodes[i].alive}
 
 
 def neighbors_of(field: NodeField, node_id: int,
@@ -222,10 +231,10 @@ def neighbors_of(field: NodeField, node_id: int,
     range, itself excluded; only those in `among`, when given, which then
     replaces the grid."""
     center = field.node(node_id).pos
-    r_c = field.config.r_c
-    pool = field.near(center, r_c) if among is None else map(field.nodes.__getitem__, among)
-    return {n.id: d for n in pool
-            if n.alive and n.id != node_id and (d := distance(n.pos, center)) <= r_c}
+    cx, cy, r_c, nodes = center.x, center.y, field.config.r_c, field.nodes
+    pool = field.near(center, r_c) if among is None else map(field._entries.__getitem__, among)
+    return {i: d for i, x, y in pool
+            if (d := math.hypot(x - cx, y - cy)) <= r_c and i != node_id and nodes[i].alive}
 
 
 def k_closest(field: NodeField, p: Point, k: int,

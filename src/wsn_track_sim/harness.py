@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .energy import (EnergyLedger, MetricCounters, debit_counts_by_reason, delay,
                      mean_delay, pdr, settle_radio, settle_slot, throughput)
 from .errors import ConfigError
-from .field import NodeField, NodeMode, Point, deploy, detectors_of, distance, neighbors_of
+from .field import NodeField, NodeMode, Point, deploy, detectors_of, neighbors_of
 from .mac import Frame, FrameKind, MacService, SlotOutcome, drain_queue
 from .mobility import TraceRow, generate_trace
 from .protocol import Episode, StepResult, TrackerState, tracking_step
@@ -136,7 +136,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     radio_ops: Counter = Counter()  # (op, node) of each MAC radio record
 
     for k in range(n_slots):
-        target_pos = Point(trace[k].x, trace[k].y)
+        target_pos = Point(tx := trace[k].x, ty := trace[k].y)
         tracking_now = tracker.episode is Episode.TRACKING
         res = step(tracker, field, target_pos, mac, k)
         tracker = res.tracker
@@ -149,8 +149,8 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         for out in res.outcomes:
             radio_ops.update(map(operator.itemgetter(0, 1), out.records))
         # a detector covers the target; so may a dead node (near() includes them)
-        covered = bool(res.detectors) or any(distance(n.pos, target_pos) <= cfg.field.r_s
-                                             for n in field.near(target_pos, cfg.field.r_s))
+        covered = bool(res.detectors) or any(math.hypot(x - tx, y - ty) <= cfg.field.r_s
+                                             for _, x, y in field.near(target_pos, cfg.field.r_s))
         records.append(SlotRecord(ledger.e_sx_total - before, res.n_awake, tracking_now,
                                   tracking_now and tracker.episode is Episode.LOST,
                                   covered, bool(res.detectors)))

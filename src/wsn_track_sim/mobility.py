@@ -27,6 +27,8 @@ class MobilityConfig:
     entry_point: Point | None = None  # None: uniform point on a random edge
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.v_min, self.v_max, self.slot_duration))):
+            raise ConfigError("speeds and slot duration must be finite")
         if self.slot_duration <= 0:
             raise ConfigError("slot duration must be positive")
         if not (0 < self.v_min <= self.v_max):
@@ -34,13 +36,16 @@ class MobilityConfig:
 
 
 def validate_mobility(mc: MobilityConfig, fc: FieldConfig) -> None:
-    """Reject speed ranges that break the per-slot displacement bound."""
+    """Reject speeds beyond the per-slot displacement bound and entry points off the field."""
     cap = fc.r_s / mc.slot_duration
     if mc.v_max > cap:
         raise ConfigError(
             f"v_max {mc.v_max} m/s exceeds r_s/T = {cap} m/s; the tracker's "
             "displacement bound would not hold"
         )
+    p = mc.entry_point
+    if p is not None and not (0 <= p.x <= fc.area_width and 0 <= p.y <= fc.area_height):
+        raise ConfigError(f"entry point ({p.x}, {p.y}) is outside the field")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ log); on a loss, the previous tracker's `closest` holds the pair that lost it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -117,9 +118,9 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
     These are exactly the nodes that could sense the target anywhere inside
     the predicted disk.
     """
-    reach = region.radius + field.config.r_s
-    return {n.id for n in field.near(region.center, reach)
-            if n.alive and distance(n.pos, region.center) <= reach}
+    c, reach, nodes = region.center, region.radius + field.config.r_s, field.nodes
+    return {i for i, x, y in field.near(c, reach)
+            if math.hypot(x - c.x, y - c.y) <= reach and nodes[i].alive}
 
 
 @dataclass

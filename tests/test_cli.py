@@ -98,6 +98,33 @@ def test_trace_replay_matches_run(tmp_path):
         assert moved.read_bytes() != seeded.read_bytes()
 
 
+def test_entry_outside_field_is_config_error(tmp_path, capsys):
+    # `trace` must not write a row that `run --trace` would then refuse
+    conf = tmp_path / "far.conf"
+    conf.write_text("mobility.entry = -10,-10\n")
+    out = tmp_path / "t.csv"
+    assert main(["trace", "--config", str(conf), "--slots", "5", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(["run", "--config", str(conf), "--slots", "5",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    for err in capsys.readouterr().err.splitlines():
+        assert err.startswith(f"configuration error: {conf}: ")
+        assert "entry point (-10.0, -10.0) is outside the field" in err
+
+
+def test_entry_on_the_boundary_round_trips(tmp_path):
+    conf = tmp_path / "edge.conf"
+    conf.write_text("mobility.entry = 500,0\n")
+    trace = tmp_path / "t.csv"
+    common = ["--config", str(conf), "--slots", "20"]
+    assert main(["trace", *common, "--out", str(trace)]) == 0
+    assert trace.read_text().splitlines()[1].startswith("0,500.0,0.0,")
+    seeded, replayed = tmp_path / "seeded.csv", tmp_path / "replayed.csv"
+    assert main(["run", *common, "--out", str(seeded)]) == 0
+    assert main(["run", *common, "--trace", str(trace), "--out", str(replayed)]) == 0
+    assert replayed.read_bytes() == seeded.read_bytes()
+
+
 def test_missing_trace_file_is_io_error(tmp_path):
     assert main(["run", "--trace", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "r.csv")]) == 3

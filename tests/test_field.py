@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,6 +92,11 @@ def reference_cells(nodes, side):
     return cells
 
 
+def entry_ids(cells):
+    """A grid's cells as lists of the ids of their entries."""
+    return {key: [i for i, _, _ in cell] for key, cell in cells.items()}
+
+
 def node_state(nodes):
     return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.mode, n.remaining_energy.hex(), n.alive)
             for n in nodes]
@@ -117,17 +123,24 @@ class TestLayoutCache:
             field = deploy(cfg, energy)
             reference = reference_deploy(cfg, energy)
             assert node_state(field) == node_state(reference)
-            assert ({key: [n.id for n in cell] for key, cell in field._cells.items()}
-                    == reference_cells(reference, cfg.r_s))
+            assert ([(i, x.hex(), y.hex()) for i, x, y in field._entries]
+                    == [(n.id, n.pos.x.hex(), n.pos.y.hex()) for n in reference])
+            assert entry_ids(field._cells) == reference_cells(reference, cfg.r_s)
+            assert all(e is field._entries[e[0]] for cell in field._cells.values() for e in cell)
             assert field.awake == set() and field.n_alive == cfg.n_nodes
         info = _layout.cache_info()
         assert (info.hits, info.misses) == ((1, 3) if a != b else (3, 1))
         assert info.currsize == 1
 
     def test_fields_of_one_config_share_nothing_mutable(self):
+        """They share only the layout's entries and grid, which hold tuples
+        and which no mutation of a field or its nodes writes."""
         cfg = FieldConfig(n_nodes=300, seed=3)
         one, two = deploy(cfg), deploy(cfg)
         untouched = node_state(two)
+        grid = {key: list(cell) for key, cell in two._cells.items()}
+        assert {id(n) for n in one.nodes}.isdisjoint(id(n) for n in two.nodes)
+        assert one.awake is not two.awake
         one.set_mode(one.nodes[0], NodeMode.DETECT)
         one.set_modes([3, 4], NodeMode.MONITOR)
         one.kill(one.nodes[1])
@@ -136,14 +149,16 @@ class TestLayoutCache:
         assert two.awake == set() and two.n_alive == 300
         rng = random.Random(11)
         for field in (one, two):
-            own = {id(n) for n in field.nodes}
+            assert field._cells is two._cells and field._entries is two._entries
             for _ in range(100):
                 p = Point(rng.uniform(-50, 550), rng.uniform(-50, 550))
                 r = rng.uniform(0.0, 60.0)
                 found = field.near(p, r)
-                assert all(id(n) in own for n in found)
-                assert ({n.id for n in found if distance(n.pos, p) <= r}
+                assert all(type(e) is tuple for e in found)
+                assert ({i for i, x, y in found if math.hypot(x - p.x, y - p.y) <= r}
                         == {n.id for n in field.nodes if distance(n.pos, p) <= r})
+        assert {key: list(cell) for key, cell in one._cells.items()} == grid
+        assert [(n.pos.x, n.pos.y) for n in one.nodes] == [(x, y) for _, x, y in one._entries]
 
 
 class TestDistance:
@@ -358,7 +373,9 @@ class TestGridMatchesLinearScan:
         dead = NodeField([SensorNode(id=n.id, pos=n.pos, alive=False)
                           for n in field.nodes], field.config)
         for f in (field, dead):
-            assert any(distance(n.pos, q) <= r_s for n in f.near(q, r_s)) == covered
+            found = f.near(q, r_s)
+            assert all((x, y) == (f.nodes[i].pos.x, f.nodes[i].pos.y) for i, x, y in found)
+            assert any(math.hypot(x - q.x, y - q.y) <= r_s for _, x, y in found) == covered
         assert detectors_of(dead, q) == set()
 
     @settings(max_examples=150, deadline=None)
@@ -371,3 +388,43 @@ class TestGridMatchesLinearScan:
             if n.alive:
                 assert (neighbors_of(field, n.id, among=among).keys()
                         == (scan(field, n.pos, r_c) - {n.id}) & among)
+
+
+class TestEntryGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(field_configs())
+    def test_deployed_fields_hold_the_layout_grid(self, cfg):
+        """Every field of a config holds the layout's entries and grid
+        themselves, made of tuples only, equal to what a field built
+        directly bins for itself."""
+        fields = [deploy(cfg) for _ in range(3)]
+        _, entries, grid = _layout(cfg)
+        assert all(f._entries is entries and f._cells is grid for f in fields)
+        assert type(entries) is tuple and all(type(e) is tuple for e in entries)
+        assert all(type(key) is tuple and type(cell) is tuple
+                   and all(type(e) is tuple for e in cell) for key, cell in grid.items())
+        direct = NodeField(reference_deploy(cfg, 1.0), cfg)
+        assert direct._entries == entries and direct._cells == grid
+        assert list(direct._cells) == list(grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field_configs())
+    def test_layout_points_equal_checked_points(self, cfg):
+        points, entries, _ = _layout(cfg)
+        for p, (_, x, y) in zip(points, entries):
+            q = Point(x, y)
+            assert type(p) is Point and (p.x, p.y) == (x, y)
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        with pytest.raises(FrozenInstanceError):
+            points[0].x = 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields_with_query(), st.data())
+    def test_neighbor_distances_equal_distance_bit_for_bit(self, case, data):
+        field, _, _ = case
+        among = data.draw(st.sets(st.sampled_from([n.id for n in field.nodes])))
+        for n in field.nodes:
+            if n.alive:
+                for pool in (None, among):
+                    for t, d in neighbors_of(field, n.id, among=pool).items():
+                        assert d.hex() == distance(field.nodes[t].pos, n.pos).hex()

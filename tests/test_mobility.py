@@ -1,5 +1,6 @@
 """Random-waypoint motion: bounds, kinematics, determinism, trace round-trips."""
 
+import math
 import random
 import re
 
@@ -9,8 +10,35 @@ from wsn_track_sim import (ConfigError, FieldConfig, MobilityConfig, Point,
                            TargetState, distance, generate_trace,
                            observed_speed, read_trace, spawn_target,
                            step_target, write_trace)
+from wsn_track_sim.mobility import validate_mobility
 
 FC = FieldConfig()  # 500x500, r_s 25
+
+
+class TestMobilityConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["slot_duration", "v_max", "v_min"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            MobilityConfig(**{name: value})
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (500.0, 500.0), (0.0, 500.0),
+                                      (500.0, 0.0), (250.0, 0.0), (500.0, 137.5)])
+    def test_entry_on_the_boundary_accepted(self, x, y):
+        mc = MobilityConfig(entry_point=Point(x, y))
+        validate_mobility(mc, FC)
+        assert spawn_target(mc, FC).pos == Point(x, y)
+        row = generate_trace(mc, FC, 3)[0]
+        assert (row.x, row.y) == (x, y)
+
+    @pytest.mark.parametrize("x, y", [(-10.0, -10.0), (-1e-9, 250.0), (250.0, -5e-324),
+                                      (math.nextafter(500.0, 1e3), 250.0), (250.0, 600.0)])
+    def test_entry_outside_the_field_rejected(self, x, y):
+        mc = MobilityConfig(entry_point=Point(x, y))
+        for check in (lambda: validate_mobility(mc, FC), lambda: spawn_target(mc, FC),
+                      lambda: generate_trace(mc, FC, 3)):
+            with pytest.raises(ConfigError, match="entry point .* is outside the field"):
+                check()
 
 
 class TestSpawn:

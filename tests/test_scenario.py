@@ -135,7 +135,8 @@ def valid_scenarios(draw):
                         r_c=r_s * draw(st.just(2.0) | floats(2.0, 6.0)))
     duration = draw(st.just(1.0) | floats(0.1, 10.0))
     v_max = r_s / duration * draw(st.just(1.0) | floats(0.01, 1.0))
-    entry = draw(st.none() | st.builds(Point, floats(-1e3, 1e4), floats(-1e3, 1e4)))
+    entry = draw(st.none() | st.builds(Point, floats(0.0, field.area_width),
+                                       floats(0.0, field.area_height)))
     mobility = MobilityConfig(v_min=v_max * draw(floats(0.01, 1.0)), v_max=v_max,
                               slot_duration=duration, entry_point=entry)
     slots = SlotConfig(slot_duration=duration, data_packet_bits=draw(st.integers(1, 4096)),
