@@ -308,8 +308,12 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
         if before is None:
             before = ledger._alive_before = list(accumulate(
                 (n.alive for n in nodes), initial=0))
+        add = _repeat_add
     else:
         order = range(len(nodes))
+        # the lazy nodes it catches up mostly share a level and an owed count,
+        # so it replays each distinct (value, owed count) once, as flush() does
+        add = functools.lru_cache(maxsize=None)(_repeat_add)
     low = math.inf  # lowest level a visited node keeps
     gap_from = 0
     for i in order:
@@ -321,7 +325,7 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
             continue
         run = runs[i]
         if run[1] < through:
-            ledger._catch_up(node)
+            ledger._catch_up(node, add)
         mode = slot_modes.get(i, common)
         charge = asleep if mode is sleep else sensing if mode is detect else monitoring
         amount = charge[0]

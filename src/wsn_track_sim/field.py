@@ -106,6 +106,8 @@ class NodeField:
     can visit its awake nodes, or learn that every alive node is awake,
     without a scan. Range queries read entries and a grid of all nodes, never
     mutated, which deploy() shares from its layout and others build on first use.
+    deploy() also sets `awake` and `n_alive` of its fresh nodes without the
+    id check and scans that a field built here runs.
     """
 
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
@@ -212,8 +214,11 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
         raise ConfigError("initial energy must be positive")
     points, entries, grid = _layout(config)
     sleep = NodeMode.SLEEP  # a local, as in NodeField.__init__
-    field = NodeField([SensorNode(i, p, sleep, initial_energy, True)
-                       for i, p in enumerate(points)], config)
+    # the nodes are fresh: ids in list order, all asleep and alive, so the
+    # field takes that state instead of checking ids and scanning for it
+    field = NodeField.__new__(NodeField)
+    field.nodes = [SensorNode(i, p, sleep, initial_energy, True) for i, p in enumerate(points)]
+    field.config, field.awake, field.n_alive = config, set(), len(points)
     field._entries, field._cells = entries, grid
     return field
 

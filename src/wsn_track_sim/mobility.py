@@ -4,6 +4,7 @@ The target enters on the area boundary (or at a fixed point), walks straight
 toward a uniformly drawn interior waypoint at a uniformly drawn speed, and
 redraws waypoint and speed on arrival with no pause. Speeds are capped at
 r_s / T so the target can never outrun a sensing disk in one slot.
+A trajectory is a list of plain (slot, x, y, speed) records.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .field import FieldConfig, Point, distance
@@ -56,8 +58,11 @@ class TargetState:
     slot_index: int = 0
 
 
-def _draw_waypoint(fc: FieldConfig, rng: random.Random) -> Point:
-    return Point(rng.uniform(0.0, fc.area_width), rng.uniform(0.0, fc.area_height))
+def _draw_leg(mc: MobilityConfig, fc: FieldConfig,
+              rng: random.Random) -> tuple[float, float, float]:
+    """The next leg's waypoint x, y and speed, drawn in that order."""
+    return (rng.uniform(0.0, fc.area_width), rng.uniform(0.0, fc.area_height),
+            rng.uniform(mc.v_min, mc.v_max))
 
 
 def _draw_entry(fc: FieldConfig, rng: random.Random) -> Point:
@@ -78,9 +83,8 @@ def spawn_target(mc: MobilityConfig, fc: FieldConfig,
     if rng is None:
         rng = random.Random(mc.seed)
     pos = mc.entry_point if mc.entry_point is not None else _draw_entry(fc, rng)
-    waypoint = _draw_waypoint(fc, rng)
-    speed = rng.uniform(mc.v_min, mc.v_max)
-    return TargetState(pos=pos, waypoint=waypoint, speed=speed, slot_index=0)
+    wx, wy, speed = _draw_leg(mc, fc, rng)
+    return TargetState(pos=pos, waypoint=Point(wx, wy), speed=speed, slot_index=0)
 
 
 def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
@@ -88,15 +92,17 @@ def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
     """Advance one slot toward the waypoint; redraw waypoint/speed on arrival.
 
     The per-slot displacement is min(speed*T, remaining distance), so it never
-    exceeds speed*T and in particular never exceeds r_s.
+    exceeds speed*T and in particular never exceeds r_s. This is the
+    single-step rule; generate_trace repeats it on floats, and the tests check
+    that loop against spawn_target followed by this step.
     """
     step = ts.speed * mc.slot_duration
     remaining = distance(ts.pos, ts.waypoint)
     if remaining <= step:
         # Arrive exactly at the waypoint, then pick the next leg (no pause).
         new_pos = ts.waypoint
-        waypoint = _draw_waypoint(fc, rng)
-        speed = rng.uniform(mc.v_min, mc.v_max)
+        wx, wy, speed = _draw_leg(mc, fc, rng)
+        waypoint = Point(wx, wy)
     else:
         f = step / remaining
         new_pos = Point(ts.pos.x + (ts.waypoint.x - ts.pos.x) * f,
@@ -114,9 +120,11 @@ def observed_speed(prev: Point, curr: Point, slot_duration: float) -> float:
     return distance(prev, curr) / slot_duration
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """Target state at the start of a slot; speed is the leg speed in effect."""
+class TraceRow(NamedTuple):
+    """Target state at the start of a slot; speed is the leg speed in effect.
+
+    A plain record, as a trajectory holds one per slot.
+    """
 
     slot: int
     x: float
@@ -125,15 +133,29 @@ class TraceRow:
 
 
 def generate_trace(mc: MobilityConfig, fc: FieldConfig, n_slots: int) -> list[TraceRow]:
-    """Full trajectory for a run: one row per slot, reproducible from mc.seed."""
+    """Full trajectory for a run: one row per slot, reproducible from mc.seed.
+
+    The one loop: step_target's rule on local floats, with its draws in its
+    order and its float expressions, so every row equals spawn_target followed
+    by step_target bit for bit, without building a state per slot.
+    """
     if n_slots < 1:
         raise ConfigError("need at least one slot")
     rng = random.Random(mc.seed)
     ts = spawn_target(mc, fc, rng)
-    rows = [TraceRow(0, ts.pos.x, ts.pos.y, ts.speed)]
-    for _ in range(n_slots - 1):
-        ts = step_target(ts, mc, fc, rng)
-        rows.append(TraceRow(ts.slot_index, ts.pos.x, ts.pos.y, ts.speed))
+    x, y, wx, wy, speed = ts.pos.x, ts.pos.y, ts.waypoint.x, ts.waypoint.y, ts.speed
+    t, hypot, new = mc.slot_duration, math.hypot, tuple.__new__
+    rows = [TraceRow(0, x, y, speed)]
+    for slot in range(1, n_slots):
+        step = speed * t
+        remaining = hypot(x - wx, y - wy)
+        if remaining <= step:
+            x, y = wx, wy
+            wx, wy, speed = _draw_leg(mc, fc, rng)
+        else:
+            f = step / remaining
+            x, y = x + (wx - x) * f, y + (wy - y) * f
+        rows.append(new(TraceRow, (slot, x, y, speed)))  # TraceRow() costs 3x more
     return rows
 
 

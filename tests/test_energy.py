@@ -534,6 +534,52 @@ class TestLazySettlement:
         assert ([(*d[:3], d[3].hex()) for d in new.debits]
                 == [(*d[:3], d[3].hex()) for d in merged_runs(ref.debits)])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]), st.floats(8.0, 60.0),
+           st.data())
+    def test_cohort_dies_in_the_horizon_walk(self, n, common, slots_of_charge, data):
+        """A cohort of lazy nodes shares a level and an owed count until the
+        death horizon forces a full walk, which catches them up through its
+        memo; the cohort nodes that walk puts in MONITOR die in it, the rest
+        in the slots after. Every level, record and total must equal per-node
+        debit() settlement bit for bit."""
+        c = COSTS.sleep_per_slot if common is SLEEP else COSTS.sense_per_slot
+        level = c * slots_of_charge  # the lowest level in the field
+        cohort = data.draw(st.sets(st.integers(0, n - 1), min_size=n // 2))
+        others = sorted(set(range(n)) - cohort)
+        energies = [level if i in cohort else 5.0 for i in range(n)]
+        fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
+        for f in fields:
+            for node, e in zip(f.nodes, energies):
+                node.remaining_energy = e
+        new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
+        walked_at = after = None
+        slot = 0
+        while after is None or slot < after:
+            if walked_at is None and slot > max(new._horizon, 0):  # slot 0 walks anyway
+                walked_at, after = slot, slot + 4
+                kill = data.draw(st.sets(st.sampled_from(sorted(cohort)), min_size=1))
+                modes = {i: NodeMode.MONITOR for i in kill}
+            else:
+                modes = {i: NodeMode.MONITOR for i in data.draw(
+                    st.sets(st.sampled_from(others), max_size=2))} if others else {}
+            alive = fields[0].n_alive
+            settle_slot(new, [], modes, (), slot, common=common)
+            reference_settle(ref, [], modes, (), slot, common)
+            assert new.e_sx_total.hex() == ref.e_sx_total.hex()
+            assert fields[0].n_alive == fields[1].n_alive
+            if slot == walked_at:
+                assert fields[0].n_alive == alive - len(kill)
+            slot += 1
+        assert walked_at > 4  # the cohort owed several slots
+        new.flush()
+        assert ([n.remaining_energy.hex() for n in fields[0].nodes]
+                == [n.remaining_energy.hex() for n in fields[1].nodes])
+        assert ([(n.alive, n.mode) for n in fields[0].nodes]
+                == [(n.alive, n.mode) for n in fields[1].nodes])
+        assert ([(*d[:3], d[3].hex()) for d in new.debits]
+                == [(*d[:3], d[3].hex()) for d in merged_runs(ref.debits)])
+
     def test_sleepers_pay_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
         ledger = EnergyLedger(field, COSTS, RM)

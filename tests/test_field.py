@@ -407,6 +407,27 @@ class TestEntryGrid:
         assert direct._entries == entries and direct._cells == grid
         assert list(direct._cells) == list(grid)
 
+    @settings(max_examples=60, deadline=None)
+    @given(field_configs(), st.data())
+    def test_deployed_state_equals_a_scan(self, cfg, data):
+        """deploy() sets `awake` and `n_alive` without scanning; they equal
+        the scans of a field built directly, before and after mode changes
+        and deaths, and the two fields carry the same attributes."""
+        field = deploy(cfg)
+        direct = NodeField(reference_deploy(cfg, 5.0), cfg)
+        direct._cells  # built on first use, as deploy() shares them
+        assert vars(field).keys() == vars(direct).keys()
+        ids = st.integers(0, cfg.n_nodes - 1)
+        for f in (field, direct):
+            for nid in data.draw(st.lists(ids, max_size=5)):
+                f.set_mode(f.nodes[nid], data.draw(st.sampled_from(list(NodeMode))))
+            for nid in data.draw(st.lists(ids, max_size=3)):
+                f.kill(f.nodes[nid])
+            assert f.awake == {n.id for n in f.nodes if n.mode is not NodeMode.SLEEP}
+            assert f.n_alive == sum(n.alive for n in f.nodes)
+        with pytest.raises(ConfigError):  # a field built directly still checks ids
+            NodeField([field.nodes[-1], *field.nodes], cfg)
+
     @settings(max_examples=100, deadline=None)
     @given(field_configs())
     def test_layout_points_equal_checked_points(self, cfg):

@@ -5,9 +5,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, FieldConfig, MobilityConfig, Point,
-                           TargetState, distance, generate_trace,
+                           TargetState, TraceRow, distance, generate_trace,
                            observed_speed, read_trace, spawn_target,
                            step_target, write_trace)
 from wsn_track_sim.mobility import validate_mobility
@@ -92,6 +93,55 @@ class TestStep:
             step = distance(Point(a.x, a.y), Point(b.x, b.y))
             assert step <= FC.r_s + 1e-9
             assert step <= a.speed * 1.0 + 1e-9
+
+
+def reference_trace(mc, fc, n_slots):
+    """spawn_target followed by a step_target loop, one state per slot."""
+    rng = random.Random(mc.seed)
+    ts = spawn_target(mc, fc, rng)
+    states = [ts]
+    for _ in range(n_slots - 1):
+        ts = step_target(ts, mc, fc, rng)
+        states.append(ts)
+    return [(s.slot_index, s.pos.x.hex(), s.pos.y.hex(), s.speed.hex()) for s in states]
+
+
+@st.composite
+def trace_cases(draw):
+    """Fields from a few metres across, where the target reaches a waypoint
+    almost every slot, up to a kilometre; equal or distinct speed bounds; slots
+    of any length; random-edge or fixed entry points; 1-400 slots."""
+    w, h = draw(st.floats(2.0, 1000.0)), draw(st.floats(2.0, 1000.0))
+    v_min = draw(st.floats(0.1, 30.0))
+    v_max = draw(st.one_of(st.just(v_min), st.floats(v_min, 3 * v_min)))
+    t = draw(st.one_of(st.just(1.0), st.floats(0.05, 10.0)))
+    r_s = v_max * t * draw(st.floats(1.01, 2.0))  # within the bound, clear of rounding
+    entry = draw(st.one_of(st.none(), st.builds(Point, st.floats(0.0, w), st.floats(0.0, h))))
+    mc = MobilityConfig(v_min=v_min, v_max=v_max, slot_duration=t,
+                        seed=draw(st.integers(0, 2**32)), entry_point=entry)
+    fc = FieldConfig(area_width=w, area_height=h, r_s=r_s, r_c=2 * r_s)
+    return mc, fc, draw(st.integers(1, 400))
+
+
+class TestTraceMatchesStepTarget:
+    @settings(max_examples=200, deadline=None)
+    @given(trace_cases())
+    def test_loop_equals_spawn_and_steps(self, case):
+        mc, fc, n_slots = case
+        rows = generate_trace(mc, fc, n_slots)
+        assert all(type(r) is TraceRow for r in rows)
+        assert ([(r.slot, r.x.hex(), r.y.hex(), r.speed.hex()) for r in rows]
+                == reference_trace(mc, fc, n_slots))
+
+    def test_arrivals_in_a_small_field(self):
+        # a 3 m field at 2-4 m/s: most slots end on a waypoint
+        mc = MobilityConfig(v_min=2.0, v_max=4.0, seed=8)
+        fc = FieldConfig(area_width=3.0, area_height=3.0, r_s=5.0, r_c=10.0)
+        rows = generate_trace(mc, fc, 200)
+        legs = sum(a.speed != b.speed for a, b in zip(rows, rows[1:]))
+        assert legs > 100
+        assert ([(r.slot, r.x.hex(), r.y.hex(), r.speed.hex()) for r in rows]
+                == reference_trace(mc, fc, 200))
 
 
 class TestObservedSpeed:
