@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,15 @@ from typing import Collection, Iterable, Iterator
 from .errors import ConfigError
 
 Entry = tuple[int, float, float]  # (id, x, y) of a node; range queries read these
+
+FJ = 10**15  # femtojoules per joule: battery levels count whole fJ
+
+
+def fj(joules: float) -> int:
+    """`joules` as the nearest whole number of femtojoules. A charge too large
+    for a float in fJ, such as a frame under an absurd radio constant, counts
+    as the largest float: more than any battery that ModeCosts accepts."""
+    return round(min(joules * FJ, sys.float_info.max))
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +64,7 @@ class SensorNode:
     id: int
     pos: Point
     mode: NodeMode = NodeMode.SLEEP
-    remaining_energy: float = 0.0
+    remaining_energy: int = 0  # whole fJ (see fj), never a float
     alive: bool = True
 
 
@@ -98,7 +108,8 @@ def _grid(entries: Iterable[Entry], side: float) -> dict[tuple[int, int], tuple[
 class NodeField:
     """A deployed field: ordered node list plus the config that produced it.
 
-    A node's id is its position in `nodes`: ids run 0..n-1 in list order.
+    A node's id is its position in `nodes`: ids run 0..n-1 in list order,
+    and its battery level is an int of fJ.
 
     `awake` holds the ids of the nodes not asleep and `n_alive` counts the
     alive nodes. They stay exact as long as every mode change goes through
@@ -113,8 +124,11 @@ class NodeField:
     def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
         self.nodes: list[SensorNode] = list(nodes)
         self.config = config
-        if any(n.id != i for i, n in enumerate(self.nodes)):
-            raise ConfigError("node ids must be 0..n-1 in list order")
+        for i, n in enumerate(self.nodes):
+            if n.id != i:
+                raise ConfigError("node ids must be 0..n-1 in list order")
+            if type(n.remaining_energy) is not int:  # a level in joules, say
+                raise ConfigError(f"node {i}: level {n.remaining_energy!r} is not an int of fJ")
         sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
         self.awake: set[int] = {n.id for n in self.nodes if n.mode is not sleep}
         self.n_alive = sum(n.alive for n in self.nodes)
@@ -207,17 +221,19 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
     """Place nodes uniformly at random inside the area.
 
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
-    battery. Same config and seed reproduce the exact same field: fresh nodes
+    battery of `initial_energy` joules, which each node holds as fj() of it.
+    Same config and seed reproduce the exact same field: fresh nodes
     on the positions, entries and grid of one layout cached while the config repeats.
     """
-    if initial_energy <= 0:
-        raise ConfigError("initial energy must be positive")
+    level = fj(initial_energy) if math.isfinite(initial_energy * FJ) else 0
+    if level < 1:
+        raise ConfigError("initial energy must be finite and at least 1 fJ")
     points, entries, grid = _layout(config)
     sleep = NodeMode.SLEEP  # a local, as in NodeField.__init__
     # the nodes are fresh: ids in list order, all asleep and alive, so the
     # field takes that state instead of checking ids and scanning for it
     field = NodeField.__new__(NodeField)
-    field.nodes = [SensorNode(i, p, sleep, initial_energy, True) for i, p in enumerate(points)]
+    field.nodes = [SensorNode(i, p, sleep, level, True) for i, p in enumerate(points)]
     field.config, field.awake, field.n_alive = config, set(), len(points)
     field._entries, field._cells = entries, grid
     return field

@@ -21,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
 from typing import NamedTuple
 
-from .energy import (EnergyLedger, MetricCounters, debit_counts_by_reason, delay,
+from .energy import (FJ, EnergyLedger, MetricCounters, debit_counts_by_reason, delay,
                      mean_delay, pdr, settle_radio, settle_slot, throughput)
 from .errors import ConfigError
 from .field import NodeField, NodeMode, Point, deploy, detectors_of, neighbors_of
@@ -151,7 +151,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         # a detector covers the target; so may a dead node (near() includes them)
         covered = bool(res.detectors) or any(math.hypot(x - tx, y - ty) <= cfg.field.r_s
                                              for _, x, y in field.near(target_pos, cfg.field.r_s))
-        records.append(SlotRecord(ledger.e_sx_total - before, res.n_awake, tracking_now,
+        records.append(SlotRecord((ledger.e_sx_total - before) / FJ, res.n_awake, tracking_now,
                                   tracking_now and tracker.episode is Episode.LOST,
                                   covered, bool(res.detectors)))
     counters.elapsed = n_slots * cfg.slots.slot_duration
@@ -193,19 +193,19 @@ def _deliveries(counters: MetricCounters, outcomes: list[SlotOutcome],
             counters.delays.append(delay(t_s, delivery_slot) * slot_duration)
 
 
-def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: float,
+def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: int,
             counters: MetricCounters, **fields) -> RunReport:
     """A report whose config, energy, PDR, delay and conservation fields are
-    derived alike for every run; `fields` holds the rest."""
+    derived alike for every run, from the ledger's fJ; `fields` holds the rest."""
     final_energy = ledger.total_remaining()
-    applied = math.fsum(d[3] for d in ledger.debits)
+    applied = sum(d[3] for d in ledger.debits)
     return RunReport(
         method=cfg.method,
         seed=cfg.seed,
         n_nodes=cfg.field.n_nodes,
         r_s_m=cfg.field.r_s,
         r_c_m=cfg.field.r_c,
-        total_energy_j=ledger.e_sx_total,
+        total_energy_j=ledger.e_sx_total / FJ,  # int / int: correctly rounded
         pdr=pdr(counters),
         mean_delay_s=mean_delay(counters),
         config_digest=config_digest(cfg),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -124,17 +124,6 @@ class SlotOutcome:
 
     def add_rx(self, node: int, peer: int, bits: int) -> None:
         self.records.append(_new(RadioOp, ("rx", node, peer, bits)))
-
-    @property
-    def tx_counts(self) -> Counter:
-        return Counter(r.node for r in self.records if r.op == "tx")
-
-    @property
-    def rx_counts(self) -> Counter:
-        return Counter(r.node for r in self.records if r.op == "rx")
-
-    def airtime_bits(self) -> int:
-        return sum(r.bits for r in self.records if r.op == "tx")
 
 
 def _draw(ready: list[int], slot: int, p: float,

@@ -49,8 +49,8 @@ class ScenarioConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_slots < 1:
             raise ConfigError("max_slots must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # also rejects NaN
+            raise ConfigError("alpha must be finite and positive")
         if not (0 < self.radius_floor_frac <= 1):
             raise ConfigError("radius floor fraction must lie in (0, 1]")
         if self.bench_packets < 1 or self.bench_background_senders < 0:

@@ -14,7 +14,7 @@ from wsn_track_sim import (FieldConfig, MobilityConfig, NodeField, NodeMode,
                            elect_representative, generate_trace, k_closest,
                            run, wake_set)
 from wsn_track_sim.cli import main as cli_main
-from wsn_track_sim.energy import debit_counts_by_reason
+from wsn_track_sim.energy import FJ, debit_counts_by_reason
 from wsn_track_sim.field import deploy, detectors_of, neighbors_of
 from wsn_track_sim.harness import bench_run, paired_runs
 from wsn_track_sim.mobility import observed_speed
@@ -214,8 +214,8 @@ def test_c07_ledger_conservation(paired_by_radius, bench_reports):
                             speed_prior=cfg.mobility.v_max)
         tracker = res.tracker
         for out in res.outcomes:
-            tx_mac.update(out.tx_counts)
-            rx_mac.update(out.rx_counts)
+            tx_mac.update(r.node for r in out.records if r.op == "tx")
+            rx_mac.update(r.node for r in out.records if r.op == "rx")
         settle_slot(ledger, res.outcomes, res.slot_modes, res.woken, k, common=res.common)
     assert tx_mac == debit_counts_by_reason(ledger, "tx")
     assert rx_mac == debit_counts_by_reason(ledger, "rx")
@@ -253,7 +253,7 @@ def test_c10_loss_handling():
     n = 20
     positions = [(5.0 + 10.0 * i, 100.0) for i in range(n)]  # covered to x=220
     fc = FieldConfig(n_nodes=n, seed=0)
-    field = NodeField([SensorNode(id=i, pos=Point(*p), remaining_energy=5.0)
+    field = NodeField([SensorNode(id=i, pos=Point(*p), remaining_energy=5 * FJ)
                        for i, p in enumerate(positions)], fc)
     from wsn_track_sim.mobility import TraceRow
     trace = [TraceRow(k, 20.0 * k, 100.0, 20.0) for k in range(20)]

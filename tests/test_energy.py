@@ -3,24 +3,28 @@
 import math
 import random
 from collections import deque
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
                            ModeCosts, NodeField, NodeMode, Point, RadioModel,
-                           SensorNode, delay, distance, pdr, rx_energy,
-                           settle_slot, throughput, tx_energy)
-from wsn_track_sim.energy import _repeat_add, debit_counts_by_reason, settle_radio
+                           SensorNode, default_scenario, delay, deploy, distance,
+                           pdr, run, rx_energy, settle_slot, throughput, tx_energy)
+from wsn_track_sim import harness
+from wsn_track_sim.energy import FJ, debit_counts_by_reason, fj, settle_radio
 from wsn_track_sim.errors import ConfigError
 from wsn_track_sim.mac import Frame, FrameKind, SlotConfig, SlotOutcome, drain_queue
+from wsn_track_sim.scenario import with_seed
 
 RM = RadioModel()  # e_elect 50e-9, e_amp 0.0013e-12
 COSTS = ModeCosts()
 SLEEP, DETECT = NodeMode.SLEEP, NodeMode.DETECT
 
 
-def small_field(positions, energy=5.0, r_s=25.0, r_c=100.0):
+def small_field(positions, energy=5 * FJ, r_s=25.0, r_c=100.0):
     cfg = FieldConfig(area_width=500, area_height=500, n_nodes=len(positions),
                       r_s=r_s, r_c=r_c, seed=0)
     nodes = [SensorNode(id=i, pos=Point(*p), remaining_energy=energy)
@@ -70,6 +74,21 @@ class TestRadioFormulas:
         with pytest.raises(ConfigError):
             ModeCosts(**{name: value})
 
+    @pytest.mark.parametrize("name", ["sleep_per_slot", "sense_per_slot", "comm_per_slot",
+                                      "initial_energy", "wake_cost"])
+    def test_mode_costs_must_be_finite_in_fj(self, name):
+        # 1e300 J is finite, but 1e300 * 1e15 fJ is not, so fj() could not count it
+        with pytest.raises(ConfigError, match="fJ"):
+            ModeCosts(**{name: 1e300})
+
+    @pytest.mark.parametrize("energy", [4e-16, 1e-20, 0.0, -1.0])
+    def test_initial_energy_must_round_to_one_fj_or_more(self, energy):
+        with pytest.raises(ConfigError, match="1 fJ"):
+            ModeCosts(initial_energy=energy)
+
+    def test_one_fj_of_initial_energy_is_enough(self):
+        assert fj(ModeCosts(initial_energy=6e-16).initial_energy) == 1
+
     def test_mode_cost_ordering(self):
         costs = ModeCosts()
         assert costs.sleep_per_slot < costs.sense_per_slot < costs.comm_per_slot
@@ -81,34 +100,34 @@ class TestLedger:
     def test_simple_debit(self):
         field = small_field([(0, 0)])
         ledger = EnergyLedger(field, COSTS, RM)
-        ledger.debit(0, 0.012, "sense", 0)
-        assert ledger.remaining(0) == pytest.approx(4.988, rel=1e-12)
+        ledger.debit(0, fj(0.012), "sense", 0)
+        assert ledger.remaining(0) == fj(4.988) == 5 * FJ - 12 * 10**12
         assert field.nodes[0].alive
 
     def test_overdraw_clamps_and_kills(self):
-        field = small_field([(0, 0)], energy=0.001)
+        field = small_field([(0, 0)], energy=fj(0.001))
         ledger = EnergyLedger(field, COSTS, RM)
-        applied = ledger.debit(0, 0.012, "sense", 0)
-        assert applied == 0.001
-        assert ledger.remaining(0) == 0.0
+        applied = ledger.debit(0, fj(0.012), "sense", 0)
+        assert applied == fj(0.001)
+        assert ledger.remaining(0) == 0
         assert not field.nodes[0].alive
         assert field.nodes[0].mode is NodeMode.SLEEP
-        assert ledger.debits[-1] == (0, 0, "sense", 0.001)
+        assert ledger.debits[-1] == (0, 0, "sense", fj(0.001))
 
     def test_debiting_a_dead_node_keeps_the_alive_count(self):
-        field = small_field([(0, 0), (10, 0)], energy=0.001)
+        field = small_field([(0, 0), (10, 0)], energy=fj(0.001))
         ledger = EnergyLedger(field, COSTS, RM)
-        ledger.debit(0, 0.012, "sense", 0)
+        ledger.debit(0, fj(0.012), "sense", 0)
         assert field.n_alive == 1
         for reason in ("rx", "tx"):  # radio records can re-debit a dead node
-            assert ledger.debit(0, 0.5, reason, 0) == 0.0
+            assert ledger.debit(0, fj(0.5), reason, 0) == 0
             assert field.n_alive == 1
         assert field.awake == set()
 
     def test_unknown_node(self):
         ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
         with pytest.raises(KeyError):
-            ledger.debit(42, 0.1, "sense", 0)
+            ledger.debit(42, fj(0.1), "sense", 0)
 
     @pytest.mark.parametrize("record", [("tx", -1, 0), ("tx", 2, 0), ("tx", 0, -1),
                                         ("tx", 0, 2), ("rx", -1, 0), ("rx", 2, 0)])
@@ -123,53 +142,60 @@ class TestLedger:
     def test_negative_amount_rejected(self):
         ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
         with pytest.raises(ValueError):
-            ledger.debit(0, -0.1, "sense", 0)
+            ledger.debit(0, -fj(0.1), "sense", 0)
 
     def test_nan_amount_rejected(self):
         field = small_field([(0, 0)])
         ledger = EnergyLedger(field, COSTS, RM)
         with pytest.raises(ValueError):
             ledger.debit(0, math.nan, "tx", 0)
-        assert field.nodes[0].remaining_energy == 5.0 and not ledger.debits
+        assert field.nodes[0].remaining_energy == 5 * FJ and not ledger.debits
+
+    @pytest.mark.parametrize("amount", [0.012, 1.2e13, 0.0, math.inf, True])
+    def test_amount_that_is_not_an_int_of_fj_rejected(self, amount):
+        # joules passed where fJ belong would charge 0.012 fJ: refuse, change nothing
+        field = small_field([(0, 0)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        with pytest.raises(ValueError):
+            ledger.debit(0, amount, "sense", 0)
+        assert field.nodes[0].remaining_energy == 5 * FJ and not ledger.debits
 
     def test_total_before_any_settle_reads_the_initial_levels(self):
-        levels = [5.0, 0.1, 1e-3, 3.3, 2.0 / 3]
+        levels = [5 * FJ, fj(0.1), fj(1e-3), fj(3.3), fj(2.0 / 3)]
         cfg = FieldConfig(n_nodes=len(levels), seed=0)
         field = NodeField([SensorNode(id=i, pos=Point(10.0 * i, 0.0), remaining_energy=e)
                            for i, e in enumerate(levels)], cfg)
         ledger = EnergyLedger(field, COSTS, RM)
-        assert ledger.total_remaining() == math.fsum(levels)
+        assert ledger.total_remaining() == sum(levels)
         ledger.flush()
         assert ledger.debits == []
         assert [(n.mode, n.remaining_energy, n.alive) for n in field] == [
             (NodeMode.SLEEP, e, True) for e in levels]
 
     def test_replay_sum_oracle(self):
-        # replaying the debit log with the same operation order reproduces the
-        # ledger bit for bit
+        # replaying the debit log reproduces the ledger exactly
         field = small_field([(i * 30.0, 0.0) for i in range(5)], r_c=300)
         ledger = EnergyLedger(field, COSTS, RM)
         rng = random.Random(77)
         for k in range(1000):
-            ledger.debit(rng.randrange(5), rng.uniform(0, 0.02), "x", k)
-        replay_total = 0.0
-        replay_level = {i: 5.0 for i in range(5)}
+            ledger.debit(rng.randrange(5), fj(rng.uniform(0, 0.02)), "x", k)
+        replay_total = 0
+        replay_level = {i: 5 * FJ for i in range(5)}
         for _, node_id, _, applied in ledger.debits:
             replay_total += applied
             replay_level[node_id] -= applied
         for i in range(5):
-            assert max(replay_level[i], 0.0) == pytest.approx(
-                ledger.remaining(i), abs=1e-15)
+            assert max(replay_level[i], 0) == ledger.remaining(i)
         assert replay_total == ledger.e_sx_total
 
     def test_monotone_levels(self):
         field = small_field([(0, 0), (10, 0)])
         ledger = EnergyLedger(field, COSTS, RM)
         rng = random.Random(5)
-        last = {0: 5.0, 1: 5.0}
+        last = {0: 5 * FJ, 1: 5 * FJ}
         for k in range(500):
             nid = rng.randrange(2)
-            ledger.debit(nid, rng.uniform(0, 0.05), "x", k)
+            ledger.debit(nid, fj(rng.uniform(0, 0.05)), "x", k)
             assert ledger.remaining(nid) <= last[nid]
             last[nid] = ledger.remaining(nid)
 
@@ -180,7 +206,7 @@ class TestSettleSlot:
         ledger = EnergyLedger(field, COSTS, RM)
         modes = {n.id: NodeMode.SLEEP for n in field.nodes}
         settle_slot(ledger, [], modes, slot=0, common=SLEEP)
-        assert ledger.e_sx_total == pytest.approx(250 * 0.00027, rel=1e-9)
+        assert ledger.e_sx_total == 250 * fj(0.00027)
 
     def test_one_monitor_rest_sleeping(self):
         field = small_field([(i * 2.0, 0.0) for i in range(250)])
@@ -189,8 +215,8 @@ class TestSettleSlot:
         modes[0] = NodeMode.MONITOR
         settle_slot(ledger, [], modes, slot=3, common=SLEEP)
         per_node = {nid: amt for _, nid, _, amt in ledger.debits}
-        assert per_node[0] == 0.0378
-        assert all(per_node[i] == 0.00027 for i in range(1, 250))
+        assert per_node[0] == fj(0.0378)
+        assert all(per_node[i] == fj(0.00027) for i in range(1, 250))
 
     def test_three_node_two_slot_hand_trace(self):
         # node 0 at origin, node 1 at distance exactly 50, node 2 far away
@@ -212,40 +238,41 @@ class TestSettleSlot:
         modes1 = {0: NodeMode.SLEEP, 1: NodeMode.MONITOR, 2: NodeMode.DETECT}
         settle_slot(ledger, [], modes1, slot=1, common=SLEEP)
 
-        hand_node0 = (0.0378                                   # monitor slot 0
-                      + 544 * e_el + 544 * e_amp * 50.0 ** 2   # data out
-                      + 32 * e_el                              # ACK in
-                      + 0.00027)                               # sleep slot 1
-        hand_node1 = (0.012                                    # sense slot 0
-                      + 544 * e_el                             # data in
-                      + 32 * e_el + 32 * e_amp * 50.0 ** 2     # ACK out
-                      + 0.0378)                                # monitor slot 1
-        hand_node2 = 0.00027 + 0.001 + 0.012                   # sleep, wake-up, sense
+        # each charge rounded to whole fJ, as the ledger takes it in
+        hand_node0 = (fj(0.0378)                                   # monitor slot 0
+                      + fj(544 * e_el + 544 * e_amp * 50.0 ** 2)   # data out
+                      + fj(32 * e_el)                              # ACK in
+                      + fj(0.00027))                               # sleep slot 1
+        hand_node1 = (fj(0.012)                                    # sense slot 0
+                      + fj(544 * e_el)                             # data in
+                      + fj(32 * e_el + 32 * e_amp * 50.0 ** 2)     # ACK out
+                      + fj(0.0378))                                # monitor slot 1
+        hand_node2 = fj(0.00027) + fj(0.001) + fj(0.012)           # sleep, wake-up, sense
 
-        assert 5.0 - ledger.remaining(0) == pytest.approx(hand_node0, rel=1e-12)
-        assert 5.0 - ledger.remaining(1) == pytest.approx(hand_node1, rel=1e-12)
-        assert 5.0 - ledger.remaining(2) == pytest.approx(hand_node2, rel=1e-12)
-        assert ledger.e_sx_total == pytest.approx(
-            hand_node0 + hand_node1 + hand_node2, rel=1e-12)
+        assert 5 * FJ - ledger.remaining(0) == hand_node0
+        assert 5 * FJ - ledger.remaining(1) == hand_node1
+        assert 5 * FJ - ledger.remaining(2) == hand_node2
+        assert ledger.e_sx_total == hand_node0 + hand_node1 + hand_node2
 
     def test_dead_nodes_pay_nothing(self):
         field = small_field([(0, 0), (10, 0)])
         field.nodes[1].alive = False
-        field.nodes[1].remaining_energy = 0.0
+        field.nodes[1].remaining_energy = 0
         ledger = EnergyLedger(field, COSTS, RM)
         modes = {0: NodeMode.DETECT, 1: NodeMode.DETECT}
         settle_slot(ledger, [], modes, slot=0, common=SLEEP)
-        assert ledger.e_sx_total == 0.012
+        assert ledger.e_sx_total == fj(0.012)
 
 
 def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
     """Per-node debit() settlement: one log record per charge, as settle_slot
     did before it booked platform costs inline as runs of slots. An alive
-    node absent from `slot_modes` spent the slot in `common`."""
+    node absent from `slot_modes` spent the slot in `common`. Every charge
+    is fj() of its cost in joules."""
     field, costs, rm = ledger.field, ledger.costs, ledger.radio
-    per_mode = {NodeMode.SLEEP: (costs.sleep_per_slot, "sleep"),
-                NodeMode.DETECT: (costs.sense_per_slot, "sense"),
-                NodeMode.MONITOR: (costs.comm_per_slot, "comm")}
+    per_mode = {NodeMode.SLEEP: (fj(costs.sleep_per_slot), "sleep"),
+                NodeMode.DETECT: (fj(costs.sense_per_slot), "sense"),
+                NodeMode.MONITOR: (fj(costs.comm_per_slot), "comm")}
     for node in field.nodes:
         if node.alive:
             ledger.debit(node.id, *per_mode[slot_modes.get(node.id, common)], slot)
@@ -253,11 +280,11 @@ def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEE
         for rec in out.records:
             if rec.op == "tx":
                 d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
-                ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", slot)
+                ledger.debit(rec.node, fj(tx_energy(rec.bits, d, rm)), "tx", slot)
             else:
-                ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", slot)
+                ledger.debit(rec.node, fj(rx_energy(rec.bits, rm)), "rx", slot)
     for node_id in sorted(woken):
-        ledger.debit(node_id, costs.wake_cost, "wake", slot)
+        ledger.debit(node_id, fj(costs.wake_cost), "wake", slot)
 
 
 def reference_radio(ledger, outcomes):
@@ -270,11 +297,11 @@ def reference_radio(ledger, outcomes):
         for rec in out.records:
             if rec.op == "tx":
                 d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
-                ledger.debit(rec.node, tx_energy(rec.bits, d, rm), "tx", out.slot)
+                ledger.debit(rec.node, fj(tx_energy(rec.bits, d, rm)), "tx", out.slot)
             else:
-                ledger.debit(rec.node, rx_energy(rec.bits, rm), "rx", out.slot)
-        per_outcome.append(ledger.e_sx_total - before)
-    return per_outcome, sum(out.airtime_bits() for out in outcomes)
+                ledger.debit(rec.node, fj(rx_energy(rec.bits, rm)), "rx", out.slot)
+        per_outcome.append((ledger.e_sx_total - before) / FJ)
+    return per_outcome, sum(r.bits for out in outcomes for r in out.records if r.op == "tx")
 
 
 class TestSettleRadio:
@@ -288,7 +315,7 @@ class TestSettleRadio:
         """A drain's records, some of them repeated (tx) triples and some
         charged to nodes whose batteries run dry, charged in one walk: every
         outcome's joules, the tx bits, the log, levels and deaths equal a
-        debit() per record, bit for bit."""
+        debit() per record."""
         n = len(positions)
         cfg = SlotConfig(p_persist=0.6, max_retries=2, ack_enabled=ack, crc_enabled=crc)
         queues = {src: deque(Frame(src, (src + 1) % n, FrameKind.DATA_PAYLOAD, 512, 0)
@@ -298,16 +325,28 @@ class TestSettleRadio:
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
-                node.remaining_energy = e
+                node.remaining_energy = fj(e)
         new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
         per_outcome, bits = settle_radio(new, outcomes)
         ref_per_outcome, ref_bits = reference_radio(ref, outcomes)
-        assert [j.hex() for j in per_outcome] == [j.hex() for j in ref_per_outcome]
+        assert per_outcome == ref_per_outcome
         assert bits == ref_bits
         assert new.debits == ref.debits
         assert new.e_sx_total == ref.e_sx_total
         assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
                 == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
+
+
+    def test_a_charge_beyond_float_range_drains_the_sender(self):
+        # 1e295 J/bit * 512 bits is finite in J but not in fJ; the charge
+        # applies the whole level, as any charge above it does
+        field = small_field([(0, 0), (10, 0)])
+        ledger = EnergyLedger(field, COSTS, RadioModel(e_elect=1e295))
+        out = SlotOutcome(slot=0)
+        out.add_tx(0, 1, 512)
+        per_outcome, bits = settle_radio(ledger, [out])
+        assert ledger.debits == [(0, 0, "tx", 5 * FJ)] and per_outcome == [5.0]
+        assert not field.nodes[0].alive and field.nodes[1].alive and bits == 512
 
 
 @st.composite
@@ -340,9 +379,9 @@ class TestSettlementMatchesReference:
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
-                node.remaining_energy, node.mode = e, NodeMode.MONITOR
+                node.remaining_energy, node.mode = fj(e), NodeMode.MONITOR
         new, ref = (EnergyLedger(f, ModeCosts(wake_cost=wake_cost), RM) for f in fields)
-        initial = math.fsum(energies)
+        initial = sum(map(fj, energies))
         for slot, modes, outcomes, woken in slots:
             settle_slot(new, outcomes, modes, woken, slot, common=SLEEP)
             reference_settle(ref, outcomes, modes, woken, slot)
@@ -353,8 +392,7 @@ class TestSettlementMatchesReference:
             for reason in ("tx", "rx"):
                 assert (debit_counts_by_reason(new, reason)
                         == debit_counts_by_reason(ref, reason))
-            applied = math.fsum(d[3] for d in new.debits)
-            assert applied == pytest.approx(initial - new.total_remaining(), abs=1e-12)
+            assert sum(d[3] for d in new.debits) == initial - new.total_remaining()
         assert len(new.debits) <= len(ref.debits)
 
     def test_runs_of_one_mode_share_a_record(self):
@@ -366,57 +404,7 @@ class TestSettlementMatchesReference:
         assert [tuple(d[:3]) for d in ledger.debits] == [
             (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense"),
             (6, 1, "sleep")]
-        assert ledger.debits[1][3] == pytest.approx(5 * COSTS.sleep_per_slot)
-
-
-def naive_add(t, c, k):
-    for _ in range(k):
-        t += c
-    return t
-
-
-@st.composite
-def repeated_additions(draw):
-    """(t, c, k) with t on binade edges or at 0, and c a multiple of the grid
-    spacing of t that falls on rounding ties, or 0, or of either sign."""
-    e = draw(st.integers(-40, 12))
-    t = draw(st.one_of(
-        st.just(0.0),
-        st.floats(-1e4, 1e4),
-        st.builds(lambda j, sign: sign * (2.0 ** e + j * 2.0 ** (e - 52)),
-                  st.integers(-6, 6), st.sampled_from([1, -1]))))
-    spacing = math.ulp(t) if t else 2.0 ** (e - 52)
-    c = draw(st.one_of(
-        st.just(0.0),
-        st.floats(-3.0, 3.0),
-        st.sampled_from([0.00027, 0.012, 0.0378, -0.00027, -0.012, -0.0378]),
-        st.builds(lambda m, sign: sign * m * spacing,
-                  st.sampled_from([0.25, 0.5, 0.75, 1, 1.5, 2.5, 3, 1000.5]),
-                  st.sampled_from([1, -1])),
-        st.builds(lambda j, sign: sign * 3 * 2.0 ** -j,
-                  st.integers(1, 60), st.sampled_from([1, -1]))))
-    return t, c, draw(st.integers(0, 3000))
-
-
-class TestRepeatAdd:
-    @settings(max_examples=500, deadline=None)
-    @given(repeated_additions())
-    def test_equals_the_loop(self, case):
-        t, c, k = case
-        assert _repeat_add(t, c, k).hex() == naive_add(t, c, k).hex()
-
-    @pytest.mark.parametrize("t,c,k", [
-        (0.0, -0.04742259023270237, 17),  # lands in a binade from a finer grid
-        (5.0, -0.00027, 18_518),          # a full battery asleep to empty
-        (1.0, 3 * 2.0 ** -54, 5000),      # a tie at the grid of [1, 2)
-        (1.0, 2.0 ** -54, 5000),          # half a grid step: t stays put
-        (-0.5, 0.3, 40),                  # crosses zero
-        (5.0, -0.00027, 40),              # the longest run of plain additions
-        (1.0, -0.012, 41),                # the shortest run through the binade walk
-        (1.0, -0.012, 42),                # ... which ends below the binade's edge
-    ])
-    def test_examples(self, t, c, k):
-        assert _repeat_add(t, c, k).hex() == naive_add(t, c, k).hex()
+        assert ledger.debits[1][3] == 5 * fj(COSTS.sleep_per_slot)
 
 
 PLATFORM = ("sleep", "sense", "comm")
@@ -449,8 +437,8 @@ def lazy_settlement_runs(draw):
     n = draw(st.integers(20, 120))
     positions = [(float(i % 11 * 9), float(i // 11 * 9)) for i in range(n)]
     scale = draw(st.sampled_from([1, 40]))
-    energies = [scale * e for e in draw(st.lists(st.floats(0.0003, 0.03),
-                                                 min_size=n, max_size=n))]
+    energies = [fj(scale * e) for e in draw(st.lists(st.floats(0.0003, 0.03),
+                                                     min_size=n, max_size=n))]
     ids = st.integers(0, n - 1)
     slot = draw(st.integers(0, 1000))
     common = draw(st.sampled_from([SLEEP, DETECT]))
@@ -507,10 +495,10 @@ class TestLazySettlement:
                     min_size=2, max_size=20))
     def test_rx_to_many_lazy_sleepers(self, n, energy, slots):
         """Radio records reach many lazy sleepers that share a level and an
-        owed count, so _charge_outcomes catches them up through its memo; with
-        large frames, a late rx can also kill a node. Every level, record and
-        total must equal per-node debit() settlement bit for bit."""
-        fields = [small_field([(i * 5.0, 0.0) for i in range(n)], energy=energy)
+        owed count, so _charge_outcomes catches them up; with large frames, a
+        late rx can also kill a node. Every level, record and total must equal
+        per-node debit() settlement."""
+        fields = [small_field([(i * 5.0, 0.0) for i in range(n)], energy=fj(energy))
                   for _ in range(2)]
         new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
         for slot, (awake, listeners, bits) in enumerate(slots):
@@ -524,30 +512,29 @@ class TestLazySettlement:
                     out.add_rx(t, sender, bits)
             settle_slot(new, [out], modes, (), slot, common=SLEEP)
             reference_settle(ref, [out], modes, (), slot)
-            assert new.e_sx_total.hex() == ref.e_sx_total.hex()
+            assert new.e_sx_total == ref.e_sx_total
             assert fields[0].n_alive == fields[1].n_alive
         new.flush()
-        assert ([n.remaining_energy.hex() for n in fields[0].nodes]
-                == [n.remaining_energy.hex() for n in fields[1].nodes])
+        assert ([n.remaining_energy for n in fields[0].nodes]
+                == [n.remaining_energy for n in fields[1].nodes])
         assert ([(n.alive, n.mode) for n in fields[0].nodes]
                 == [(n.alive, n.mode) for n in fields[1].nodes])
-        assert ([(*d[:3], d[3].hex()) for d in new.debits]
-                == [(*d[:3], d[3].hex()) for d in merged_runs(ref.debits)])
+        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]), st.floats(8.0, 60.0),
            st.data())
     def test_cohort_dies_in_the_horizon_walk(self, n, common, slots_of_charge, data):
         """A cohort of lazy nodes shares a level and an owed count until the
-        death horizon forces a full walk, which catches them up through its
-        memo; the cohort nodes that walk puts in MONITOR die in it, the rest
-        in the slots after. Every level, record and total must equal per-node
-        debit() settlement bit for bit."""
-        c = COSTS.sleep_per_slot if common is SLEEP else COSTS.sense_per_slot
-        level = c * slots_of_charge  # the lowest level in the field
+        death horizon forces a full walk, which catches them up. The horizon
+        is exact, so that walk is the slot in which the whole cohort dies:
+        the nodes it puts in MONITOR and the rest alike. Every level, record
+        and total must equal per-node debit() settlement."""
+        c = fj(COSTS.sleep_per_slot if common is SLEEP else COSTS.sense_per_slot)
+        level = round(c * slots_of_charge)  # the lowest level in the field
         cohort = data.draw(st.sets(st.integers(0, n - 1), min_size=n // 2))
         others = sorted(set(range(n)) - cohort)
-        energies = [level if i in cohort else 5.0 for i in range(n)]
+        energies = [level if i in cohort else 5 * FJ for i in range(n)]
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
@@ -566,19 +553,21 @@ class TestLazySettlement:
             alive = fields[0].n_alive
             settle_slot(new, [], modes, (), slot, common=common)
             reference_settle(ref, [], modes, (), slot, common)
-            assert new.e_sx_total.hex() == ref.e_sx_total.hex()
+            assert new.e_sx_total == ref.e_sx_total
             assert fields[0].n_alive == fields[1].n_alive
             if slot == walked_at:
-                assert fields[0].n_alive == alive - len(kill)
+                assert fields[0].n_alive == alive - len(cohort)
+                assert walked_at == -(-level // c) - 1  # the slot of its last charge
+            elif walked_at is None:
+                assert fields[0].n_alive == alive  # no cohort node dies before the walk
             slot += 1
         assert walked_at > 4  # the cohort owed several slots
         new.flush()
-        assert ([n.remaining_energy.hex() for n in fields[0].nodes]
-                == [n.remaining_energy.hex() for n in fields[1].nodes])
+        assert ([n.remaining_energy for n in fields[0].nodes]
+                == [n.remaining_energy for n in fields[1].nodes])
         assert ([(n.alive, n.mode) for n in fields[0].nodes]
                 == [(n.alive, n.mode) for n in fields[1].nodes])
-        assert ([(*d[:3], d[3].hex()) for d in new.debits]
-                == [(*d[:3], d[3].hex()) for d in merged_runs(ref.debits)])
+        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
 
     def test_sleepers_pay_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
@@ -586,8 +575,8 @@ class TestLazySettlement:
         for slot in range(10):
             settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=slot, common=SLEEP)
         # slot 0 walked every node; slots 1-9 visited node 0 only
-        assert field.nodes[7].remaining_energy == 5.0 - 0.00027
-        assert ledger.remaining(7) == naive_add(5.0, -0.00027, 10)
+        assert field.nodes[7].remaining_energy == 5 * FJ - fj(0.00027)
+        assert ledger.remaining(7) == 5 * FJ - 10 * fj(0.00027)
         assert field.nodes[7].remaining_energy == ledger.remaining(7)
 
     def test_detecting_field_pays_when_read(self):
@@ -595,24 +584,23 @@ class TestLazySettlement:
         ledger = EnergyLedger(field, COSTS, RM)
         for slot in range(10):
             settle_slot(ledger, [], {}, slot=slot, common=DETECT)
-        assert ledger.e_sx_total == naive_add(0.0, 0.012, 400)
-        assert field.nodes[7].remaining_energy == 5.0 - 0.012  # only slot 0 walked it
-        assert ledger.remaining(7) == naive_add(5.0, -0.012, 10)
+        assert ledger.e_sx_total == 400 * fj(0.012)
+        assert field.nodes[7].remaining_energy == 5 * FJ - fj(0.012)  # only slot 0 walked it
+        assert ledger.remaining(7) == 5 * FJ - 10 * fj(0.012)
         ledger.flush()
-        assert ledger.debits == [[0, i, "sense", naive_add(0.0, 0.012, 10)]
-                                 for i in range(40)]
+        assert ledger.debits == [[0, i, "sense", 10 * fj(0.012)] for i in range(40)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]),
            st.lists(st.sampled_from([0.02, 0.5, 5.0]), min_size=90, max_size=90),
            st.lists(st.sets(st.integers(0, 89), max_size=3), min_size=2, max_size=30))
     def test_flush_equals_catch_up_per_node(self, n, common, energies, awake_sets):
-        """Many nodes share a level and an owed count; the memoised flush()
-        must equal catching each node up on its own, bit for bit."""
+        """Many nodes share a level and an owed count; flush() must equal
+        catching each node up on its own."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
-                node.remaining_energy = e
+                node.remaining_energy = fj(e)
         ledgers = [EnergyLedger(f, COSTS, RM) for f in fields]
         for slot, awake in enumerate(awake_sets):
             modes = {i: NodeMode.MONITOR for i in awake if i < n}
@@ -621,10 +609,90 @@ class TestLazySettlement:
         ledgers[0].flush()
         for node in fields[1].nodes:
             ledgers[1]._catch_up(node)
-        assert ([n.remaining_energy.hex() for n in fields[0].nodes]
-                == [n.remaining_energy.hex() for n in fields[1].nodes])
-        assert ([(*d[:3], d[3].hex()) for d in ledgers[0].debits]
-                == [(*d[:3], d[3].hex()) for d in ledgers[1].debits])
+        assert ([n.remaining_energy for n in fields[0].nodes]
+                == [n.remaining_energy for n in fields[1].nodes])
+        assert ledgers[0].debits == ledgers[1].debits
+
+
+class TestExactHorizon:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([SLEEP, DETECT]), st.integers(1, 10**9), st.data())
+    def test_a_lazy_node_dies_in_slot_through_plus_ceil_level_over_cost(self, common, c, data):
+        """A node left at level L by a full walk through slot 0 stays lazy and
+        alive while the common mode costs c > 0 per slot, and dies in slot
+        ceil(L / c), whose walk is the first one since slot 0."""
+        level = data.draw(st.integers(1, 200 * c))
+        costs = ModeCosts(sleep_per_slot=c / FJ, sense_per_slot=c / FJ)
+        assert fj(costs.sleep_per_slot) == c
+        field = small_field([(i * 5.0, 0.0) for i in range(8)], energy=10**18)
+        field.nodes[3].remaining_energy = level + c  # pays c in slot 0
+        ledger = EnergyLedger(field, costs, RM)
+        death = -(-level // c)
+        for slot in range(death):
+            settle_slot(ledger, [], {}, slot=slot, common=common)
+            assert field.n_alive == 8
+            assert ledger._runs[0][1] == 0  # node 0 not visited since slot 0: no walk
+        settle_slot(ledger, [], {}, slot=death, common=common)
+        assert not field.nodes[3].alive and field.n_alive == 7
+        assert ledger._runs[0][1] == death
+        assert ledger.debits[3][3] == level + c  # its whole battery, in one record
+        assert ledger.total_remaining() == 7 * 10**18 - ledger.e_sx_total + level + c
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([SLEEP, DETECT]), st.sampled_from([0.0, 1e-16, 4.9e-16]),
+           st.integers(1, 10), st.integers(2, 80))
+    def test_a_cost_of_zero_never_forces_a_walk(self, common, cost, level, n_slots):
+        """A common mode that costs 0 fJ (0 J, or less than half a fJ) sets no
+        death horizon, however low the levels."""
+        costs = ModeCosts(sleep_per_slot=cost, sense_per_slot=cost)
+        field = small_field([(i * 5.0, 0.0) for i in range(8)], energy=level)
+        ledger = EnergyLedger(field, costs, RM)
+        for slot in range(n_slots):
+            settle_slot(ledger, [], {}, slot=slot, common=common)
+        assert ledger._horizon == math.inf
+        assert all(run[1] == 0 for run in ledger._runs)  # only slot 0 walked
+        assert ledger.total_remaining() == 8 * level and ledger.e_sx_total == 0
+        assert field.n_alive == 8
+
+
+@st.composite
+def small_scenarios(draw):
+    """A run of either method on a small field whose batteries last a few to
+    some tens of slots of sensing, so that nodes die."""
+    cfg = default_scenario(seed=draw(st.integers(0, 2**16)),
+                           method=draw(st.sampled_from(["proposed", "baseline"])),
+                           max_slots=draw(st.integers(5, 60)))
+    side = draw(st.floats(60.0, 250.0))
+    cfg = replace(cfg, field=replace(cfg.field, n_nodes=draw(st.integers(3, 60)),
+                                     area_width=side, area_height=side),
+                  mode_costs=replace(cfg.mode_costs,
+                                     initial_energy=draw(st.floats(0.005, 0.5))))
+    return with_seed(cfg, cfg.seed)
+
+
+class TestExactConservation:
+    @settings(max_examples=40, deadline=None)
+    @given(small_scenarios())
+    def test_initial_minus_final_is_the_sum_of_the_log(self, cfg):
+        """Whole runs, lazy charging and deaths included: the fJ drawn from
+        the batteries are exactly the fJ in the log, and the report says so."""
+        ledgers = []
+
+        class Recorded(EnergyLedger):
+            def __init__(self, *args):
+                super().__init__(*args)
+                ledgers.append(self)
+
+        field = deploy(cfg.field, cfg.mode_costs.initial_energy)
+        with mock.patch.object(harness, "EnergyLedger", Recorded):
+            report = run(cfg, field=field)
+        (ledger,) = ledgers
+        initial = cfg.field.n_nodes * fj(cfg.mode_costs.initial_energy)
+        final = sum(n.remaining_energy for n in field.nodes)  # run() flushed them
+        assert initial - final == sum(d[3] for d in ledger.debits) == ledger.e_sx_total
+        assert report.conservation_rel_err == 0.0
+        assert report.total_energy_j == ledger.e_sx_total / FJ
+        assert field.n_alive == sum(n.remaining_energy > 0 for n in field.nodes)
 
 
 class TestMetrics:

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
                            Point, SensorNode, deploy, detectors_of, distance,
                            k_closest, neighbors_of)
-from wsn_track_sim.field import _layout
+from wsn_track_sim.field import FJ, _layout, fj
 from wsn_track_sim.protocol import PredictedRegion, wake_set
 
 
-def make_field(positions, r_s=25.0, r_c=50.0, area=500.0, energy=5.0):
+def make_field(positions, r_s=25.0, r_c=50.0, area=500.0, energy=5 * FJ):
     cfg = FieldConfig(area_width=area, area_height=area,
                       n_nodes=len(positions), r_s=r_s, r_c=r_c, seed=0)
     nodes = [SensorNode(id=i, pos=Point(x, y), remaining_energy=energy)
@@ -52,7 +52,7 @@ class TestDeploy:
         for n in field:
             assert 0 <= n.pos.x <= 500 and 0 <= n.pos.y <= 500
             assert n.mode is NodeMode.SLEEP
-            assert n.remaining_energy == 5.0
+            assert n.remaining_energy == 5 * FJ and type(n.remaining_energy) is int
             assert n.alive
         assert [n.id for n in field] == list(range(250))
 
@@ -70,16 +70,37 @@ class TestDeploy:
         b = deploy(FieldConfig(seed=2))
         assert any(x.pos != y.pos for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1e300, 0.0,
+                                        -1.0, 4e-16])
+    def test_rejects_a_level_of_no_whole_fj(self, energy):
+        # 1e300 J overflows to inf fJ; 4e-16 J rounds to 0 fJ
+        with pytest.raises(ConfigError):
+            deploy(FieldConfig(n_nodes=3, seed=0), energy)
+
+    def test_smallest_level_is_one_fj(self):
+        assert [n.remaining_energy for n in deploy(FieldConfig(n_nodes=2), 6e-16)] == [1, 1]
+
+
+class TestNodeField:
+    @pytest.mark.parametrize("level", [5.0, 5e15, math.nan, None])
+    def test_rejects_a_level_that_is_not_an_int_of_fj(self, level):
+        # a hand-built node with a level in joules must not pass for 5 fJ
+        nodes = [SensorNode(id=0, pos=Point(0.0, 0.0), remaining_energy=FJ),
+                 SensorNode(id=1, pos=Point(1.0, 0.0), remaining_energy=level)]
+        with pytest.raises(ConfigError, match="node 1"):
+            NodeField(nodes, FieldConfig(n_nodes=2))
+
 
 def reference_deploy(config, initial_energy):
-    """deploy() as a per-node loop that draws every position afresh."""
+    """deploy() as a per-node loop that draws every position afresh; a node
+    holds `initial_energy` joules as whole fJ."""
     rng = random.Random(config.seed)
     nodes = []
     for i in range(config.n_nodes):
         pos = Point(rng.uniform(0.0, config.area_width),
                     rng.uniform(0.0, config.area_height))
         nodes.append(SensorNode(id=i, pos=pos, mode=NodeMode.SLEEP,
-                                remaining_energy=initial_energy, alive=True))
+                                remaining_energy=fj(initial_energy), alive=True))
     return nodes
 
 
@@ -98,8 +119,8 @@ def entry_ids(cells):
 
 
 def node_state(nodes):
-    return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.mode, n.remaining_energy.hex(), n.alive)
-            for n in nodes]
+    return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.mode, n.remaining_energy,
+             type(n.remaining_energy), n.alive) for n in nodes]
 
 
 @st.composite
@@ -144,7 +165,7 @@ class TestLayoutCache:
         one.set_mode(one.nodes[0], NodeMode.DETECT)
         one.set_modes([3, 4], NodeMode.MONITOR)
         one.kill(one.nodes[1])
-        one.nodes[2].remaining_energy = 1.25
+        one.nodes[2].remaining_energy = fj(1.25)
         assert node_state(two) == untouched
         assert two.awake == set() and two.n_alive == 300
         rng = random.Random(11)
@@ -340,7 +361,7 @@ def fields_with_query(draw):
                          max_size=len(positions)))
     cfg = FieldConfig(area_width=w, area_height=h, n_nodes=len(positions),
                       r_s=r_s, r_c=r_c, seed=0)
-    field = NodeField([SensorNode(id=i, pos=Point(x, y), remaining_energy=1.0,
+    field = NodeField([SensorNode(id=i, pos=Point(x, y), remaining_energy=FJ,
                                   alive=not d)
                        for i, ((x, y), d) in enumerate(zip(positions, dead))], cfg)
     return field, q, radius

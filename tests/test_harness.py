@@ -17,7 +17,7 @@ from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
                            SensorNode, SlotOutcome, TrackerState, default_scenario,
                            deploy, detectors_of, emit_csv, generate_trace, run, sweep)
 from wsn_track_sim import harness
-from wsn_track_sim.energy import _charge_outcomes, settle_slot
+from wsn_track_sim.energy import FJ, _charge_outcomes, settle_slot
 from wsn_track_sim.harness import CSV_COLUMNS, bench_run, paired_runs
 from wsn_track_sim.mobility import TraceRow
 from wsn_track_sim.scenario import with_seed
@@ -33,7 +33,7 @@ def strip_field(n_nodes=250, xmin=300.0):
     cfg = FieldConfig(n_nodes=n_nodes, seed=0)
     step = 190.0 / max(n_nodes - 1, 1)
     nodes = [SensorNode(id=i, pos=Point(xmin + i * step * 0.9, 300.0 + (i % 40)),
-                        remaining_energy=5.0) for i in range(n_nodes)]
+                        remaining_energy=5 * FJ) for i in range(n_nodes)]
     return NodeField(nodes, cfg)
 
 
@@ -259,7 +259,7 @@ class TestSweep:
 
 class TestBenchRun:
     # (baseline, proposed) throughput_bps as float.hex, recorded when the
-    # airtime was summed over each outcome's airtime_bits()
+    # airtime was summed over each outcome's tx records
     THROUGHPUT = {
         (0, True): ("0x1.c73765ef31de4p+19", "0x1.b2071c71c71c7p+22"),
         (0, False): ("0x1.e7374ea5d7bdcp+19", "0x1.e848000000000p+22"),

@@ -2,7 +2,7 @@
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +27,11 @@ class ScriptedRng:
 
 def data_frame(src=1, dst=2, bits=512, slot=0):
     return Frame(src, dst, FrameKind.DATA_PAYLOAD, bits, slot)
+
+
+def op_counts(out, op):
+    """How many radio records of `op` ("tx" or "rx") each node has in an outcome."""
+    return Counter(r.node for r in out.records if r.op == op)
 
 
 class TestSlotConfig:
@@ -83,16 +88,16 @@ class TestTransmit:
         transmit(frame, out, cfg, 5)
         assert out.delivered == [(frame, 6)]
         assert out.acked
-        assert out.tx_counts == {1: 1, 2: 1}  # data out, ACK back
-        assert out.rx_counts == {2: 1, 1: 1}
+        assert op_counts(out, "tx") == {1: 1, 2: 1}  # data out, ACK back
+        assert op_counts(out, "rx") == {2: 1, 1: 1}
 
     def test_no_ack_when_disabled(self):
         cfg = SlotConfig(ack_enabled=False)
         out = contend({1}, 0, SlotConfig(p_persist=1.0), random.Random(0))
         transmit(data_frame(), out, cfg, 0)
         assert not out.acked
-        assert out.tx_counts == {1: 1}
-        assert out.rx_counts == {2: 1}
+        assert op_counts(out, "tx") == {1: 1}
+        assert op_counts(out, "rx") == {2: 1}
 
     def test_winner_mismatch_rejected(self):
         out = contend({3}, 0, SlotConfig(p_persist=1.0), random.Random(0))
@@ -201,7 +206,7 @@ class TestDrainQueue:
                       2: deque(data_frame(src=2, dst=3) for _ in range(500))}
             outs = drain_queue(queues, 50_000, cfg, random.Random(3))
             bits = sum(f.bits for o in outs for f, _ in o.delivered)
-            air = sum(o.airtime_bits() for o in outs)
+            air = sum(r.bits for o in outs for r in o.records if r.op == "tx")
             return bits / (air / cfg.data_rate)
 
         assert measure(False, False) > measure(True, True)

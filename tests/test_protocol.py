@@ -12,11 +12,12 @@ from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            generate_trace, predicted_region, tracking_step,
                            wake_set)
 from wsn_track_sim import protocol
+from wsn_track_sim.energy import FJ
 from wsn_track_sim.mac import MacService, SlotConfig
 from wsn_track_sim.mobility import observed_speed
 
 
-def make_field(positions, r_s=25.0, r_c=50.0, area=1000.0, energy=5.0):
+def make_field(positions, r_s=25.0, r_c=50.0, area=1000.0, energy=5 * FJ):
     cfg = FieldConfig(area_width=area, area_height=area,
                       n_nodes=len(positions), r_s=r_s, r_c=r_c, seed=0)
     nodes = [SensorNode(id=i, pos=Point(*p), remaining_energy=energy)

@@ -1,5 +1,8 @@
 """Configuration assembly, file parsing, seed substreams, digests."""
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +79,12 @@ class TestBuild:
             build_scenario({"run.max_slots": "0"})
         with pytest.raises(ConfigError):
             build_scenario({"run.method": "magic"})
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        # a NaN alpha used to build and then fail in the first tracked slot
+        with pytest.raises(ConfigError, match="alpha"):
+            replace(default_scenario(max_slots=20), alpha=alpha)
 
     def test_entry_point_parsing(self):
         cfg = build_scenario({"mobility.entry": "0,250"})
