@@ -22,7 +22,9 @@ next is charged lazily: the network total still takes the mode's cost in
 every slot, but the node's level and its open record catch up, by the cost
 times the slots owed, only when something reads or debits them. Sums of ints
 are exact, so every level, record and total equals a per-slot charge of every
-node.
+node. A lazy slot with no node outside the common mode in it or the slot
+before, as in every all-active slot and every dormant slot after a loss, visits
+no node: its platform charge is the cost times the alive count, O(1) in N.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, field as dc_field
-from itertools import accumulate
 from statistics import fmean
 
 from .errors import ConfigError
@@ -121,10 +122,12 @@ class EnergyLedger:
 
     def __init__(self, field: NodeField, costs: ModeCosts, radio: RadioModel):
         self.field, self.costs, self.radio = field, costs, radio
-        # per-slot platform charge of each mode: (fJ, debit reason)
-        self._charges = {NodeMode.SLEEP: (fj(costs.sleep_per_slot), "sleep"),
-                         NodeMode.DETECT: (fj(costs.sense_per_slot), "sense"),
-                         NodeMode.MONITOR: (fj(costs.comm_per_slot), "comm")}
+        # each mode's per-slot platform charge, (fJ, debit reason), after its
+        # mode (monitor's last): settle_slot picks one by `is` tests, which
+        # cost less than a NodeMode-keyed lookup's hash
+        self._charges = (NodeMode.SLEEP, (fj(costs.sleep_per_slot), "sleep"),
+                         NodeMode.DETECT, (fj(costs.sense_per_slot), "sense"),
+                         (fj(costs.comm_per_slot), "comm"))
         self._wake = fj(costs.wake_cost)
         self.debits: list[tuple | list] = []
         self.e_sx_total = 0  # running network total, fJ; == sum of applied debits
@@ -135,8 +138,8 @@ class EnergyLedger:
         self._cost = None         # its per-slot cost, which the lazy nodes owe
         self._horizon = -1        # last slot in which no lazy node can die
         self._last_awake = ()     # ids in the last settled slot's mode map
-        self._alive_before = None  # alive nodes before each index; None after a death
         self._tx_costs: dict = {}  # tx record -> fJ; positions and radio are fixed
+        self._rx_costs: dict = {}  # rx bits -> fJ
 
     def _catch_up(self, node) -> None:
         """Charge a lazy node the common-mode slots it owes since its run's last slot."""
@@ -177,7 +180,6 @@ class EnergyLedger:
         if new_level <= 0:
             new_level = 0
             self.field.kill(node)
-            self._alive_before = None
         elif cost is not None:
             self._horizon = min(self._horizon, self._through + _safe_slots(new_level, cost))
         node.remaining_energy = new_level
@@ -193,14 +195,14 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes, slot: int | None = None
     inline. Returns the joules each outcome drew and the bits transmitted.
 
     A tx record's cost depends only on (node, peer, bits) on a static field,
-    so the ledger rounds it to fJ once per tx record and keeps it.
+    an rx record's only on its bits, so the ledger rounds each to fJ once and
+    keeps it.
     """
     field, rm, log, runs = ledger.field, ledger.radio, ledger.debits, ledger._runs
-    nodes, tx_costs = field.nodes, ledger._tx_costs
+    nodes, tx_costs, rx_costs = field.nodes, ledger._tx_costs, ledger._rx_costs
     n_nodes = len(nodes)
     cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
     low = math.inf
-    rx_bits = rx_amount = None
     per_outcome = []
     sent = 0
     for out in outcomes:
@@ -217,9 +219,9 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes, slot: int | None = None
                         bits, distance(node.pos, field.node(peer).pos), rm))
                 sent += bits
             else:
-                if bits != rx_bits:
-                    rx_bits, rx_amount = bits, fj(rx_energy(bits, rm))
-                amount = rx_amount
+                amount = rx_costs.get(bits)
+                if amount is None:
+                    amount = rx_costs[bits] = fj(rx_energy(bits, rm))
             if cost is not None and runs[nid][1] < through:
                 ledger._catch_up(node)
             current = node.remaining_energy
@@ -228,7 +230,6 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes, slot: int | None = None
             if level <= 0:
                 level = 0
                 field.kill(node)
-                ledger._alive_before = None
             elif level < low:
                 low = level
             node.remaining_energy = level
@@ -254,38 +255,35 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     counts reconcile exactly with the MAC's own counters.
 
     Only the nodes in this slot's or the last slot's map are visited; the
-    total takes the common mode's cost times the alive nodes between them,
-    and those nodes pay later (see EnergyLedger). Every node is visited
+    total takes the common mode's cost times the alive nodes not visited,
+    and those nodes pay later (see EnergyLedger). With both maps empty, as in
+    every all-active slot and every dormant slot after a loss, that is the
+    whole platform charge: O(1), whatever the field's size. Every node is visited
     instead after a skipped slot, a change of common mode, in the slot in
     which a lazy node dies, or when the maps hold a quarter of the field or
     more, where sorting them costs more than the walk.
     """
-    sleep, detect = NodeMode.SLEEP, NodeMode.DETECT
-    charges = ledger._charges
-    asleep, sensing, monitoring = charges[sleep], charges[detect], charges[NodeMode.MONITOR]
+    sleep, asleep, detect, sensing, monitoring = ledger._charges
+    c = (asleep if common is sleep else sensing if common is detect else monitoring)[0]
     field, log, runs = ledger.field, ledger.debits, ledger._runs
-    nodes, c = field.nodes, charges[common][0]
+    nodes, last_awake = field.nodes, ledger._last_awake
     total, through = ledger.e_sx_total, ledger._through
     prev = slot - 1
     lazy = (prev == through and common is ledger._common and slot <= ledger._horizon
-            and 4 * (len(slot_modes) + len(ledger._last_awake)) < len(nodes))
-    if lazy:
-        order = sorted({*slot_modes, *ledger._last_awake})
-        before = ledger._alive_before
-        if before is None:
-            before = ledger._alive_before = list(accumulate(
-                (n.alive for n in nodes), initial=0))
-    else:
+            and 4 * (len(slot_modes) + len(last_awake)) < len(nodes))
+    if not lazy:
         order = range(len(nodes))
+    elif slot_modes or last_awake:
+        order = sorted({*slot_modes, *last_awake})
+    else:
+        order = ()
+    unvisited = field.n_alive  # alive nodes the walk below does not visit
     low = math.inf  # lowest level a visited node keeps
-    gap_from = 0
     for i in order:
-        if lazy and i > gap_from:  # alive lazy nodes between two visited nodes
-            total += c * (before[i] - before[gap_from])
-        gap_from = i + 1
         node = nodes[i]
         if not node.alive:
             continue
+        unvisited -= 1
         run = runs[i]
         if run[1] < through:
             ledger._catch_up(node)
@@ -298,7 +296,6 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
         if level <= 0:
             level = 0
             field.kill(node)
-            ledger._alive_before = None
         elif level < low:
             low = level
         node.remaining_energy = level
@@ -310,17 +307,19 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
             log.append(run[0])
         run[1] = slot
     if lazy:
-        total += c * (before[-1] - before[gap_from])
+        total += c * unvisited
     ledger.e_sx_total = total
     # after a full walk, every alive node is at its level now; none is left
     # alive when `low` stayed infinite
     horizon = slot + _safe_slots(low, c) if low < math.inf else math.inf
     ledger._horizon = min(ledger._horizon, horizon) if lazy else horizon
     ledger._through, ledger._common, ledger._cost = slot, common, c
-    ledger._last_awake = tuple(slot_modes)
-    _charge_outcomes(ledger, outcomes, slot)
-    for node_id in sorted(woken):
-        ledger.debit(node_id, ledger._wake, "wake", slot)
+    ledger._last_awake = tuple(slot_modes) if slot_modes else ()
+    if outcomes:
+        _charge_outcomes(ledger, outcomes, slot)
+    if woken:
+        for node_id in sorted(woken):
+            ledger.debit(node_id, ledger._wake, "wake", slot)
 
 
 def settle_radio(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:

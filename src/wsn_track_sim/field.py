@@ -5,8 +5,12 @@ checks are boundary-inclusive (<=) so that brute-force oracles are exact.
 Range queries test the immutable (id, x, y) entries of a uniform grid of cells
 of side r_s with the float expression of `distance(...) <= r`, so they return
 exactly a scan's result at a cost that follows the nodes near the query point,
-not the field size. deploy() draws positions, entries and grid once while its
-config repeats, as in a paired comparison, and builds fresh nodes each call.
+not the field size. Queries within r_s, as detectors_of and a run's coverage
+test make, read the entries of the 3x3 cells around the query point as one
+block, concatenated on first use and kept. deploy() draws positions, entries
+and grid once while its config repeats, as in a paired comparison, shares them
+and the blocks among the fields of that config, and builds fresh nodes each
+call.
 """
 
 from __future__ import annotations
@@ -115,8 +119,9 @@ class NodeField:
     alive nodes. They stay exact as long as every mode change goes through
     set_mode() or set_modes() and every death through kill(), so that a slot
     can visit its awake nodes, or learn that every alive node is awake,
-    without a scan. Range queries read entries and a grid of all nodes, never
-    mutated, which deploy() shares from its layout and others build on first use.
+    without a scan. Range queries read entries, a grid and blocks of all
+    nodes, of which only the blocks grow, by concatenating cells; deploy()
+    shares all three from its layout, and other fields build them on first use.
     deploy() also sets `awake` and `n_alive` of its fresh nodes without the
     id check and scans that a field built here runs.
     """
@@ -181,30 +186,46 @@ class NodeField:
         """The entries binned by (floor(x / r_s), floor(y / r_s))."""
         return _grid(self._entries, self.config.r_s)
 
+    @functools.cached_property
+    def _blocks(self) -> dict[tuple[int, int], tuple[Entry, ...]]:
+        """The entries of 3x3 cells, keyed by the lowest cell, each block
+        added by the first query that reads it (see near)."""
+        return {}
+
     def near(self, p: Point, r: float) -> Iterable[Entry]:
         """A superset of the entries of the nodes, alive or dead, within r of p.
 
         The entries of every grid cell that meets the square [p - m, p + m]²,
         where m exceeds r by far more than `distance` can round, or all
-        entries when that square spans more cells than there are nodes.
+        entries when that square spans more cells than there are nodes. With
+        r = r_s the square meets 3x3 cells, except within a hair of a cell
+        boundary, and those cells' entries come from a cached block, dead
+        nodes' included, in the order of the cell loop; every other query
+        collects them cell by cell.
         """
         side = self.config.r_s
         m = r + 1e-9 * (abs(p.x) + abs(p.y) + r)
         i_lo, i_hi = math.floor((p.x - m) / side), math.floor((p.x + m) / side)
         j_lo, j_hi = math.floor((p.y - m) / side), math.floor((p.y + m) / side)
+        block = r == side and i_hi - i_lo == 2 == j_hi - j_lo
+        if block and (found := self._blocks.get((i_lo, j_lo))) is not None:
+            return found
         if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) > len(self.nodes):
             return self._entries
         cells = self._cells
-        found: list[Entry] = []
+        found = []
         for i in range(i_lo, i_hi + 1):
             for j in range(j_lo, j_hi + 1):
                 found += cells.get((i, j), ())
+        if block:
+            found = self._blocks[i_lo, j_lo] = tuple(found)
         return found
 
 
 @functools.lru_cache(maxsize=1)
-def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple[Entry, ...], dict]:
-    """A config's positions, entries and grid, shared by its fields and never mutated."""
+def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple[Entry, ...], dict, dict]:
+    """A config's positions, entries, grid and blocks, shared by its fields;
+    only the blocks grow, as their queries add them."""
     draw, w, h = random.Random(config.seed).random, config.area_width, config.area_height
     # w * random() is uniform(0.0, w) bit for bit, and x is drawn before y
     entries = tuple([(i, w * draw(), h * draw()) for i in range(config.n_nodes)])
@@ -214,7 +235,7 @@ def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple[Entry, ...], 
         set_x(p, x)
         set_y(p, y)
         points.append(p)
-    return tuple(points), entries, _grid(entries, config.r_s)
+    return tuple(points), entries, _grid(entries, config.r_s), {}
 
 
 def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
@@ -223,19 +244,20 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
     battery of `initial_energy` joules, which each node holds as fj() of it.
     Same config and seed reproduce the exact same field: fresh nodes
-    on the positions, entries and grid of one layout cached while the config repeats.
+    on the positions, entries, grid and blocks of one layout cached while the
+    config repeats.
     """
     level = fj(initial_energy) if math.isfinite(initial_energy * FJ) else 0
     if level < 1:
         raise ConfigError("initial energy must be finite and at least 1 fJ")
-    points, entries, grid = _layout(config)
+    points, entries, grid, blocks = _layout(config)
     sleep = NodeMode.SLEEP  # a local, as in NodeField.__init__
     # the nodes are fresh: ids in list order, all asleep and alive, so the
     # field takes that state instead of checking ids and scanning for it
     field = NodeField.__new__(NodeField)
     field.nodes = [SensorNode(i, p, sleep, level, True) for i, p in enumerate(points)]
     field.config, field.awake, field.n_alive = config, set(), len(points)
-    field._entries, field._cells = entries, grid
+    field._entries, field._cells, field._blocks = entries, grid, blocks
     return field
 
 

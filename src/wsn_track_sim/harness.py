@@ -15,7 +15,6 @@ import csv
 import functools
 import logging
 import math
-import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
@@ -98,7 +97,7 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
                   for d in sorted(dets) if d != sink}
         frames_sent = len(queues)
         outcomes, _dropped = mac.data_window(queues, slot)
-    if dets:
+    if dets and tracker.episode is not Episode.TRACKING:
         tracker = TrackerState(episode=Episode.TRACKING)
     return StepResult(tracker=tracker, common=NodeMode.DETECT, slot_modes={},
                       n_awake=field.n_alive, outcomes=outcomes, woken=set(),
@@ -145,9 +144,9 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         settle_slot(ledger, res.outcomes, res.slot_modes, res.woken, k, common=res.common)
 
         counters.sent_pckt += res.frames_sent
-        _deliveries(counters, res.outcomes, cfg.slots.slot_duration)
-        for out in res.outcomes:
-            radio_ops.update(map(operator.itemgetter(0, 1), out.records))
+        if res.outcomes:
+            _deliveries(counters, res.outcomes, cfg.slots.slot_duration)
+            radio_ops.update([rec[:2] for out in res.outcomes for rec in out.records])
         # a detector covers the target; so may a dead node (near() includes them)
         covered = bool(res.detectors) or any(math.hypot(x - tx, y - ty) <= cfg.field.r_s
                                              for _, x, y in field.near(target_pos, cfg.field.r_s))

@@ -181,8 +181,10 @@ def read_trace(path: str, area: FieldConfig | None = None) -> list[TraceRow]:
     a header other than slot,x,y,speed, a row that is not four fields parsing
     as numbers (the slot an int, the rest finite floats), slots not numbered
     0, 1, 2, ... in file order (a run replays rows by position), or, given an
-    `area`, a position outside [0, area_width] x [0, area_height]. Blank lines
-    are skipped.
+    `area`, a position outside [0, area_width] x [0, area_height] or more than
+    r_s from the previous row: the tracker's displacement bound, which
+    validate_mobility holds a generated trajectory to, with the float slack
+    that PredictedRegion.contains allows. Blank lines are skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -216,5 +218,9 @@ def read_trace(path: str, area: FieldConfig | None = None) -> list[TraceRow]:
                                      and 0 <= row.y <= area.area_height):
             raise ConfigError(f"{where}: ({row.x}, {row.y}) is outside the "
                               f"{area.area_width} m x {area.area_height} m field")
+        if area is not None and rows and math.hypot(row.x - rows[-1].x, row.y - rows[-1].y) > (
+                area.r_s + 1e-9 * max(area.r_s, 1.0)):
+            raise ConfigError(f"{where}: moves more than r_s = {area.r_s} m from the "
+                              "previous row; the tracker's displacement bound would not hold")
         rows.append(row)
     return rows

@@ -123,7 +123,7 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
             if math.hypot(x - c.x, y - c.y) <= reach and nodes[i].alive}
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     tracker: TrackerState
     common: NodeMode                  # slot-body mode of every alive node outside slot_modes

@@ -168,9 +168,25 @@ def test_trace_outside_field_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"{trace}, line 2" in err
     # the field's own corners are inside: the bounds are inclusive
-    trace.write_text("slot,x,y,speed\n0,0.0,0.0,5.0\n1,500.0,500.0,5.0\n")
-    assert main(["run", "--trace", str(trace),
-                 "--out", str(tmp_path / "r.csv")]) == 0
+    for corner in ("0.0,0.0", "500.0,500.0"):
+        trace.write_text(f"slot,x,y,speed\n0,{corner},5.0\n")
+        assert main(["run", "--trace", str(trace),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_trace_moving_beyond_r_s_in_a_slot_is_config_error(tmp_path, capsys):
+    # a replayed trajectory is held to the displacement bound that
+    # validate_mobility holds a generated one to (v_max <= r_s / T)
+    trace = tmp_path / "jump.csv"
+    trace.write_text("slot,x,y,speed\n0,10.0,10.0,5.0\n1,10.0,35.0,5.0\n2,400.0,400.0,5.0\n")
+    assert main(["run", "--trace", str(trace), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{trace}, line 4" in err
+    assert "more than r_s = 25.0 m" in err
+    conf = tmp_path / "fast.conf"
+    conf.write_text("mobility.v_max = 30\n")
+    assert main(["run", "--config", str(conf), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "displacement bound would not hold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,detail", [

@@ -337,6 +337,27 @@ class TestSettleRadio:
                 == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
 
 
+    def test_rx_costs_are_kept_per_size_and_per_ledger(self):
+        """rx records alternating between a data frame's and an ACK's size,
+        under radios with a per-packet rx overhead: each is charged exactly
+        fj(rx_energy(bits, radio)) of its own ledger's radio, with the two
+        ledgers' charges interleaved."""
+        radios = (RadioModel(e_rx_fixed=3e-7), RadioModel(e_elect=60e-9, e_rx_fixed=1e-6))
+        assert fj(rx_energy(544, radios[0])) != fj(rx_energy(544, radios[1]))
+        ledgers = [EnergyLedger(small_field([(i * 10.0, 0.0) for i in range(4)]), COSTS, rm)
+                   for rm in radios]
+        sizes = [544, 32, 544, 32, 32, 544]
+        for slot in range(5):
+            out = SlotOutcome(slot=slot)
+            for k, bits in enumerate(sizes):
+                out.add_rx(1 + (slot + k) % 3, 0, bits)
+            for ledger in ledgers:
+                settle_slot(ledger, [out], {}, slot=slot, common=SLEEP)
+        for ledger, rm in zip(ledgers, radios):
+            rx = [d for d in ledger.debits if d[2] == "rx"]
+            assert [d[3] for d in rx] == [fj(rx_energy(bits, rm)) for bits in sizes] * 5
+            assert ledger._rx_costs == {bits: fj(rx_energy(bits, rm)) for bits in (544, 32)}
+
     def test_a_charge_beyond_float_range_drains_the_sender(self):
         # 1e295 J/bit * 512 bits is finite in J but not in fJ; the charge
         # applies the whole level, as any charge above it does
@@ -568,6 +589,42 @@ class TestLazySettlement:
         assert ([(n.alive, n.mode) for n in fields[0].nodes]
                 == [(n.alive, n.mode) for n in fields[1].nodes])
         assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 90), st.integers(3, 40), st.data())
+    def test_empty_maps_after_a_radio_death(self, n, n_slots, data):
+        """All-active slots, as the baseline settles them: the whole field
+        senses, both maps stay empty, and a radio charge kills a node now and
+        then, so that a lazy slot directly follows a death. The nodes no
+        radio record reaches are never visited after slot 0; every total,
+        death slot, level and record equals per-node debit() settlement."""
+        fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
+        new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
+        kills = data.draw(st.lists(st.tuples(st.integers(1, n_slots - 2), st.integers(0, n - 1)),
+                                   min_size=1, max_size=4))
+        touched = set()
+        for slot in range(n_slots):
+            out = SlotOutcome(slot=slot)
+            for at, victim in kills:
+                if at == slot:
+                    out.add_tx(victim, (victim + 1) % n, 10**9)  # 50 J: more than a battery
+                    touched.add(victim)
+            for t in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+                out.add_rx(t, (t + 1) % n, 544)
+                touched.add(t)
+            settle_slot(new, [out], {}, (), slot, common=DETECT)
+            reference_settle(ref, [out], {}, (), slot, DETECT)
+            assert new.e_sx_total == ref.e_sx_total
+            assert [n.alive for n in fields[0].nodes] == [n.alive for n in fields[1].nodes]
+            assert fields[0].n_alive == fields[1].n_alive
+            assert new._last_awake == () and new._through == slot and new._common is DETECT
+        assert fields[0].n_alive == n - len({victim for _, victim in kills})
+        assert all(new._runs[i][1] == 0 for i in range(n) if i not in touched)
+        new.flush()
+        assert ([n.remaining_energy for n in fields[0].nodes]
+                == [n.remaining_energy for n in fields[1].nodes])
+        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+        assert new.e_sx_total == sum(d[3] for d in new.debits)
 
     def test_sleepers_pay_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])

@@ -154,8 +154,9 @@ class TestLayoutCache:
         assert info.currsize == 1
 
     def test_fields_of_one_config_share_nothing_mutable(self):
-        """They share only the layout's entries and grid, which hold tuples
-        and which no mutation of a field or its nodes writes."""
+        """They share only the layout's entries, grid and blocks, which hold
+        tuples and which no mutation of a field or its nodes writes: a query
+        adds a block of entries of all nodes, dead or alive."""
         cfg = FieldConfig(n_nodes=300, seed=3)
         one, two = deploy(cfg), deploy(cfg)
         untouched = node_state(two)
@@ -171,15 +172,17 @@ class TestLayoutCache:
         rng = random.Random(11)
         for field in (one, two):
             assert field._cells is two._cells and field._entries is two._entries
+            assert field._blocks is two._blocks
             for _ in range(100):
                 p = Point(rng.uniform(-50, 550), rng.uniform(-50, 550))
-                r = rng.uniform(0.0, 60.0)
+                r = rng.choice((rng.uniform(0.0, 60.0), cfg.r_s))  # r_s reads blocks
                 found = field.near(p, r)
                 assert all(type(e) is tuple for e in found)
                 assert ({i for i, x, y in found if math.hypot(x - p.x, y - p.y) <= r}
                         == {n.id for n in field.nodes if distance(n.pos, p) <= r})
         assert {key: list(cell) for key, cell in one._cells.items()} == grid
         assert [(n.pos.x, n.pos.y) for n in one.nodes] == [(x, y) for _, x, y in one._entries]
+        assert two._blocks and all(type(b) is tuple for b in two._blocks.values())
 
 
 class TestDistance:
@@ -337,7 +340,8 @@ def fields_with_query(draw):
     Besides uniform positions, nodes sit on the far edges and at exactly each
     query radius along the axes from the query point and from node 0, and one
     float further out, where a grid cell bound that rounded the wrong way
-    would drop them.
+    would drop them. The query point may sit on a multiple of r_s, where the
+    window within r_s is 4 cells wide and holds a node in its fourth column.
     """
     r_s = draw(st.sampled_from([1.0, 7.5, 25.0]) | st.floats(0.5, 60.0))
     r_c = r_s * draw(st.sampled_from([2.0, 3.0]) | st.floats(2.0, 12.0))
@@ -348,8 +352,13 @@ def fields_with_query(draw):
         return (st.floats(0.0, hi) | st.sampled_from([0.0, hi])
                 | st.integers(0, int(hi)).map(float))
 
-    q = Point(draw(st.floats(-w, 2 * w) | st.integers(int(-w), int(2 * w)).map(float)),
-              draw(st.floats(-h, 2 * h) | st.integers(int(-h), int(2 * h)).map(float)))
+    def multiple(hi):
+        return st.integers(-1, math.ceil(hi / r_s) + 1).map(lambda k: k * r_s)
+
+    q = Point(draw(st.floats(-w, 2 * w) | st.integers(int(-w), int(2 * w)).map(float)
+                   | multiple(w)),
+              draw(st.floats(-h, 2 * h) | st.integers(int(-h), int(2 * h)).map(float)
+                   | multiple(h)))
     radius = draw(st.floats(0.0, r_s) | st.sampled_from([0.0, r_s]))
     positions = draw(st.lists(st.tuples(coord(w), coord(h)), min_size=1, max_size=60))
     positions += [(w, draw(coord(h))), (draw(coord(w)), h), (w, h)]
@@ -399,6 +408,58 @@ class TestGridMatchesLinearScan:
             assert any(math.hypot(x - q.x, y - q.y) <= r_s for _, x, y in found) == covered
         assert detectors_of(dead, q) == set()
 
+    @settings(max_examples=200, deadline=None)
+    @given(fields_with_query(), st.data())
+    def test_cached_blocks_equal_the_scan(self, case, data):
+        """The queries within r_s that read cached 3x3-cell blocks, each run
+        cold and then warm, on two fields of one config, with nodes killed
+        between the rounds. Half a cell below and left of the query point,
+        the window is 3x3 cells with the same lowest cell as the query
+        point's own window, which is 4 cells wide when it sits on a
+        multiple of r_s."""
+        field, q, _ = case
+        r_s = field.config.r_s
+        twin = NodeField([SensorNode(id=n.id, pos=n.pos, remaining_energy=FJ, alive=n.alive)
+                          for n in field.nodes], field.config)
+        points = [Point(q.x - r_s / 2, q.y - r_s / 2), q, Point(q.x + r_s / 2, q.y),
+                  Point(q.x, q.y - r_s)]
+        ids = st.integers(0, len(field.nodes) - 1)
+        for f in (field, twin, field):
+            for _ in range(2):
+                for p in points:
+                    assert detectors_of(f, p) == scan(f, p, r_s)
+                    found = f.near(p, r_s)
+                    assert (any(math.hypot(x - p.x, y - p.y) <= r_s for _, x, y in found)
+                            == any(distance(n.pos, p) <= r_s for n in f.nodes))
+                for nid in data.draw(st.lists(ids, max_size=4)):
+                    f.kill(f.nodes[nid])
+        assert field._blocks is not twin._blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(field_configs(), st.data())
+    def test_deployed_fields_read_blocks_of_all_nodes(self, cfg, data):
+        """Two fields deployed from one config share its blocks: one loses
+        nodes before either queries, on cell corners, half a cell inside them
+        and anywhere in the field, cold and then warm; both still match their
+        scans."""
+        one, two = deploy(cfg), deploy(cfg)
+        assert one._blocks is two._blocks
+        r_s = cfg.r_s
+        corner = st.builds(Point, st.integers(0, math.ceil(cfg.area_width / r_s)).map(
+            lambda k: k * r_s), st.integers(0, math.ceil(cfg.area_height / r_s)).map(
+            lambda k: k * r_s))
+        points = data.draw(st.lists(corner | corner.map(
+            lambda p: Point(p.x + r_s / 2, p.y + r_s / 2)) | st.builds(
+            Point, st.floats(0.0, cfg.area_width), st.floats(0.0, cfg.area_height)),
+            min_size=1, max_size=12))
+        for nid in data.draw(st.sets(st.integers(0, cfg.n_nodes - 1), max_size=cfg.n_nodes)):
+            one.kill(one.nodes[nid])
+        for f in (one, two, one, two):
+            for p in points:
+                assert detectors_of(f, p) == scan(f, p, r_s)
+                assert ({i for i, x, y in f.near(p, r_s) if math.hypot(x - p.x, y - p.y) <= r_s}
+                        == {n.id for n in f.nodes if distance(n.pos, p) <= r_s})
+
     @settings(max_examples=150, deadline=None)
     @given(fields_with_query(), st.data())
     def test_neighbors_among_a_subset_equal_the_scan(self, case, data):
@@ -419,8 +480,9 @@ class TestEntryGrid:
         themselves, made of tuples only, equal to what a field built
         directly bins for itself."""
         fields = [deploy(cfg) for _ in range(3)]
-        _, entries, grid = _layout(cfg)
-        assert all(f._entries is entries and f._cells is grid for f in fields)
+        _, entries, grid, blocks = _layout(cfg)
+        assert all(f._entries is entries and f._cells is grid and f._blocks is blocks
+                   for f in fields)
         assert type(entries) is tuple and all(type(e) is tuple for e in entries)
         assert all(type(key) is tuple and type(cell) is tuple
                    and all(type(e) is tuple for e in cell) for key, cell in grid.items())
@@ -436,7 +498,7 @@ class TestEntryGrid:
         and deaths, and the two fields carry the same attributes."""
         field = deploy(cfg)
         direct = NodeField(reference_deploy(cfg, 5.0), cfg)
-        direct._cells  # built on first use, as deploy() shares them
+        direct._cells, direct._blocks  # built on first use, as deploy() shares them
         assert vars(field).keys() == vars(direct).keys()
         ids = st.integers(0, cfg.n_nodes - 1)
         for f in (field, direct):
@@ -452,7 +514,7 @@ class TestEntryGrid:
     @settings(max_examples=100, deadline=None)
     @given(field_configs())
     def test_layout_points_equal_checked_points(self, cfg):
-        points, entries, _ = _layout(cfg)
+        points, entries, _, _ = _layout(cfg)
         for p, (_, x, y) in zip(points, entries):
             q = Point(x, y)
             assert type(p) is Point and (p.x, p.y) == (x, y)

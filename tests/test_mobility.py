@@ -1,8 +1,10 @@
 """Random-waypoint motion: bounds, kinematics, determinism, trace round-trips."""
 
 import math
+import os
 import random
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,3 +208,48 @@ class TestTrace:
         path.write_text("")
         with pytest.raises(ConfigError, match="header must be slot,x,y,speed"):
             read_trace(str(path))
+
+
+@st.composite
+def traces_at_the_bound(draw):
+    """A generated trajectory whose top speed is exactly r_s / T, so that a
+    full-speed slot moves r_s up to rounding, in a field of any size."""
+    r_s = draw(st.floats(0.5, 60.0))
+    t = draw(st.one_of(st.just(1.0), st.floats(0.05, 10.0)))
+    v_max = r_s / t
+    v_min = v_max * draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    mc = MobilityConfig(v_min=v_min, v_max=v_max, slot_duration=t,
+                        seed=draw(st.integers(0, 2**32)))
+    fc = FieldConfig(area_width=draw(st.floats(2.0, 1000.0)),
+                     area_height=draw(st.floats(2.0, 1000.0)), r_s=r_s, r_c=2 * r_s)
+    return mc, fc, draw(st.integers(2, 400))
+
+
+class TestTraceDisplacementBound:
+    @settings(max_examples=100, deadline=None)
+    @given(traces_at_the_bound())
+    def test_every_generated_trace_loads(self, case):
+        mc, fc, n_slots = case
+        rows = generate_trace(mc, fc, n_slots)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            write_trace(path, rows)
+            assert read_trace(path, fc) == rows
+
+    @pytest.mark.parametrize("x, y, ok", [
+        (35.0, 10.0, True),                      # exactly r_s = 25
+        (25.0, 30.0, True),                      # a 15-20-25 triangle
+        (35.0 + 2e-8, 10.0, True),               # inside the 2.5e-8 m slack
+        (35.0 + 3e-8, 10.0, False),
+        (400.0, 400.0, False),
+    ])
+    def test_a_row_beyond_r_s_from_the_previous_is_rejected(self, tmp_path, x, y, ok):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"slot,x,y,speed\n0,10.0,10.0,5.0\n1,{x!r},{y!r},5.0\n2,{x!r},{y!r},5.0\n")
+        assert len(read_trace(str(path))) == 3  # without an area, no bound applies
+        if ok:
+            assert len(read_trace(str(path), FC)) == 3
+        else:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 3: "
+                               "moves more than r_s = 25.0 m"):
+                read_trace(str(path), FC)
