@@ -216,6 +216,9 @@ def drain_queue(queues: Queues, budget: int, cfg: SlotConfig,
 
     Collided frames retry in later slots up to max_retries, then drop.
     Delivered + dropped + still queued always equals enqueued.
+
+    Consecutive calls on the same queues and rng, `start_slot` going on from the
+    last call's rounds, make one call's rounds: frames keep retries and ts_slot.
     """
     outcomes: list[SlotOutcome] = []
     dropped: list[Frame] = []

@@ -156,7 +156,7 @@ def test_c06_oracle_equivalence():
     field = deploy(FieldConfig(seed=77), 5.0)
     for n in field.nodes:
         if rng.random() < 0.05:
-            n.alive = False
+            field.kill(n)
     positions = {n.id: (n.pos.x, n.pos.y) for n in field.nodes}
     alive = {n.id for n in field.nodes if n.alive}
 

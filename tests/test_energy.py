@@ -255,13 +255,21 @@ class TestSettleSlot:
         assert ledger.e_sx_total == hand_node0 + hand_node1 + hand_node2
 
     def test_dead_nodes_pay_nothing(self):
-        field = small_field([(0, 0), (10, 0)])
-        field.nodes[1].alive = False
+        # ten nodes, so that the two slots with empty maps settle lazily and
+        # charge the unvisited nodes by n_alive
+        field = small_field([(10 * i, 0) for i in range(10)])
+        field.kill(field.nodes[1])
         field.nodes[1].remaining_energy = 0
         ledger = EnergyLedger(field, COSTS, RM)
+        initial = ledger.total_remaining()
         modes = {0: NodeMode.DETECT, 1: NodeMode.DETECT}
         settle_slot(ledger, [], modes, slot=0, common=SLEEP)
-        assert ledger.e_sx_total == fj(0.012)
+        assert ledger.e_sx_total == fj(0.012) + 8 * fj(COSTS.sleep_per_slot)
+        for slot in (1, 2):
+            settle_slot(ledger, [], {}, slot=slot, common=SLEEP)
+        spent = initial - ledger.total_remaining()
+        assert spent == ledger.e_sx_total == sum(d[3] for d in ledger.debits)
+        assert ledger.remaining(1) == 0
 
 
 def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):

@@ -218,7 +218,7 @@ class TestDetectors:
 
     def test_dead_nodes_never_detect(self):
         field = make_field([(100, 100)])
-        field.nodes[0].alive = False
+        field.kill(field.nodes[0])
         assert detectors_of(field, Point(100, 100)) == set()
 
     def test_matches_exhaustive_scan(self):
@@ -226,7 +226,7 @@ class TestDetectors:
         field = deploy(FieldConfig(seed=5))
         for n in field:
             if rng.random() < 0.1:
-                n.alive = False
+                field.kill(n)
         for _ in range(500):
             target = Point(rng.uniform(0, 500), rng.uniform(0, 500))
             expected = set()
@@ -267,7 +267,7 @@ class TestNeighbors:
 
     def test_matches_pairwise_scan(self):
         field = deploy(FieldConfig(n_nodes=120, seed=11))
-        field.nodes[17].alive = False
+        field.kill(field.nodes[17])
         for nid in range(120):
             if not field.nodes[nid].alive:
                 continue

@@ -6,7 +6,8 @@ import json
 import logging
 import math
 import random
-from dataclasses import replace
+from collections import deque
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,12 @@ from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
                            SensorNode, SlotOutcome, TrackerState, default_scenario,
                            deploy, detectors_of, emit_csv, generate_trace, run, sweep)
 from wsn_track_sim import harness
-from wsn_track_sim.energy import FJ, _charge_outcomes, settle_slot
+from wsn_track_sim.energy import (FJ, EnergyLedger, _charge_outcomes, settle_radio,
+                                  settle_slot, throughput)
 from wsn_track_sim.harness import CSV_COLUMNS, bench_run, paired_runs
+from wsn_track_sim.mac import drain_queue
 from wsn_track_sim.mobility import TraceRow
-from wsn_track_sim.scenario import with_seed
+from wsn_track_sim.scenario import derive_seed, with_seed
 
 
 def small_cfg(seed=0, slots=60, n_nodes=80):
@@ -257,6 +260,42 @@ class TestSweep:
         assert prop.pdr == 1.0
 
 
+def whole_drain_bench(cfg):
+    """The throughput bench as one drain of the whole budget and one
+    settle_radio over all its rounds: the reference for bench_run's chunks.
+    Returns the report and the number of frames left queued."""
+    field = deploy(cfg.field, cfg.mode_costs.initial_energy)
+    rng = random.Random(derive_seed(cfg.seed, f"bench:{cfg.method}"))
+    origin, dest, background = harness._bench_endpoints(field, cfg.bench_background_senders)
+    senders = [origin, *background] if cfg.method == "baseline" else [origin]
+    queues = {s: deque(Frame(s, dest, FrameKind.DATA_PAYLOAD, cfg.slots.data_packet_bits, 0)
+                       for _ in range(cfg.bench_packets)) for s in senders}
+    enqueued = len(senders) * cfg.bench_packets
+    outcomes = drain_queue(queues, enqueued * (cfg.slots.max_retries + 2) * 8, cfg.slots, rng)
+    ledger = EnergyLedger(field, cfg.mode_costs, cfg.radio)
+    initial_energy = ledger.total_remaining()
+    per_step, tx_bits = settle_radio(ledger, outcomes)
+    counters = MetricCounters(sent_pckt=enqueued)
+    harness._deliveries(counters, outcomes, cfg.slots.slot_duration)
+    counters.elapsed = tx_bits / cfg.slots.data_rate
+    report = harness._report(
+        cfg, ledger, initial_energy, counters, slots=len(outcomes),
+        mean_active_nodes=float(len(senders) + 1), max_active_nodes=len(senders) + 1,
+        throughput_bps=throughput(counters) if counters.elapsed > 0 else 0.0,
+        lost_episodes=0, tracked_slots=len(outcomes), detection_fraction=0.0,
+        per_step_energy=per_step)
+    return report, sum(len(q) for q in queues.values())
+
+
+def exact_fields(report):
+    """Every field of a report, floats (in lists too) as float.hex."""
+    def exact(v):
+        if isinstance(v, float):
+            return v.hex()
+        return [exact(x) for x in v] if isinstance(v, list) else v
+    return {f.name: exact(getattr(report, f.name)) for f in fields(report)}
+
+
 class TestBenchRun:
     # (baseline, proposed) throughput_bps as float.hex, recorded when the
     # airtime was summed over each outcome's tx records
@@ -274,6 +313,37 @@ class TestBenchRun:
             base.slots, ack_enabled=ack_crc, crc_enabled=ack_crc))
         assert tuple(bench_run(replace(cfg, method=m)).throughput_bps.hex()
                      for m in ("baseline", "proposed")) == self.THROUGHPUT[(seed, ack_crc)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("method,ack_crc,slot_kw", [
+        ("baseline", True, {}),
+        ("baseline", False, {}),
+        ("proposed", True, {}),
+        # the budget runs out with frames still queued
+        ("baseline", True, {"p_persist": 0.01, "max_retries": 0}),
+    ])
+    def test_chunks_equal_one_drain(self, monkeypatch, chunk, method, ack_crc, slot_kw):
+        """Drained and settled in chunks, the bench reports what one whole
+        drain and one settle_radio report, and no settle_radio call holds
+        more than one chunk of rounds."""
+        if chunk is not None:
+            monkeypatch.setattr(harness, "BENCH_CHUNK", chunk)
+        base = default_scenario(seed=3)
+        cfg = replace(with_seed(base, 3), method=method, bench_packets=40 if slot_kw else 300,
+                      slots=replace(base.slots, ack_enabled=ack_crc, crc_enabled=ack_crc,
+                                    **slot_kw))
+        sizes = []
+
+        def settle(ledger, outcomes):
+            sizes.append(len(outcomes))
+            return settle_radio(ledger, outcomes)
+
+        monkeypatch.setattr(harness, "settle_radio", settle)
+        report = bench_run(cfg)
+        ref, left = whole_drain_bench(cfg)
+        assert exact_fields(report) == exact_fields(ref)
+        assert max(sizes) <= harness.BENCH_CHUNK < report.slots
+        assert (left > 0) == bool(slot_kw)
 
 
 class TestEmitCsv:

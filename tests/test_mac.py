@@ -332,11 +332,22 @@ class TestDrainMatchesReference:
 
     @settings(max_examples=300, deadline=None)
     @given(spec=queue_sets(), cfg=configs, budget=st.integers(0, 40),
-           start_slot=st.integers(0, 1000), seed=st.integers(0, 2**32))
-    def test_drain_queue(self, spec, cfg, budget, start_slot, seed):
+           start_slot=st.integers(0, 1000), seed=st.integers(0, 2**32),
+           chunks=st.lists(st.integers(1, 12), max_size=4))
+    def test_drain_queue(self, spec, cfg, budget, start_slot, seed, chunks):
+        """The budget drained in consecutive calls of `chunks` rounds and then
+        the rest, split as bench_run splits it: each call starts where the
+        last one's rounds ended, and a call that returns fewer rounds than it
+        asked for ends the drain. No chunks is one call."""
         queues, frames = build_queues(spec)
         rng = CountingRng(seed)
-        outs = drain_queue(queues, budget, cfg, rng, start_slot)
+        outs = []
+        for chunk in [*chunks, budget]:
+            ask = min(chunk, budget - len(outs))
+            got = drain_queue(queues, ask, cfg, rng, start_slot + len(outs))
+            outs += got
+            if len(got) < ask:
+                break
         ref_queues, ref_frames = build_queues(spec)
         ref_rng = CountingRng(seed)
         ref = reference_drain(ref_queues, budget, cfg, ref_rng, start_slot)

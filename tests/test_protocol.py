@@ -135,7 +135,7 @@ class TestWakeSet:
         rng = random.Random(13)
         positions = [(rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(150)]
         field = make_field(positions)
-        field.nodes[10].alive = False
+        field.kill(field.nodes[10])
         for _ in range(500):
             region = PredictedRegion(Point(rng.uniform(0, 500), rng.uniform(0, 500)),
                                      rng.uniform(0, 25))
