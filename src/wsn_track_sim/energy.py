@@ -188,11 +188,10 @@ class EnergyLedger:
         return applied
 
 
-def _charge_outcomes(ledger: EnergyLedger, outcomes, slot: int | None = None
-                     ) -> tuple[list[float], int]:
+def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
     """Debit the radio records of `outcomes`, one log record per operation at
-    `slot` (each outcome's own slot when None), with debit()'s operations
-    inline. Returns the joules each outcome drew and the bits transmitted.
+    its outcome's slot, with debit()'s operations inline. Returns the joules
+    each outcome drew and the bits transmitted.
 
     A tx record's cost depends only on (node, peer, bits) on a static field,
     an rx record's only on its bits, so the ledger rounds each to fJ once and
@@ -206,7 +205,7 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes, slot: int | None = None
     per_outcome = []
     sent = 0
     for out in outcomes:
-        at = out.slot if slot is None else slot
+        at = out.slot
         before = total
         for rec in out.records:
             op, nid, peer, bits = rec
@@ -251,8 +250,9 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     `woken` lists nodes pulled out of sleep by a wake message this slot.
     Platform costs are charged inline, in field order, with debit()'s
     operations, so levels, deaths and totals match a per-node debit() loop.
-    Radio charges follow the MAC outcome records, so the ledger's tx/rx debit
-    counts reconcile exactly with the MAC's own counters.
+    Radio charges follow the MAC outcome records, logged at each outcome's
+    slot, which is this one, so the ledger's tx/rx debit counts reconcile
+    exactly with the MAC's own counters.
 
     Only the nodes in this slot's or the last slot's map are visited; the
     total takes the common mode's cost times the alive nodes not visited,
@@ -316,7 +316,7 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     ledger._through, ledger._common, ledger._cost = slot, common, c
     ledger._last_awake = tuple(slot_modes) if slot_modes else ()
     if outcomes:
-        _charge_outcomes(ledger, outcomes, slot)
+        _charge_outcomes(ledger, outcomes)
     if woken:
         for node_id in sorted(woken):
             ledger.debit(node_id, ledger._wake, "wake", slot)

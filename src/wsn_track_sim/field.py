@@ -2,15 +2,15 @@
 
 Nodes are static once deployed; only the tracked target moves. All range
 checks are boundary-inclusive (<=) so that brute-force oracles are exact.
-Range queries test the immutable (id, x, y) entries of a uniform grid of cells
-of side r_s with the float expression of `distance(...) <= r`, so they return
-exactly a scan's result at a cost that follows the nodes near the query point,
-not the field size. Queries within r_s, as detectors_of and a run's coverage
-test make, read the entries of the 3x3 cells around the query point as one
-block, concatenated on first use and kept. deploy() draws positions, entries
-and grid once while its config repeats, as in a paired comparison, shares them
-and the blocks among the fields of that config, and builds fresh nodes each
-call.
+A field stands on a layout: the nodes' positions, their immutable (id, x, y)
+entries and a uniform grid of those entries in cells of side r_s. Range
+queries test the entries with the float expression of `distance(...) <= r`,
+so they return exactly a scan's result at a cost that follows the nodes near
+the query point, not the field size. Queries within r_s, as detectors_of and
+a run's coverage test make, read the entries of the 3x3 cells around the
+query point as one block, concatenated on first use and kept in the layout.
+deploy() draws a layout once while its config repeats, as in a paired
+comparison, and builds fresh nodes on it each call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import ConfigError
 
@@ -109,34 +109,51 @@ def _grid(entries: Iterable[Entry], side: float) -> dict[tuple[int, int], tuple[
     return {key: tuple(cell) for key, cell in cells.items()}
 
 
+class Layout(NamedTuple):
+    """Where a field's nodes stand, shared by every field built on it: node
+    i's position, its (id, x, y) entry, the entries binned by
+    (floor(x / r_s), floor(y / r_s)), and the entries of 3x3 cells keyed by
+    the lowest cell, each block added by the first query that reads it (see
+    NodeField.near). Only the blocks grow."""
+
+    points: tuple[Point, ...]
+    entries: tuple[Entry, ...]
+    cells: dict[tuple[int, int], tuple[Entry, ...]]
+    blocks: dict[tuple[int, int], tuple[Entry, ...]]
+
+
+def layout_of(points: Iterable[Point], r_s: float) -> Layout:
+    """The layout in which node i stands at the i-th point, on cells of side r_s."""
+    points = tuple(points)
+    entries = tuple([(i, p.x, p.y) for i, p in enumerate(points)])
+    return Layout(points, entries, _grid(entries, r_s), {})
+
+
 class NodeField:
     """A deployed field: ordered node list plus the config that produced it.
 
-    A node's id is its position in `nodes`: ids run 0..n-1 in list order,
-    and its battery level is an int of fJ.
+    The constructor builds one fresh node per point of `layout`: node i, at
+    the i-th point, asleep and alive with a battery of `level` fJ. A node's
+    id is thus its position in `nodes`. Range queries read the layout's
+    entries, grid and blocks, whose r_s must be the config's.
 
     `awake` holds the ids of the nodes not asleep and `n_alive` counts the
     alive nodes. They stay exact as long as every mode change goes through
     set_mode() or set_modes() and every death through kill(), so that a slot
     can visit its awake nodes, or learn that every alive node is awake,
-    without a scan. Range queries read entries, a grid and blocks of all
-    nodes, of which only the blocks grow, by concatenating cells; deploy()
-    shares all three from its layout, and other fields build them on first use.
-    deploy() also sets `awake` and `n_alive` of its fresh nodes without the
-    id check and scans that a field built here runs.
+    without a scan.
     """
 
-    def __init__(self, nodes: Iterable[SensorNode], config: FieldConfig):
-        self.nodes: list[SensorNode] = list(nodes)
+    def __init__(self, config: FieldConfig, layout: Layout, level: int):
+        if type(level) is not int or level < 1:  # a level in joules, say
+            raise ConfigError(f"initial level {level!r} is not an int of at least 1 fJ")
+        sleep = NodeMode.SLEEP  # a local: looked up once, not once per node
+        self.nodes: list[SensorNode] = [SensorNode(i, p, sleep, level, True)
+                                        for i, p in enumerate(layout.points)]
         self.config = config
-        for i, n in enumerate(self.nodes):
-            if n.id != i:
-                raise ConfigError("node ids must be 0..n-1 in list order")
-            if type(n.remaining_energy) is not int:  # a level in joules, say
-                raise ConfigError(f"node {i}: level {n.remaining_energy!r} is not an int of fJ")
-        sleep = NodeMode.SLEEP  # a local: the class attribute lookup costs more than the test
-        self.awake: set[int] = {n.id for n in self.nodes if n.mode is not sleep}
-        self.n_alive = sum(n.alive for n in self.nodes)
+        self.awake: set[int] = set()
+        self.n_alive = len(self.nodes)
+        self._entries, self._cells, self._blocks = layout.entries, layout.cells, layout.blocks
 
     def set_mode(self, node: SensorNode, mode: NodeMode) -> None:
         node.mode = mode
@@ -162,12 +179,6 @@ class NodeField:
             self.n_alive -= 1
         self.set_mode(node, NodeMode.SLEEP)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[SensorNode]:
-        return iter(self.nodes)
-
     def node(self, node_id: int) -> SensorNode:
         if 0 <= node_id < len(self.nodes):  # a plain index would wrap -1 to the last node
             return self.nodes[node_id]
@@ -175,22 +186,6 @@ class NodeField:
 
     def alive_nodes(self) -> list[SensorNode]:
         return [n for n in self.nodes if n.alive]
-
-    @functools.cached_property
-    def _entries(self) -> tuple[Entry, ...]:
-        """(id, x, y) of every node, alive or dead, in id order."""
-        return tuple((n.id, n.pos.x, n.pos.y) for n in self.nodes)
-
-    @functools.cached_property
-    def _cells(self) -> dict[tuple[int, int], tuple[Entry, ...]]:
-        """The entries binned by (floor(x / r_s), floor(y / r_s))."""
-        return _grid(self._entries, self.config.r_s)
-
-    @functools.cached_property
-    def _blocks(self) -> dict[tuple[int, int], tuple[Entry, ...]]:
-        """The entries of 3x3 cells, keyed by the lowest cell, each block
-        added by the first query that reads it (see near)."""
-        return {}
 
     def near(self, p: Point, r: float) -> Iterable[Entry]:
         """A superset of the entries of the nodes, alive or dead, within r of p.
@@ -223,19 +218,17 @@ class NodeField:
 
 
 @functools.lru_cache(maxsize=1)
-def _layout(config: FieldConfig) -> tuple[tuple[Point, ...], tuple[Entry, ...], dict, dict]:
-    """A config's positions, entries, grid and blocks, shared by its fields;
-    only the blocks grow, as their queries add them."""
+def _layout(config: FieldConfig) -> Layout:
+    """A config's layout, shared by its fields."""
     draw, w, h = random.Random(config.seed).random, config.area_width, config.area_height
-    # w * random() is uniform(0.0, w) bit for bit, and x is drawn before y
-    entries = tuple([(i, w * draw(), h * draw()) for i in range(config.n_nodes)])
     new, set_x, set_y, points = object.__new__, Point.x.__set__, Point.y.__set__, []
-    for _, x, y in entries:
+    for _ in range(config.n_nodes):
         p = new(Point)  # finite, so the slots are set directly, without __post_init__'s check
-        set_x(p, x)
-        set_y(p, y)
+        # w * random() is uniform(0.0, w) bit for bit, and x is drawn before y
+        set_x(p, w * draw())
+        set_y(p, h * draw())
         points.append(p)
-    return tuple(points), entries, _grid(entries, config.r_s), {}
+    return layout_of(points, config.r_s)
 
 
 def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
@@ -243,22 +236,11 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
 
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
     battery of `initial_energy` joules, which each node holds as fj() of it.
-    Same config and seed reproduce the exact same field: fresh nodes
-    on the positions, entries, grid and blocks of one layout cached while the
-    config repeats.
+    Same config and seed reproduce the exact same field: fresh nodes on one
+    layout cached while the config repeats.
     """
     level = fj(initial_energy) if math.isfinite(initial_energy * FJ) else 0
-    if level < 1:
-        raise ConfigError("initial energy must be finite and at least 1 fJ")
-    points, entries, grid, blocks = _layout(config)
-    sleep = NodeMode.SLEEP  # a local, as in NodeField.__init__
-    # the nodes are fresh: ids in list order, all asleep and alive, so the
-    # field takes that state instead of checking ids and scanning for it
-    field = NodeField.__new__(NodeField)
-    field.nodes = [SensorNode(i, p, sleep, level, True) for i, p in enumerate(points)]
-    field.config, field.awake, field.n_alive = config, set(), len(points)
-    field._entries, field._cells, field._blocks = entries, grid, blocks
-    return field
+    return NodeField(config, _layout(config), level)
 
 
 def detectors_of(field: NodeField, target_pos: Point) -> set[int]:

@@ -10,8 +10,8 @@ co-detectors mutually in range), so spatial reuse never arises.
 
 A drain or data window keeps the ascending list of ids whose queues hold
 frames, builds it once, and drops an id when its queue empties; every round
-draws over that list with the draw routine `contend()` uses, so it makes the
-same draws in the same order as a `contend()` over the non-empty queues.
+draws once per id of that list, in ascending id order, so its outcome is
+reproducible.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class SlotOutcome:
     winner: int | None = None
     collided: set[int] = dc_field(default_factory=set)
     delivered: list[tuple[Frame, int]] = dc_field(default_factory=list)
-    acked: bool = False
     records: list[RadioOp] = dc_field(default_factory=list)
 
     def add_tx(self, node: int, peer: int, bits: int) -> None:
@@ -128,8 +127,9 @@ class SlotOutcome:
 
 def _draw(ready: list[int], slot: int, p: float,
           rng: random.Random) -> tuple[SlotOutcome, list[int]]:
-    """One round's draws, one per id of `ready` in list order: the round's
-    outcome and the ids that transmitted."""
+    """One p-persistent round's draws, one per id of `ready` in list order:
+    the round's outcome (one sender wins, two or more collide, none leaves the
+    round idle) and the ids that transmitted."""
     draw = rng.random
     sent = [nid for nid in ready if draw() < p]
     if len(sent) == 1:
@@ -137,17 +137,6 @@ def _draw(ready: list[int], slot: int, p: float,
     if sent:
         return SlotOutcome(slot, None, set(sent)), sent
     return SlotOutcome(slot), sent
-
-
-def contend(contenders: Iterable[int], slot: int, cfg: SlotConfig,
-            rng: random.Random) -> SlotOutcome:
-    """One p-persistent round: every contender transmits with probability p.
-
-    Draws happen in ascending id order so the outcome is reproducible.
-    Exactly one transmitter wins the round; two or more collide; zero leaves
-    the round idle.
-    """
-    return _draw(sorted(set(contenders)), slot, cfg.p_persist, rng)[0]
 
 
 def transmit(frame: Frame, outcome: SlotOutcome, cfg: SlotConfig,
@@ -174,7 +163,6 @@ def transmit(frame: Frame, outcome: SlotOutcome, cfg: SlotConfig,
         ack = cfg.control_packet_bits
         records.append(_new(RadioOp, ("tx", dst, src, ack)))
         records.append(_new(RadioOp, ("rx", src, dst, ack)))
-        outcome.acked = True
     return outcome
 
 
@@ -210,6 +198,18 @@ def _round(queues: Queues, ready: list[int], slot: int, cfg: SlotConfig,
     return out
 
 
+def _rounds(queues: Queues, slots: Iterable[int], cfg: SlotConfig,
+            rng: random.Random, dropped: list[Frame]) -> list[SlotOutcome]:
+    """One contention round at each of `slots` in turn, until every queue is empty."""
+    outcomes: list[SlotOutcome] = []
+    ready = sorted(nid for nid, q in queues.items() if q)
+    for slot in slots:
+        if not ready:
+            break
+        outcomes.append(_round(queues, ready, slot, cfg, rng, dropped))
+    return outcomes
+
+
 def drain_queue(queues: Queues, budget: int, cfg: SlotConfig,
                 rng: random.Random, start_slot: int = 0) -> list[SlotOutcome]:
     """Run slots until all queues empty or the budget runs out.
@@ -220,14 +220,7 @@ def drain_queue(queues: Queues, budget: int, cfg: SlotConfig,
     Consecutive calls on the same queues and rng, `start_slot` going on from the
     last call's rounds, make one call's rounds: frames keep retries and ts_slot.
     """
-    outcomes: list[SlotOutcome] = []
-    dropped: list[Frame] = []
-    ready = sorted(nid for nid, q in queues.items() if q)
-    for slot in range(start_slot, start_slot + budget):
-        if not ready:
-            break
-        outcomes.append(_round(queues, ready, slot, cfg, rng, dropped))
-    return outcomes
+    return _rounds(queues, range(start_slot, start_slot + budget), cfg, rng, [])
 
 
 def data_window(queues: Queues, slot: int, cfg: SlotConfig,
@@ -238,13 +231,8 @@ def data_window(queues: Queues, slot: int, cfg: SlotConfig,
     slot; frames still queued when it closes are stale and dropped (they count
     as sent but not received).
     """
-    outcomes: list[SlotOutcome] = []
     dropped: list[Frame] = []
-    ready = sorted(nid for nid, q in queues.items() if q)
-    for _ in range(cfg.max_retries + 1):
-        if not ready:
-            break
-        outcomes.append(_round(queues, ready, slot, cfg, rng, dropped))
+    outcomes = _rounds(queues, [slot] * (cfg.max_retries + 1), cfg, rng, dropped)
     for q in queues.values():
         dropped.extend(q)
         q.clear()

@@ -10,9 +10,8 @@ from dataclasses import replace
 import pytest
 
 from wsn_track_sim import (FieldConfig, MobilityConfig, NodeField, NodeMode,
-                           Point, SensorNode, default_scenario,
-                           elect_representative, generate_trace, k_closest,
-                           run, wake_set)
+                           Point, default_scenario, elect_representative,
+                           generate_trace, k_closest, layout_of, run, wake_set)
 from wsn_track_sim.cli import main as cli_main
 from wsn_track_sim.energy import FJ, debit_counts_by_reason
 from wsn_track_sim.field import deploy, detectors_of, neighbors_of
@@ -253,8 +252,7 @@ def test_c10_loss_handling():
     n = 20
     positions = [(5.0 + 10.0 * i, 100.0) for i in range(n)]  # covered to x=220
     fc = FieldConfig(n_nodes=n, seed=0)
-    field = NodeField([SensorNode(id=i, pos=Point(*p), remaining_energy=5 * FJ)
-                       for i, p in enumerate(positions)], fc)
+    field = NodeField(fc, layout_of([Point(*p) for p in positions], fc.r_s), 5 * FJ)
     from wsn_track_sim.mobility import TraceRow
     trace = [TraceRow(k, 20.0 * k, 100.0, 20.0) for k in range(20)]
     cfg = replace(default_scenario(max_slots=20),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
                            ModeCosts, NodeField, NodeMode, Point, RadioModel,
-                           SensorNode, default_scenario, delay, deploy, distance,
+                           default_scenario, delay, deploy, distance, layout_of,
                            pdr, run, rx_energy, settle_slot, throughput, tx_energy)
 from wsn_track_sim import harness
 from wsn_track_sim.energy import FJ, debit_counts_by_reason, fj, settle_radio
@@ -27,9 +27,7 @@ SLEEP, DETECT = NodeMode.SLEEP, NodeMode.DETECT
 def small_field(positions, energy=5 * FJ, r_s=25.0, r_c=100.0):
     cfg = FieldConfig(area_width=500, area_height=500, n_nodes=len(positions),
                       r_s=r_s, r_c=r_c, seed=0)
-    nodes = [SensorNode(id=i, pos=Point(*p), remaining_energy=energy)
-             for i, p in enumerate(positions)]
-    return NodeField(nodes, cfg)
+    return NodeField(cfg, layout_of([Point(*p) for p in positions], r_s), energy)
 
 
 class TestRadioFormulas:
@@ -162,14 +160,14 @@ class TestLedger:
 
     def test_total_before_any_settle_reads_the_initial_levels(self):
         levels = [5 * FJ, fj(0.1), fj(1e-3), fj(3.3), fj(2.0 / 3)]
-        cfg = FieldConfig(n_nodes=len(levels), seed=0)
-        field = NodeField([SensorNode(id=i, pos=Point(10.0 * i, 0.0), remaining_energy=e)
-                           for i, e in enumerate(levels)], cfg)
+        field = small_field([(10.0 * i, 0.0) for i in range(len(levels))])
+        for node, e in zip(field.nodes, levels):
+            node.remaining_energy = e
         ledger = EnergyLedger(field, COSTS, RM)
         assert ledger.total_remaining() == sum(levels)
         ledger.flush()
         assert ledger.debits == []
-        assert [(n.mode, n.remaining_energy, n.alive) for n in field] == [
+        assert [(n.mode, n.remaining_energy, n.alive) for n in field.nodes] == [
             (NodeMode.SLEEP, e, True) for e in levels]
 
     def test_replay_sum_oracle(self):
@@ -408,7 +406,8 @@ class TestSettlementMatchesReference:
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
             for node, e in zip(f.nodes, energies):
-                node.remaining_energy, node.mode = fj(e), NodeMode.MONITOR
+                node.remaining_energy = fj(e)
+            f.set_modes(range(len(f.nodes)), NodeMode.MONITOR)
         new, ref = (EnergyLedger(f, ModeCosts(wake_cost=wake_cost), RM) for f in fields)
         initial = sum(map(fj, energies))
         for slot, modes, outcomes, woken in slots:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
                            Point, SensorNode, deploy, detectors_of, distance,
-                           k_closest, neighbors_of)
+                           k_closest, layout_of, neighbors_of)
 from wsn_track_sim.field import FJ, _layout, fj
 from wsn_track_sim.protocol import PredictedRegion, wake_set
 
@@ -17,9 +17,7 @@ from wsn_track_sim.protocol import PredictedRegion, wake_set
 def make_field(positions, r_s=25.0, r_c=50.0, area=500.0, energy=5 * FJ):
     cfg = FieldConfig(area_width=area, area_height=area,
                       n_nodes=len(positions), r_s=r_s, r_c=r_c, seed=0)
-    nodes = [SensorNode(id=i, pos=Point(x, y), remaining_energy=energy)
-             for i, (x, y) in enumerate(positions)]
-    return NodeField(nodes, cfg)
+    return NodeField(cfg, layout_of([Point(x, y) for x, y in positions], r_s), energy)
 
 
 class TestFieldConfig:
@@ -48,27 +46,27 @@ class TestFieldConfig:
 class TestDeploy:
     def test_table_defaults(self):
         field = deploy(FieldConfig(seed=7), initial_energy=5.0)
-        assert len(field) == 250
-        for n in field:
+        assert len(field.nodes) == 250
+        for n in field.nodes:
             assert 0 <= n.pos.x <= 500 and 0 <= n.pos.y <= 500
             assert n.mode is NodeMode.SLEEP
             assert n.remaining_energy == 5 * FJ and type(n.remaining_energy) is int
             assert n.alive
-        assert [n.id for n in field] == list(range(250))
+        assert [n.id for n in field.nodes] == list(range(250))
 
     def test_single_node(self):
         field = deploy(FieldConfig(n_nodes=1, seed=0))
-        assert len(field) == 1 and field.nodes[0].id == 0
+        assert len(field.nodes) == 1 and field.nodes[0].id == 0
 
     def test_same_seed_reproduces(self):
         a = deploy(FieldConfig(seed=42))
         b = deploy(FieldConfig(seed=42))
-        assert [(n.pos.x, n.pos.y) for n in a] == [(n.pos.x, n.pos.y) for n in b]
+        assert [(n.pos.x, n.pos.y) for n in a.nodes] == [(n.pos.x, n.pos.y) for n in b.nodes]
 
     def test_different_seed_differs(self):
         a = deploy(FieldConfig(seed=1))
         b = deploy(FieldConfig(seed=2))
-        assert any(x.pos != y.pos for x, y in zip(a, b))
+        assert any(x.pos != y.pos for x, y in zip(a.nodes, b.nodes))
 
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1e300, 0.0,
                                         -1.0, 4e-16])
@@ -78,17 +76,16 @@ class TestDeploy:
             deploy(FieldConfig(n_nodes=3, seed=0), energy)
 
     def test_smallest_level_is_one_fj(self):
-        assert [n.remaining_energy for n in deploy(FieldConfig(n_nodes=2), 6e-16)] == [1, 1]
+        assert [n.remaining_energy for n in deploy(FieldConfig(n_nodes=2), 6e-16).nodes] == [1, 1]
 
 
 class TestNodeField:
-    @pytest.mark.parametrize("level", [5.0, 5e15, math.nan, None])
+    @pytest.mark.parametrize("level", [5.0, 5e15, math.nan, None, 0, True])
     def test_rejects_a_level_that_is_not_an_int_of_fj(self, level):
-        # a hand-built node with a level in joules must not pass for 5 fJ
-        nodes = [SensorNode(id=0, pos=Point(0.0, 0.0), remaining_energy=FJ),
-                 SensorNode(id=1, pos=Point(1.0, 0.0), remaining_energy=level)]
-        with pytest.raises(ConfigError, match="node 1"):
-            NodeField(nodes, FieldConfig(n_nodes=2))
+        # a level in joules must not pass for 5 fJ, nor an empty battery for a live node
+        cfg = FieldConfig(n_nodes=2)
+        with pytest.raises(ConfigError, match="initial level"):
+            NodeField(cfg, layout_of([Point(0.0, 0.0), Point(1.0, 0.0)], cfg.r_s), level)
 
 
 def reference_deploy(config, initial_energy):
@@ -143,7 +140,7 @@ class TestLayoutCache:
         for cfg in (a, a, b, a):
             field = deploy(cfg, energy)
             reference = reference_deploy(cfg, energy)
-            assert node_state(field) == node_state(reference)
+            assert node_state(field.nodes) == node_state(reference)
             assert ([(i, x.hex(), y.hex()) for i, x, y in field._entries]
                     == [(n.id, n.pos.x.hex(), n.pos.y.hex()) for n in reference])
             assert entry_ids(field._cells) == reference_cells(reference, cfg.r_s)
@@ -159,7 +156,7 @@ class TestLayoutCache:
         adds a block of entries of all nodes, dead or alive."""
         cfg = FieldConfig(n_nodes=300, seed=3)
         one, two = deploy(cfg), deploy(cfg)
-        untouched = node_state(two)
+        untouched = node_state(two.nodes)
         grid = {key: list(cell) for key, cell in two._cells.items()}
         assert {id(n) for n in one.nodes}.isdisjoint(id(n) for n in two.nodes)
         assert one.awake is not two.awake
@@ -167,7 +164,7 @@ class TestLayoutCache:
         one.set_modes([3, 4], NodeMode.MONITOR)
         one.kill(one.nodes[1])
         one.nodes[2].remaining_energy = fj(1.25)
-        assert node_state(two) == untouched
+        assert node_state(two.nodes) == untouched
         assert two.awake == set() and two.n_alive == 300
         rng = random.Random(11)
         for field in (one, two):
@@ -224,7 +221,7 @@ class TestDetectors:
     def test_matches_exhaustive_scan(self):
         rng = random.Random(7)
         field = deploy(FieldConfig(seed=5))
-        for n in field:
+        for n in field.nodes:
             if rng.random() < 0.1:
                 field.kill(n)
         for _ in range(500):
@@ -258,12 +255,6 @@ class TestNeighbors:
         field = make_field([(0, 0), (10, 0)])
         with pytest.raises(KeyError, match="unknown node id"):
             field.node(nid)
-
-    @pytest.mark.parametrize("ids", [[1, 0], [0, 2], [0, 0]])
-    def test_ids_must_be_list_positions(self, ids):
-        nodes = [SensorNode(id=i, pos=Point(10.0 * k, 0.0)) for k, i in enumerate(ids)]
-        with pytest.raises(ConfigError):
-            NodeField(nodes, FieldConfig(n_nodes=len(ids), seed=0))
 
     def test_matches_pairwise_scan(self):
         field = deploy(FieldConfig(n_nodes=120, seed=11))
@@ -309,7 +300,7 @@ class TestKClosest:
     def test_matches_full_sort(self):
         rng = random.Random(99)
         field = deploy(FieldConfig(n_nodes=80, seed=3))
-        ids = [n.id for n in field]
+        ids = [n.id for n in field.nodes]
         for _ in range(1000):
             p = Point(rng.uniform(0, 500), rng.uniform(0, 500))
             cands = set(rng.sample(ids, rng.randint(1, 30)))
@@ -370,9 +361,10 @@ def fields_with_query(draw):
                          max_size=len(positions)))
     cfg = FieldConfig(area_width=w, area_height=h, n_nodes=len(positions),
                       r_s=r_s, r_c=r_c, seed=0)
-    field = NodeField([SensorNode(id=i, pos=Point(x, y), remaining_energy=FJ,
-                                  alive=not d)
-                       for i, ((x, y), d) in enumerate(zip(positions, dead))], cfg)
+    field = NodeField(cfg, layout_of([Point(x, y) for x, y in positions], r_s), FJ)
+    for node, d in zip(field.nodes, dead):
+        if d:
+            field.kill(node)
     return field, q, radius
 
 
@@ -398,10 +390,11 @@ class TestGridMatchesLinearScan:
             if n.alive:
                 assert neighbors_of(field, n.id).keys() == scan(field, n.pos, r_c) - {n.id}
         # the coverage test as harness.run writes it: dead nodes count too,
-        # also in a field whose nodes were all dead before its grid was built
+        # also in a field whose nodes all died before any query built a block
         covered = any(distance(n.pos, q) <= r_s for n in field.nodes)
-        dead = NodeField([SensorNode(id=n.id, pos=n.pos, alive=False)
-                          for n in field.nodes], field.config)
+        dead = NodeField(field.config, layout_of([n.pos for n in field.nodes], r_s), FJ)
+        for n in dead.nodes:
+            dead.kill(n)
         for f in (field, dead):
             found = f.near(q, r_s)
             assert all((x, y) == (f.nodes[i].pos.x, f.nodes[i].pos.y) for i, x, y in found)
@@ -419,8 +412,10 @@ class TestGridMatchesLinearScan:
         multiple of r_s."""
         field, q, _ = case
         r_s = field.config.r_s
-        twin = NodeField([SensorNode(id=n.id, pos=n.pos, remaining_energy=FJ, alive=n.alive)
-                          for n in field.nodes], field.config)
+        twin = NodeField(field.config, layout_of([n.pos for n in field.nodes], r_s), FJ)
+        for n in field.nodes:
+            if not n.alive:
+                twin.kill(twin.nodes[n.id])
         points = [Point(q.x - r_s / 2, q.y - r_s / 2), q, Point(q.x + r_s / 2, q.y),
                   Point(q.x, q.y - r_s)]
         ids = st.integers(0, len(field.nodes) - 1)
@@ -477,39 +472,32 @@ class TestEntryGrid:
     @given(field_configs())
     def test_deployed_fields_hold_the_layout_grid(self, cfg):
         """Every field of a config holds the layout's entries and grid
-        themselves, made of tuples only, equal to what a field built
-        directly bins for itself."""
+        themselves, made of tuples only, equal to what layout_of bins over
+        the same points."""
         fields = [deploy(cfg) for _ in range(3)]
-        _, entries, grid, blocks = _layout(cfg)
+        points, entries, grid, blocks = _layout(cfg)
         assert all(f._entries is entries and f._cells is grid and f._blocks is blocks
                    for f in fields)
         assert type(entries) is tuple and all(type(e) is tuple for e in entries)
         assert all(type(key) is tuple and type(cell) is tuple
                    and all(type(e) is tuple for e in cell) for key, cell in grid.items())
-        direct = NodeField(reference_deploy(cfg, 1.0), cfg)
-        assert direct._entries == entries and direct._cells == grid
-        assert list(direct._cells) == list(grid)
+        direct = layout_of([n.pos for n in reference_deploy(cfg, 1.0)], cfg.r_s)
+        assert direct.points == points and direct.entries == entries
+        assert direct.cells == grid and list(direct.cells) == list(grid)
 
     @settings(max_examples=60, deadline=None)
     @given(field_configs(), st.data())
     def test_deployed_state_equals_a_scan(self, cfg, data):
-        """deploy() sets `awake` and `n_alive` without scanning; they equal
-        the scans of a field built directly, before and after mode changes
-        and deaths, and the two fields carry the same attributes."""
+        """deploy() sets `awake` and `n_alive` without scanning; after mode
+        changes and deaths they equal the scans."""
         field = deploy(cfg)
-        direct = NodeField(reference_deploy(cfg, 5.0), cfg)
-        direct._cells, direct._blocks  # built on first use, as deploy() shares them
-        assert vars(field).keys() == vars(direct).keys()
         ids = st.integers(0, cfg.n_nodes - 1)
-        for f in (field, direct):
-            for nid in data.draw(st.lists(ids, max_size=5)):
-                f.set_mode(f.nodes[nid], data.draw(st.sampled_from(list(NodeMode))))
-            for nid in data.draw(st.lists(ids, max_size=3)):
-                f.kill(f.nodes[nid])
-            assert f.awake == {n.id for n in f.nodes if n.mode is not NodeMode.SLEEP}
-            assert f.n_alive == sum(n.alive for n in f.nodes)
-        with pytest.raises(ConfigError):  # a field built directly still checks ids
-            NodeField([field.nodes[-1], *field.nodes], cfg)
+        for nid in data.draw(st.lists(ids, max_size=5)):
+            field.set_mode(field.nodes[nid], data.draw(st.sampled_from(list(NodeMode))))
+        for nid in data.draw(st.lists(ids, max_size=3)):
+            field.kill(field.nodes[nid])
+        assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
+        assert field.n_alive == sum(n.alive for n in field.nodes)
 
     @settings(max_examples=100, deadline=None)
     @given(field_configs())

@@ -15,8 +15,9 @@ from hypothesis import example, given, strategies as st
 
 from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
                            MacService, MetricCounters, NodeField, NodeMode, Point,
-                           SensorNode, SlotOutcome, TrackerState, default_scenario,
-                           deploy, detectors_of, emit_csv, generate_trace, run, sweep)
+                           SlotOutcome, TrackerState, default_scenario, deploy,
+                           detectors_of, emit_csv, generate_trace, layout_of, run,
+                           sweep)
 from wsn_track_sim import harness
 from wsn_track_sim.energy import (FJ, EnergyLedger, _charge_outcomes, settle_radio,
                                   settle_slot, throughput)
@@ -35,9 +36,8 @@ def strip_field(n_nodes=250, xmin=300.0):
     """All nodes bunched away from the origin so a target at (0,0) is unseen."""
     cfg = FieldConfig(n_nodes=n_nodes, seed=0)
     step = 190.0 / max(n_nodes - 1, 1)
-    nodes = [SensorNode(id=i, pos=Point(xmin + i * step * 0.9, 300.0 + (i % 40)),
-                        remaining_energy=5 * FJ) for i in range(n_nodes)]
-    return NodeField(nodes, cfg)
+    points = [Point(xmin + i * step * 0.9, 300.0 + (i % 40)) for i in range(n_nodes)]
+    return NodeField(cfg, layout_of(points, cfg.r_s), 5 * FJ)
 
 
 class TestRun:
@@ -94,7 +94,7 @@ class TestRun:
         # charging one rx record fewer must show
         skipped = []
 
-        def skip_first_rx(ledger, outcomes, slot=None):
+        def skip_first_rx(ledger, outcomes):
             outcomes = list(outcomes)
             for i, out in enumerate(outcomes):
                 rx = [r for r in out.records if r.op == "rx"]
@@ -102,7 +102,7 @@ class TestRun:
                     skipped.append(rx[0])
                     outcomes[i] = replace(out, records=[r for r in out.records
                                                         if r is not rx[0]])
-            return _charge_outcomes(ledger, outcomes, slot)
+            return _charge_outcomes(ledger, outcomes)
 
         monkeypatch.setattr("wsn_track_sim.energy._charge_outcomes", skip_first_rx)
         report = run(small_cfg(seed=0, slots=120))
@@ -455,8 +455,10 @@ class TestSweepGoldens:
 def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
     settled = []
 
-    def checked(ledger, *args, **kwargs):
-        settle_slot(ledger, *args, **kwargs)
+    def checked(ledger, outcomes, slot_modes, woken, slot, *, common):
+        # the ledger logs an outcome's records at the outcome's own slot
+        assert all(out.slot == slot for out in outcomes)
+        settle_slot(ledger, outcomes, slot_modes, woken, slot, common=common)
         field = ledger.field
         assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
         assert field.n_alive == sum(n.alive for n in field.nodes)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, Frame, FrameKind, MacError,
-                           SlotConfig, contend, drain_queue, transmit)
+                           SlotConfig, SlotOutcome, drain_queue, transmit)
 from wsn_track_sim.mac import data_window, on_air_bits
 
 
@@ -63,49 +63,46 @@ class TestSlotConfig:
 
 
 class TestContend:
-    def test_empty_is_idle(self):
-        out = contend(set(), 3, SlotConfig(), random.Random(0))
-        assert out.winner is None and not out.collided and not out.delivered
-
     def test_single_contender_certain(self):
-        out = contend({4}, 0, SlotConfig(p_persist=1.0), random.Random(0))
+        [out] = drain_queue({4: deque([data_frame(src=4)])}, 1,
+                            SlotConfig(p_persist=1.0), random.Random(0))
         assert out.winner == 4 and not out.collided
 
     def test_two_contender_success_probability(self):
         # analytic slotted contention: P(exactly one of two transmits) = 2*p*(1-p)
         cfg = SlotConfig(p_persist=0.5)
         rng = random.Random(2024)
-        wins = sum(contend({1, 2}, s, cfg, rng).winner is not None
-                   for s in range(10_000))
+        wins = sum(drain_queue({1: deque([data_frame(src=1, dst=3)]),
+                                2: deque([data_frame(src=2, dst=3)])},
+                               1, cfg, rng)[0].winner is not None
+                   for _ in range(10_000))
         assert wins / 10_000 == pytest.approx(0.5, abs=0.02)
 
 
 class TestTransmit:
     def test_counts_with_ack(self):
         cfg = SlotConfig()
-        out = contend({1}, 5, SlotConfig(p_persist=1.0), random.Random(0))
+        out = SlotOutcome(5, winner=1)
         frame = data_frame(src=1, dst=2, slot=5)
         transmit(frame, out, cfg, 5)
         assert out.delivered == [(frame, 6)]
-        assert out.acked
         assert op_counts(out, "tx") == {1: 1, 2: 1}  # data out, ACK back
         assert op_counts(out, "rx") == {2: 1, 1: 1}
 
     def test_no_ack_when_disabled(self):
         cfg = SlotConfig(ack_enabled=False)
-        out = contend({1}, 0, SlotConfig(p_persist=1.0), random.Random(0))
+        out = SlotOutcome(0, winner=1)
         transmit(data_frame(), out, cfg, 0)
-        assert not out.acked
         assert op_counts(out, "tx") == {1: 1}
         assert op_counts(out, "rx") == {2: 1}
 
     def test_winner_mismatch_rejected(self):
-        out = contend({3}, 0, SlotConfig(p_persist=1.0), random.Random(0))
+        out = SlotOutcome(0, winner=3)
         with pytest.raises(MacError):
             transmit(data_frame(src=1), out, SlotConfig(), 0)
 
     def test_oversized_frame_rejected(self):
-        out = contend({1}, 0, SlotConfig(p_persist=1.0), random.Random(0))
+        out = SlotOutcome(0, winner=1)
         too_big = data_frame(bits=8_000_000)
         with pytest.raises(ConfigError):
             transmit(too_big, out, SlotConfig(), 0)
@@ -247,14 +244,19 @@ class CountingRng:
 
 
 def reference_round(queues, slot, cfg, rng, dropped):
-    """One round rebuilt from the queues through contend() and transmit(), as
+    """One round rebuilt from the queues, with its own draws and transmit(), as
     the MAC ran it before a drain kept its list of ready ids: the oracle."""
     ready = [nid for nid, q in queues.items() if q]
     for nid in ready:
         head = queues[nid][0]
         if head.ts_slot is None:
             head.ts_slot = slot
-    out = contend(ready, slot, cfg, rng)
+    sent = [nid for nid in sorted(ready) if rng.random() < cfg.p_persist]
+    out = SlotOutcome(slot)
+    if len(sent) == 1:
+        out.winner = sent[0]
+    else:
+        out.collided = set(sent)
     for nid in sorted(out.collided):
         frame = queues[nid][0]
         out.add_tx(nid, frame.dst, on_air_bits(frame, cfg))
@@ -315,7 +317,7 @@ def build_queues(spec):
 def observed(outcomes, frames, queues, rng):
     """Everything a drain leaves behind, with frames named by spec position."""
     name = {id(f): i for i, f in enumerate(frames)}
-    return ([(o.slot, o.winner, o.collided, o.acked, o.records,
+    return ([(o.slot, o.winner, o.collided, o.records,
               [(name[id(f)], at) for f, at in o.delivered]) for o in outcomes],
             [(f.retries, f.ts_slot) for f in frames],
             {nid: [name[id(f)] for f in q] for nid, q in queues.items()},

@@ -7,10 +7,9 @@ import pytest
 
 from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            MobilityConfig, NodeField, NodeMode, Point,
-                           SensorNode, StateError, TrackerState,
-                           elect_representative, estimate_position,
-                           generate_trace, predicted_region, tracking_step,
-                           wake_set)
+                           StateError, TrackerState, elect_representative,
+                           estimate_position, generate_trace, layout_of,
+                           predicted_region, tracking_step, wake_set)
 from wsn_track_sim import protocol
 from wsn_track_sim.energy import FJ
 from wsn_track_sim.mac import MacService, SlotConfig
@@ -20,9 +19,7 @@ from wsn_track_sim.mobility import observed_speed
 def make_field(positions, r_s=25.0, r_c=50.0, area=1000.0, energy=5 * FJ):
     cfg = FieldConfig(area_width=area, area_height=area,
                       n_nodes=len(positions), r_s=r_s, r_c=r_c, seed=0)
-    nodes = [SensorNode(id=i, pos=Point(*p), remaining_energy=energy)
-             for i, p in enumerate(positions)]
-    return NodeField(nodes, cfg)
+    return NodeField(cfg, layout_of([Point(*p) for p in positions], r_s), energy)
 
 
 def mac(p_persist=1.0, seed=0):
