@@ -259,9 +259,8 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     and those nodes pay later (see EnergyLedger). With both maps empty, as in
     every all-active slot and every dormant slot after a loss, that is the
     whole platform charge: O(1), whatever the field's size. Every node is visited
-    instead after a skipped slot, a change of common mode, in the slot in
-    which a lazy node dies, or when the maps hold a quarter of the field or
-    more, where sorting them costs more than the walk.
+    instead after a skipped slot, a change of common mode, or in the slot in
+    which a lazy node dies.
     """
     sleep, asleep, detect, sensing, monitoring = ledger._charges
     c = (asleep if common is sleep else sensing if common is detect else monitoring)[0]
@@ -269,8 +268,7 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     nodes, last_awake = field.nodes, ledger._last_awake
     total, through = ledger.e_sx_total, ledger._through
     prev = slot - 1
-    lazy = (prev == through and common is ledger._common and slot <= ledger._horizon
-            and 4 * (len(slot_modes) + len(last_awake)) < len(nodes))
+    lazy = prev == through and common is ledger._common and slot <= ledger._horizon
     if not lazy:
         order = range(len(nodes))
     elif slot_modes or last_awake:

@@ -11,6 +11,8 @@ a run's coverage test make, read the entries of the 3x3 cells around the
 query point as one block, concatenated on first use and kept in the layout.
 deploy() draws a layout once while its config repeats, as in a paired
 comparison, and builds fresh nodes on it each call.
+A field's sleep schedule is one common mode plus a map of the alive nodes in
+another mode (`NodeField.common`, `NodeField.modes`); a node holds no mode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
 
@@ -63,11 +65,10 @@ class NodeMode(Enum):
 
 @dataclass(slots=True)
 class SensorNode:
-    """One sensor: fixed position, current mode, remaining battery."""
+    """One sensor: fixed position, remaining battery."""
 
     id: int
     pos: Point
-    mode: NodeMode = NodeMode.SLEEP
     remaining_energy: int = 0  # whole fJ (see fj), never a float
     alive: bool = True
 
@@ -112,80 +113,66 @@ def _grid(entries: Iterable[Entry], side: float) -> dict[tuple[int, int], tuple[
 class Layout(NamedTuple):
     """Where a field's nodes stand, shared by every field built on it: node
     i's position, its (id, x, y) entry, the entries binned by
-    (floor(x / r_s), floor(y / r_s)), and the entries of 3x3 cells keyed by
+    (floor(x / side), floor(y / side)), the entries of 3x3 cells keyed by
     the lowest cell, each block added by the first query that reads it (see
-    NodeField.near). Only the blocks grow."""
+    NodeField.near), and the cell side. Only the blocks grow."""
 
     points: tuple[Point, ...]
     entries: tuple[Entry, ...]
     cells: dict[tuple[int, int], tuple[Entry, ...]]
     blocks: dict[tuple[int, int], tuple[Entry, ...]]
+    side: float
 
 
 def layout_of(points: Iterable[Point], r_s: float) -> Layout:
     """The layout in which node i stands at the i-th point, on cells of side r_s."""
     points = tuple(points)
     entries = tuple([(i, p.x, p.y) for i, p in enumerate(points)])
-    return Layout(points, entries, _grid(entries, r_s), {})
+    return Layout(points, entries, _grid(entries, r_s), {}, r_s)
 
 
 class NodeField:
-    """A deployed field: ordered node list plus the config that produced it.
+    """A deployed field: ordered node list, sleep schedule, and the config
+    that produced it.
 
     The constructor builds one fresh node per point of `layout`: node i, at
     the i-th point, asleep and alive with a battery of `level` fJ. A node's
     id is thus its position in `nodes`. Range queries read the layout's
-    entries, grid and blocks, whose r_s must be the config's.
+    entries, grid and blocks, whose cell side must be the config's r_s.
 
-    `awake` holds the ids of the nodes not asleep and `n_alive` counts the
-    alive nodes. They stay exact as long as every mode change goes through
-    set_mode() or set_modes() and every death through kill(), so that a slot
-    can visit its awake nodes, or learn that every alive node is awake,
-    without a scan.
+    The schedule is `common`, the mode of every alive node outside `modes`,
+    and `modes`, which maps each alive node in another mode to that mode;
+    a dead node is in neither. Nodes are awake where the mode is not SLEEP,
+    so a slot visits its awake nodes, or learns that every alive node is
+    awake, without a scan. `n_alive` counts the alive nodes; it and `modes`
+    stay exact as long as every death goes through kill().
     """
 
     def __init__(self, config: FieldConfig, layout: Layout, level: int):
         if type(level) is not int or level < 1:  # a level in joules, say
             raise ConfigError(f"initial level {level!r} is not an int of at least 1 fJ")
-        sleep = NodeMode.SLEEP  # a local: looked up once, not once per node
-        self.nodes: list[SensorNode] = [SensorNode(i, p, sleep, level, True)
+        if layout.side != config.r_s:
+            raise ConfigError(f"layout binned at {layout.side} m, but r_s is {config.r_s} m")
+        self.nodes: list[SensorNode] = [SensorNode(i, p, level, True)
                                         for i, p in enumerate(layout.points)]
         self.config = config
-        self.awake: set[int] = set()
+        self.common = NodeMode.SLEEP
+        self.modes: dict[int, NodeMode] = {}
         self.n_alive = len(self.nodes)
         self._entries, self._cells, self._blocks = layout.entries, layout.cells, layout.blocks
 
-    def set_mode(self, node: SensorNode, mode: NodeMode) -> None:
-        node.mode = mode
-        if mode is NodeMode.SLEEP:
-            self.awake.discard(node.id)
-        else:
-            self.awake.add(node.id)
-
-    def set_modes(self, ids: Collection[int], mode: NodeMode) -> None:
-        """set_mode() for each node id in `ids`, with one update of `awake`."""
-        nodes = self.nodes
-        for nid in ids:
-            nodes[nid].mode = mode
-        if mode is NodeMode.SLEEP:
-            self.awake.difference_update(ids)
-        else:
-            self.awake.update(ids)
-
     def kill(self, node: SensorNode) -> None:
-        """Mark a node dead and asleep; killing a dead node changes nothing."""
+        """Mark a node dead and drop it from the schedule; killing a dead
+        node changes nothing."""
         if node.alive:
             node.alive = False
             self.n_alive -= 1
-        self.set_mode(node, NodeMode.SLEEP)
+            self.modes.pop(node.id, None)
 
     def node(self, node_id: int) -> SensorNode:
         if 0 <= node_id < len(self.nodes):  # a plain index would wrap -1 to the last node
             return self.nodes[node_id]
         raise KeyError(f"unknown node id {node_id}")
-
-    def alive_nodes(self) -> list[SensorNode]:
-        return [n for n in self.nodes if n.alive]
 
     def near(self, p: Point, r: float) -> Iterable[Entry]:
         """A superset of the entries of the nodes, alive or dead, within r of p.

@@ -4,6 +4,10 @@ A run binds one deployed field, one target trajectory, one MAC stream and one
 energy ledger, then walks max_slots slots, each adding one `SlotRecord` of
 scalars; the pure `_fold` derives the report's per-slot figures from the
 records, and `_deliveries` counts delivered frames for runs and benches alike.
+The run owns the field's schedule: it has the whole field detect before slot
+0, and in each slot it installs the schedule that the step returns before
+the ledger settles the slot body's, so a node that dies in a slot is asleep
+from the next one on.
 Paired comparisons feed the same trajectory and field layout to both methods
 so differences come only from the activation strategy; each run deploys its
 own nodes onto that layout.
@@ -85,8 +89,6 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
     The tracker only records acquisition: TRACKING from the first detection on.
     """
     cfg = mac.cfg
-    if len(field.awake) < field.n_alive:
-        field.set_modes([n.id for n in field.alive_nodes()], NodeMode.DETECT)
     dets = detectors_of(field, target_pos)
     outcomes = []
     frames_sent = 0
@@ -99,9 +101,9 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
         outcomes, _dropped = mac.data_window(queues, slot)
     if dets and tracker.episode is not Episode.TRACKING:
         tracker = TrackerState(episode=Episode.TRACKING)
-    return StepResult(tracker=tracker, common=NodeMode.DETECT, slot_modes={},
-                      n_awake=field.n_alive, outcomes=outcomes, woken=set(),
-                      detectors=dets, wake_targets=set(), frames_sent=frames_sent)
+    return StepResult(tracker=tracker, common=NodeMode.DETECT, modes={},
+                      outcomes=outcomes, woken=set(), detectors=dets,
+                      wake_targets=set(), frames_sent=frames_sent)
 
 
 def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
@@ -133,15 +135,20 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
     tracker = TrackerState()
     records: list[SlotRecord] = []
     radio_ops: Counter = Counter()  # (op, node) of each MAC radio record
+    field.common, field.modes = NodeMode.DETECT, {}  # acquisition: the whole field senses
+    sleep = NodeMode.SLEEP
 
     for k in range(n_slots):
         target_pos = Point(tx := trace[k].x, ty := trace[k].y)
         tracking_now = tracker.episode is Episode.TRACKING
+        common, modes = field.common, field.modes  # the slot body's schedule
+        n_awake = len(modes) if common is sleep else field.n_alive
         res = step(tracker, field, target_pos, mac, k)
         tracker = res.tracker
+        field.common, field.modes = res.common, res.modes
 
         before = ledger.e_sx_total
-        settle_slot(ledger, res.outcomes, res.slot_modes, res.woken, k, common=res.common)
+        settle_slot(ledger, res.outcomes, modes, res.woken, k, common=common)
 
         counters.sent_pckt += res.frames_sent
         if res.outcomes:
@@ -150,7 +157,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         # a detector covers the target; so may a dead node (near() includes them)
         covered = bool(res.detectors) or any(math.hypot(x - tx, y - ty) <= cfg.field.r_s
                                              for _, x, y in field.near(target_pos, cfg.field.r_s))
-        records.append(SlotRecord((ledger.e_sx_total - before) / FJ, res.n_awake, tracking_now,
+        records.append(SlotRecord((ledger.e_sx_total - before) / FJ, n_awake, tracking_now,
                                   tracking_now and tracker.episode is Episode.LOST,
                                   covered, bool(res.detectors)))
     counters.elapsed = n_slots * cfg.slots.slot_duration

@@ -223,22 +223,6 @@ def drain_queue(queues: Queues, budget: int, cfg: SlotConfig,
     return _rounds(queues, range(start_slot, start_slot + budget), cfg, rng, [])
 
 
-def data_window(queues: Queues, slot: int, cfg: SlotConfig,
-                rng: random.Random) -> tuple[list[SlotOutcome], list[Frame]]:
-    """One slot's data window: bounded re-sensing rounds, leftovers drop.
-
-    The window re-runs contention up to max_retries + 1 times within the same
-    slot; frames still queued when it closes are stale and dropped (they count
-    as sent but not received).
-    """
-    dropped: list[Frame] = []
-    outcomes = _rounds(queues, [slot] * (cfg.max_retries + 1), cfg, rng, dropped)
-    for q in queues.values():
-        dropped.extend(q)
-        q.clear()
-    return outcomes, dropped
-
-
 class MacService:
     """Per-run MAC state: the slot configuration plus its contention RNG."""
 
@@ -246,5 +230,17 @@ class MacService:
         self.cfg = cfg
         self.rng = rng
 
-    def data_window(self, queues: Queues, slot: int):
-        return data_window(queues, slot, self.cfg, self.rng)
+    def data_window(self, queues: Queues, slot: int) -> tuple[list[SlotOutcome], list[Frame]]:
+        """One slot's data window: bounded re-sensing rounds, leftovers drop.
+
+        The window re-runs contention up to max_retries + 1 times within the
+        same slot; frames still queued when it closes are stale and dropped
+        (they count as sent but not received).
+        """
+        dropped: list[Frame] = []
+        outcomes = _rounds(queues, [slot] * (self.cfg.max_retries + 1), self.cfg,
+                           self.rng, dropped)
+        for q in queues.values():
+            dropped.extend(q)
+            q.clear()
+        return outcomes, dropped

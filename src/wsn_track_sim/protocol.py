@@ -5,8 +5,11 @@ and rank the two closest nodes; the representative pushes an observation
 notice through the MAC to the pair; the pair broadcast wake messages into the
 predicted region; everyone not needed goes back to sleep. An empty detector
 set while tracking means the target is lost and the whole field sleeps.
-A step reports only through its StepResult and new TrackerState (no event
-log); on a loss, the previous tracker's `closest` holds the pair that lost it.
+A step reads the slot body's schedule from the field (`NodeField.common` and
+`.modes`) and writes nothing to the field: it reports only through its
+StepResult, which carries the next slot's schedule, and new TrackerState (no
+event log); on a loss, the previous tracker's `closest` holds the pair that
+lost it.
 """
 
 from __future__ import annotations
@@ -126,9 +129,8 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
 @dataclass(slots=True)
 class StepResult:
     tracker: TrackerState
-    common: NodeMode                  # slot-body mode of every alive node outside slot_modes
-    slot_modes: dict[int, NodeMode]   # slot-body mode of each node not in `common`
-    n_awake: int               # nodes awake during the slot body
+    common: NodeMode           # next slot's mode of every alive node outside `modes`
+    modes: dict[int, NodeMode]  # next slot's mode of each node not in `common`; a fresh dict
     outcomes: list[SlotOutcome]
     woken: set[int]            # pulled out of sleep by a wake message (one-shot cost)
     detectors: set[int]
@@ -140,36 +142,34 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                   true_target: Point, mac: MacService, slot: int, *,
                   alpha: float = 1.5, radius_floor_frac: float = 0.1,
                   speed_prior: float | None = None) -> StepResult:
-    """Advance the protocol by one slot; mutates node modes to their end-of-slot values.
+    """Advance the protocol by one slot under the field's schedule; return the
+    next slot's schedule without installing it.
 
     `true_target` is ground truth: nodes only see it through in-range sensing
-    and the ranges their sensors measure.
+    and the ranges their sensors measure. Until the target is first seen
+    (IDLE) the schedule has the whole field detect.
     """
     cfg = mac.cfg
     outcomes: list[SlotOutcome] = []
     r_s = field.config.r_s
+    common, modes = field.common, field.modes
 
-    # acquisition: until the target is first seen, the whole field senses
-    if tracker.episode is Episode.IDLE:
-        if len(field.awake) < field.n_alive:
-            field.set_modes([n.id for n in field.alive_nodes()], NodeMode.DETECT)
-        common, slot_modes, n_awake = NodeMode.DETECT, {}, field.n_alive
+    # every alive node is awake unless the common mode is sleep; with nobody
+    # awake (a lost target) there is nobody to detect it
+    if common is not NodeMode.SLEEP:
+        dets = detectors_of(field, true_target)
+    elif modes:
+        dets = detectors_of(field, true_target) & modes.keys()
     else:
-        slot_modes = {nid: field.node(nid).mode for nid in field.awake}
-        common, n_awake = NodeMode.SLEEP, len(slot_modes)
-    # until the end-of-slot schedule, field.awake holds the slot-body awake set;
-    # with nobody awake (a lost target) there is nobody to detect it
-    dets = detectors_of(field, true_target) & field.awake if field.awake else set()
+        dets = set()
 
     if not dets:
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
-            field.set_modes(field.awake, NodeMode.SLEEP)
-            return StepResult(TrackerState(episode=Episode.LOST), common,
-                              slot_modes, n_awake, outcomes, set(), set(), set())
+            return StepResult(TrackerState(episode=Episode.LOST), NodeMode.SLEEP, {},
+                              outcomes, set(), set(), set())
         # Idle keeps sensing; Lost stays dormant
-        return StepResult(tracker, common, slot_modes, n_awake, outcomes,
-                          set(), set(), set())
+        return StepResult(tracker, common, dict(modes), outcomes, set(), set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
     rep = elect_representative(dets)
@@ -230,19 +230,16 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     if control.records:
         outcomes.append(control)
 
-    # end-of-slot schedule: detectors (the pair among them) monitor, wake
-    # recipients detect, every other awake node sleeps. A recipient outside
-    # field.awake slept through the slot body, so the message woke it; no
-    # detector did.
-    keep_awake = dets | wake_targets
-    woken = wake_targets - field.awake
-    field.set_modes(field.awake - keep_awake, NodeMode.SLEEP)
-    field.set_modes(keep_awake - dets, NodeMode.DETECT)
-    field.set_modes(dets, NodeMode.MONITOR)
+    # next schedule: detectors (the pair among them) monitor, wake recipients
+    # detect, every other node sleeps. A recipient that slept through the
+    # slot body was woken by the message; no detector was.
+    woken = wake_targets - modes.keys() if common is NodeMode.SLEEP else set()
+    next_modes = dict.fromkeys(wake_targets - dets, NodeMode.DETECT)
+    next_modes.update(dict.fromkeys(dets, NodeMode.MONITOR))
 
     new_tracker = TrackerState(episode=Episode.TRACKING,
                                representative=rep, closest=pair,
                                predicted=region, est_pos=est,
                                est_speed=est_speed)
-    return StepResult(new_tracker, common, slot_modes, n_awake, outcomes,
+    return StepResult(new_tracker, NodeMode.SLEEP, next_modes, outcomes,
                       woken, dets, wake_targets, frames_sent)

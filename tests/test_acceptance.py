@@ -208,14 +208,19 @@ def test_c07_ledger_conservation(paired_by_radius, bench_reports):
     mac = MacService(cfg.slots, random.Random(9))
     tracker = TrackerState()
     tx_mac, rx_mac = Counter(), Counter()
+    # run()'s order: the whole field detects before slot 0; each slot installs
+    # the step's schedule, then settles the slot body's
+    field.common, field.modes = NodeMode.DETECT, {}
     for k, row in enumerate(trace):
+        common, modes = field.common, field.modes
         res = tracking_step(tracker, field, Point(row.x, row.y), mac, k,
                             speed_prior=cfg.mobility.v_max)
         tracker = res.tracker
+        field.common, field.modes = res.common, res.modes
         for out in res.outcomes:
             tx_mac.update(r.node for r in out.records if r.op == "tx")
             rx_mac.update(r.node for r in out.records if r.op == "rx")
-        settle_slot(ledger, res.outcomes, res.slot_modes, res.woken, k, common=res.common)
+        settle_slot(ledger, res.outcomes, modes, res.woken, k, common=common)
     assert tx_mac == debit_counts_by_reason(ledger, "tx")
     assert rx_mac == debit_counts_by_reason(ledger, "rx")
     assert sum(tx_mac.values()) > 0
@@ -264,5 +269,5 @@ def test_c10_loss_handling():
     loss_slot = next(k for k in range(len(tracking) - 1)
                      if tracking[k] and not tracking[k + 1])
     assert report.per_slot_awake[loss_slot + 1] == 0  # nobody awake afterwards
-    assert all(node.mode is NodeMode.SLEEP for node in field.nodes)
+    assert field.common is NodeMode.SLEEP and not field.modes
     report_line("C10 loss handling (coverage hole)")

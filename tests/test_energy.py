@@ -104,12 +104,13 @@ class TestLedger:
 
     def test_overdraw_clamps_and_kills(self):
         field = small_field([(0, 0)], energy=fj(0.001))
+        field.modes[0] = NodeMode.DETECT
         ledger = EnergyLedger(field, COSTS, RM)
         applied = ledger.debit(0, fj(0.012), "sense", 0)
         assert applied == fj(0.001)
         assert ledger.remaining(0) == 0
         assert not field.nodes[0].alive
-        assert field.nodes[0].mode is NodeMode.SLEEP
+        assert field.modes == {}  # dead, so out of the schedule
         assert ledger.debits[-1] == (0, 0, "sense", fj(0.001))
 
     def test_debiting_a_dead_node_keeps_the_alive_count(self):
@@ -120,7 +121,7 @@ class TestLedger:
         for reason in ("rx", "tx"):  # radio records can re-debit a dead node
             assert ledger.debit(0, fj(0.5), reason, 0) == 0
             assert field.n_alive == 1
-        assert field.awake == set()
+        assert field.modes == {}
 
     def test_unknown_node(self):
         ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
@@ -167,8 +168,9 @@ class TestLedger:
         assert ledger.total_remaining() == sum(levels)
         ledger.flush()
         assert ledger.debits == []
-        assert [(n.mode, n.remaining_energy, n.alive) for n in field.nodes] == [
-            (NodeMode.SLEEP, e, True) for e in levels]
+        assert [(n.remaining_energy, n.alive) for n in field.nodes] == [
+            (e, True) for e in levels]
+        assert field.common is SLEEP and field.modes == {}
 
     def test_replay_sum_oracle(self):
         # replaying the debit log reproduces the ledger exactly
@@ -407,7 +409,7 @@ class TestSettlementMatchesReference:
         for f in fields:
             for node, e in zip(f.nodes, energies):
                 node.remaining_energy = fj(e)
-            f.set_modes(range(len(f.nodes)), NodeMode.MONITOR)
+            f.modes = dict.fromkeys(range(len(f.nodes)), NodeMode.MONITOR)
         new, ref = (EnergyLedger(f, ModeCosts(wake_cost=wake_cost), RM) for f in fields)
         initial = sum(map(fj, energies))
         for slot, modes, outcomes, woken in slots:
@@ -415,8 +417,9 @@ class TestSettlementMatchesReference:
             reference_settle(ref, outcomes, modes, woken, slot)
             assert new.e_sx_total == ref.e_sx_total
             new.flush()
-            assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
-                    == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
+            assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
+                    == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
+            assert fields[0].modes == fields[1].modes
             for reason in ("tx", "rx"):
                 assert (debit_counts_by_reason(new, reason)
                         == debit_counts_by_reason(ref, reason))
@@ -509,8 +512,8 @@ class TestLazySettlement:
             assert fields[0].n_alive == fields[1].n_alive == alive
             if check:
                 new.flush()
-                assert ([(n.remaining_energy, n.alive, n.mode) for n in fields[0].nodes]
-                        == [(n.remaining_energy, n.alive, n.mode) for n in fields[1].nodes])
+                assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
+                        == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
                 assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
         assert new.total_remaining() == ref.total_remaining()
         assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
@@ -545,8 +548,8 @@ class TestLazySettlement:
         new.flush()
         assert ([n.remaining_energy for n in fields[0].nodes]
                 == [n.remaining_energy for n in fields[1].nodes])
-        assert ([(n.alive, n.mode) for n in fields[0].nodes]
-                == [(n.alive, n.mode) for n in fields[1].nodes])
+        assert ([n.alive for n in fields[0].nodes]
+                == [n.alive for n in fields[1].nodes])
         assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
 
     @settings(max_examples=40, deadline=None)
@@ -593,8 +596,8 @@ class TestLazySettlement:
         new.flush()
         assert ([n.remaining_energy for n in fields[0].nodes]
                 == [n.remaining_energy for n in fields[1].nodes])
-        assert ([(n.alive, n.mode) for n in fields[0].nodes]
-                == [(n.alive, n.mode) for n in fields[1].nodes])
+        assert ([n.alive for n in fields[0].nodes]
+                == [n.alive for n in fields[1].nodes])
         assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
 
     @settings(max_examples=40, deadline=None)

@@ -49,10 +49,10 @@ class TestDeploy:
         assert len(field.nodes) == 250
         for n in field.nodes:
             assert 0 <= n.pos.x <= 500 and 0 <= n.pos.y <= 500
-            assert n.mode is NodeMode.SLEEP
             assert n.remaining_energy == 5 * FJ and type(n.remaining_energy) is int
             assert n.alive
         assert [n.id for n in field.nodes] == list(range(250))
+        assert field.common is NodeMode.SLEEP and field.modes == {}
 
     def test_single_node(self):
         field = deploy(FieldConfig(n_nodes=1, seed=0))
@@ -87,6 +87,22 @@ class TestNodeField:
         with pytest.raises(ConfigError, match="initial level"):
             NodeField(cfg, layout_of([Point(0.0, 0.0), Point(1.0, 0.0)], cfg.r_s), level)
 
+    def test_rejects_a_layout_binned_at_another_side(self):
+        # its grid would answer range queries from cells of the wrong size
+        points = [Point(0.0, 0.0), Point(30.0, 0.0)]
+        with pytest.raises(ConfigError, match="layout binned at 60.0 m"):
+            NodeField(FieldConfig(n_nodes=2, r_s=25.0), layout_of(points, 60.0), FJ)
+
+    def test_kill_drops_the_node_from_the_schedule(self):
+        field = make_field([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
+        field.modes = {0: NodeMode.MONITOR, 1: NodeMode.DETECT}
+        field.kill(field.nodes[0])
+        field.kill(field.nodes[2])
+        assert field.modes == {1: NodeMode.DETECT} and field.common is NodeMode.SLEEP
+        assert field.n_alive == 1
+        field.kill(field.nodes[0])  # killing a dead node changes nothing
+        assert field.modes == {1: NodeMode.DETECT} and field.n_alive == 1
+
 
 def reference_deploy(config, initial_energy):
     """deploy() as a per-node loop that draws every position afresh; a node
@@ -96,8 +112,8 @@ def reference_deploy(config, initial_energy):
     for i in range(config.n_nodes):
         pos = Point(rng.uniform(0.0, config.area_width),
                     rng.uniform(0.0, config.area_height))
-        nodes.append(SensorNode(id=i, pos=pos, mode=NodeMode.SLEEP,
-                                remaining_energy=fj(initial_energy), alive=True))
+        nodes.append(SensorNode(id=i, pos=pos, remaining_energy=fj(initial_energy),
+                                alive=True))
     return nodes
 
 
@@ -116,7 +132,7 @@ def entry_ids(cells):
 
 
 def node_state(nodes):
-    return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.mode, n.remaining_energy,
+    return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.remaining_energy,
              type(n.remaining_energy), n.alive) for n in nodes]
 
 
@@ -145,7 +161,8 @@ class TestLayoutCache:
                     == [(n.id, n.pos.x.hex(), n.pos.y.hex()) for n in reference])
             assert entry_ids(field._cells) == reference_cells(reference, cfg.r_s)
             assert all(e is field._entries[e[0]] for cell in field._cells.values() for e in cell)
-            assert field.awake == set() and field.n_alive == cfg.n_nodes
+            assert field.common is NodeMode.SLEEP and field.modes == {}
+            assert field.n_alive == cfg.n_nodes
         info = _layout.cache_info()
         assert (info.hits, info.misses) == ((1, 3) if a != b else (3, 1))
         assert info.currsize == 1
@@ -159,13 +176,13 @@ class TestLayoutCache:
         untouched = node_state(two.nodes)
         grid = {key: list(cell) for key, cell in two._cells.items()}
         assert {id(n) for n in one.nodes}.isdisjoint(id(n) for n in two.nodes)
-        assert one.awake is not two.awake
-        one.set_mode(one.nodes[0], NodeMode.DETECT)
-        one.set_modes([3, 4], NodeMode.MONITOR)
+        assert one.modes is not two.modes
+        one.common = NodeMode.DETECT
+        one.modes.update({3: NodeMode.MONITOR, 4: NodeMode.MONITOR})
         one.kill(one.nodes[1])
         one.nodes[2].remaining_energy = fj(1.25)
         assert node_state(two.nodes) == untouched
-        assert two.awake == set() and two.n_alive == 300
+        assert two.common is NodeMode.SLEEP and two.modes == {} and two.n_alive == 300
         rng = random.Random(11)
         for field in (one, two):
             assert field._cells is two._cells and field._entries is two._entries
@@ -475,7 +492,8 @@ class TestEntryGrid:
         themselves, made of tuples only, equal to what layout_of bins over
         the same points."""
         fields = [deploy(cfg) for _ in range(3)]
-        points, entries, grid, blocks = _layout(cfg)
+        points, entries, grid, blocks, side = _layout(cfg)
+        assert side == cfg.r_s
         assert all(f._entries is entries and f._cells is grid and f._blocks is blocks
                    for f in fields)
         assert type(entries) is tuple and all(type(e) is tuple for e in entries)
@@ -488,21 +506,21 @@ class TestEntryGrid:
     @settings(max_examples=60, deadline=None)
     @given(field_configs(), st.data())
     def test_deployed_state_equals_a_scan(self, cfg, data):
-        """deploy() sets `awake` and `n_alive` without scanning; after mode
-        changes and deaths they equal the scans."""
+        """deploy() sets `n_alive` without scanning; after deaths it equals
+        the scan, and the schedule's map holds only the alive nodes."""
         field = deploy(cfg)
         ids = st.integers(0, cfg.n_nodes - 1)
-        for nid in data.draw(st.lists(ids, max_size=5)):
-            field.set_mode(field.nodes[nid], data.draw(st.sampled_from(list(NodeMode))))
+        scheduled = data.draw(st.lists(ids, max_size=5))
+        field.modes = dict.fromkeys(scheduled, NodeMode.MONITOR)
         for nid in data.draw(st.lists(ids, max_size=3)):
             field.kill(field.nodes[nid])
-        assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
+        assert set(field.modes) == {nid for nid in scheduled if field.nodes[nid].alive}
         assert field.n_alive == sum(n.alive for n in field.nodes)
 
     @settings(max_examples=100, deadline=None)
     @given(field_configs())
     def test_layout_points_equal_checked_points(self, cfg):
-        points, entries, _, _ = _layout(cfg)
+        points, entries, *_ = _layout(cfg)
         for p, (_, x, y) in zip(points, entries):
             q = Point(x, y)
             assert type(p) is Point and (p.x, p.y) == (x, y)

@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
                            MacService, MetricCounters, NodeField, NodeMode, Point,
@@ -178,6 +178,15 @@ class TestBaseline:
         report = run(replace(cfg, method="baseline"))
         # no node dies in 80 slots, so the awake count is the node count
         assert report.per_slot_awake == [80] * 80
+
+    def test_step_returns_the_all_active_schedule(self):
+        cfg = small_cfg(seed=0, slots=1)
+        field = deploy(cfg.field, cfg.mode_costs.initial_energy)
+        mac = MacService(cfg.slots, random.Random(0))
+        for target in (Point(-1000.0, -1000.0), field.nodes[0].pos):
+            res = harness._baseline_step(TrackerState(), field, target, mac, 0)
+            assert res.common is NodeMode.DETECT and res.modes == {}
+            assert not res.woken and not res.wake_targets
 
     def test_step_tracks_from_the_first_detection_on(self):
         cfg = small_cfg(seed=0, slots=3)
@@ -450,24 +459,82 @@ class TestSweepGoldens:
             "41a4fd039a4fc8206641d35de9a449070703204644416b201581c77189ac51cc")
 
 
-@pytest.mark.parametrize("method", ["proposed", "baseline"])
-@pytest.mark.parametrize("energy", [5.0, 0.05])
-def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
-    settled = []
+small_runs = st.builds(
+    lambda method, seed, n_nodes, energy: replace(
+        small_cfg(seed=seed, slots=200, n_nodes=n_nodes), method=method,
+        mode_costs=replace(default_scenario().mode_costs, initial_energy=energy)),
+    st.sampled_from(["proposed", "baseline"]), st.integers(0, 2**16),
+    st.sampled_from([80, 250]), st.sampled_from([5.0, 0.3, 0.05]))
 
+
+@settings(max_examples=16, deadline=None)
+@given(small_runs)
+def test_a_step_leaves_the_schedule_and_the_nodes_unchanged(cfg):
+    """A step reads the slot body's schedule and returns the next one in a
+    fresh dict: the field keeps its common mode, its very map with the same
+    contents, and every alive flag."""
+    calls = []
+
+    def guarded(step):
+        def call(tracker, field, *args, **kwargs):
+            common, modes, contents = field.common, field.modes, dict(field.modes)
+            alive = [n.alive for n in field.nodes]
+            res = step(tracker, field, *args, **kwargs)
+            assert field.common is common and field.modes is modes and modes == contents
+            assert [n.alive for n in field.nodes] == alive
+            assert res.modes is not modes
+            calls.append(res)
+            return res
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "tracking_step", guarded(harness.tracking_step))
+        mp.setattr(harness, "_baseline_step", guarded(harness._baseline_step))
+        report = run(cfg)
+    assert len(calls) == report.slots
+
+
+def schedule_checked(scanned):
+    """A `settle_slot` that checks the schedule around each call and appends
+    a scan of the slot body's awake count to `scanned`."""
     def checked(ledger, outcomes, slot_modes, woken, slot, *, common):
         # the ledger logs an outcome's records at the outcome's own slot
         assert all(out.slot == slot for out in outcomes)
+        nodes = ledger.field.nodes
+        assert all(nodes[i].alive for i in slot_modes)
+        scanned.append(sum(n.alive and slot_modes.get(n.id, common) is not NodeMode.SLEEP
+                           for n in nodes))
         settle_slot(ledger, outcomes, slot_modes, woken, slot, common=common)
         field = ledger.field
-        assert field.awake == {n.id for n in field.nodes if n.mode is not NodeMode.SLEEP}
-        assert field.n_alive == sum(n.alive for n in field.nodes)
-        settled.append(len(field.awake))
+        assert all(nodes[i].alive and m is not NodeMode.SLEEP and m is not field.common
+                   for i, m in field.modes.items())
+        assert field.n_alive == sum(n.alive for n in nodes)
+    return checked
 
-    monkeypatch.setattr(harness, "settle_slot", checked)
+
+@settings(max_examples=16, deadline=None)
+@given(small_runs)
+def test_schedule_after_every_slot_holds_alive_exceptions_only(cfg):
+    """After every slot of run(), each id in `field.modes` is an alive node in
+    neither sleep nor the common mode, and `per_slot_awake` equals a scan of
+    the slot body's schedule."""
+    scanned = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "settle_slot", schedule_checked(scanned))
+        report = run(cfg)
+    assert report.per_slot_awake == scanned and len(scanned) == 200
+
+
+@pytest.mark.parametrize("method", ["proposed", "baseline"])
+@pytest.mark.parametrize("energy", [5.0, 0.05])
+def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
+    """The same checks on three fixed 200-slot runs per method and battery,
+    one with full batteries and one where nodes run dry."""
     for seed in range(3):
+        scanned = []
+        monkeypatch.setattr(harness, "settle_slot", schedule_checked(scanned))
         cfg = small_cfg(seed=seed, slots=200)
         cfg = replace(cfg, method=method,
                       mode_costs=replace(cfg.mode_costs, initial_energy=energy))
-        run(cfg)
-    assert len(settled) == 600
+        report = run(cfg)
+        assert report.per_slot_awake == scanned and len(scanned) == 200

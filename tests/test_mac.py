@@ -7,9 +7,9 @@ from collections import Counter, deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsn_track_sim import (ConfigError, Frame, FrameKind, MacError,
+from wsn_track_sim import (ConfigError, Frame, FrameKind, MacError, MacService,
                            SlotConfig, SlotOutcome, drain_queue, transmit)
-from wsn_track_sim.mac import data_window, on_air_bits
+from wsn_track_sim.mac import on_air_bits
 
 
 class ScriptedRng:
@@ -215,7 +215,7 @@ class TestDataWindow:
         f1, f2, f3 = (data_frame(src=s, dst=9) for s in (1, 2, 3))
         queues = {1: deque([f1]), 2: deque([f2]), 3: deque([f3])}
         rng = ScriptedRng([0.9, 0.9, 0.9, 0.9, 0.9, 0.9])  # nobody ever transmits
-        outs, dropped = data_window(queues, 4, cfg, rng)
+        outs, dropped = MacService(cfg, rng).data_window(queues, 4)
         assert len(outs) == 2
         assert {f.src for f in dropped} == {1, 2, 3}
         assert not any(queues.values())
@@ -223,7 +223,7 @@ class TestDataWindow:
     def test_single_sender_usually_delivers(self):
         cfg = SlotConfig(p_persist=0.5, max_retries=5)
         frame = data_frame(src=1, dst=2, slot=7)
-        outs, dropped = data_window({1: deque([frame])}, 7, cfg, random.Random(0))
+        outs, dropped = MacService(cfg, random.Random(0)).data_window({1: deque([frame])}, 7)
         assert not dropped
         delivered = [f for o in outs for f, _ in o.delivered]
         assert delivered == [frame]
@@ -362,7 +362,7 @@ class TestDrainMatchesReference:
     def test_data_window(self, spec, cfg, slot, seed):
         queues, frames = build_queues(spec)
         rng = CountingRng(seed)
-        outs, dropped = data_window(queues, slot, cfg, rng)
+        outs, dropped = MacService(cfg, rng).data_window(queues, slot)
         ref_queues, ref_frames = build_queues(spec)
         ref_rng = CountingRng(seed)
         ref, ref_dropped = reference_window(ref_queues, slot, cfg, ref_rng)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,16 +11,28 @@ from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            StateError, TrackerState, elect_representative,
                            estimate_position, generate_trace, layout_of,
                            predicted_region, tracking_step, wake_set)
-from wsn_track_sim import protocol
+from wsn_track_sim import default_scenario, protocol, run
 from wsn_track_sim.energy import FJ
 from wsn_track_sim.mac import MacService, SlotConfig
-from wsn_track_sim.mobility import observed_speed
+from wsn_track_sim.mobility import TraceRow, observed_speed
 
 
 def make_field(positions, r_s=25.0, r_c=50.0, area=1000.0, energy=5 * FJ):
     cfg = FieldConfig(area_width=area, area_height=area,
                       n_nodes=len(positions), r_s=r_s, r_c=r_c, seed=0)
     return NodeField(cfg, layout_of([Point(*p) for p in positions], r_s), energy)
+
+
+def detecting(field):
+    """`field` under run()'s schedule before the first slot: every alive node detects."""
+    field.common = NodeMode.DETECT
+    return field
+
+
+def awake_in(field):
+    """A scan for the alive nodes that the field's schedule keeps awake."""
+    return {n.id for n in field.nodes
+            if n.alive and field.modes.get(n.id, field.common) is not NodeMode.SLEEP}
 
 
 def mac(p_persist=1.0, seed=0):
@@ -147,7 +160,7 @@ class TestWakeSet:
 
 class TestTrackingStep:
     def test_singleton_field_episode(self):
-        field = make_field([(100, 100)])
+        field = detecting(make_field([(100, 100)]))
         res = tracking_step(TrackerState(), field, Point(100, 110), mac(), 0,
                             speed_prior=20.0)
         assert res.tracker.episode is Episode.TRACKING
@@ -155,25 +168,30 @@ class TestTrackingStep:
         assert res.tracker.closest == ClosestPair(0, 10.0)
         assert res.tracker.est_pos == Point(100, 100)
         assert res.frames_sent == 0  # no second node to notify
-        assert field.nodes[0].mode is NodeMode.MONITOR
+        assert res.common is NodeMode.SLEEP and res.modes == {0: NodeMode.MONITOR}
 
     def test_acquisition_wakes_whole_field(self):
-        field = make_field([(0, 0), (400, 400), (800, 800)])
+        positions = [(0, 0), (400, 400), (800, 800)]
+        field = detecting(make_field(positions))
         res = tracking_step(TrackerState(), field, Point(600, 600), mac(), 0)
         # nobody in range: still idle, everybody keeps sensing
         assert res.tracker.episode is Episode.IDLE
         assert res.common is NodeMode.DETECT
-        assert res.slot_modes == {}
-        assert res.n_awake == 3
-        assert all(n.mode is NodeMode.DETECT for n in field.nodes)
+        assert res.modes == {} and res.modes is not field.modes
+        # run() puts a fresh, all-asleep field in DETECT before slot 0, and it stays there
+        fresh = make_field(positions)
+        cfg = replace(default_scenario(max_slots=3), field=fresh.config)
+        trace = [TraceRow(k, 600.0, 600.0, 0.0) for k in range(3)]
+        assert run(cfg, trace=trace, field=fresh).per_slot_awake == [3, 3, 3]
 
     def test_loss_sleeps_everyone(self):
-        field = make_field([(0, 0), (30, 0), (60, 0)])
+        field = detecting(make_field([(0, 0), (30, 0), (60, 0)]))
         first = tracking_step(TrackerState(), field, Point(15, 0), mac(), 0)
         assert first.tracker.episode is Episode.TRACKING
+        field.common, field.modes = first.common, first.modes
         res = tracking_step(first.tracker, field, Point(500, 500), mac(), 1)
         assert res.tracker.episode is Episode.LOST
-        assert all(n.mode is NodeMode.SLEEP for n in field.nodes)
+        assert res.common is NodeMode.SLEEP and res.modes == {}
 
     def test_lost_step_with_nobody_awake_detects_nothing(self, monkeypatch):
         # node 1 is alive and covers the target, but sleeps; with nobody
@@ -187,13 +205,14 @@ class TestTrackingStep:
         res = tracking_step(TrackerState(episode=Episode.LOST), field,
                             Point(100, 10), mac(), 7)
         assert res.tracker.episode is Episode.LOST
-        assert res.detectors == set() and res.n_awake == 0
-        assert field.nodes[1].alive and field.nodes[1].mode is NodeMode.SLEEP
+        assert res.detectors == set()
+        assert res.common is NodeMode.SLEEP and res.modes == {}
+        assert field.nodes[1].alive
 
     def test_notice_failure_skips_wake_messages(self):
         # representative (lowest id) is not in the closest pair; the notice
         # never gets through, so nobody broadcasts wake calls
-        field = make_field([(24, 0), (2, 0), (4, 0), (200, 0), (210, 0)])
+        field = detecting(make_field([(24, 0), (2, 0), (4, 0), (200, 0), (210, 0)]))
         dead_mac = MacService(SlotConfig(p_persist=0.5), NeverTransmitRng())
         res = tracking_step(TrackerState(), field, Point(0, 0), dead_mac, 0)
         assert res.tracker.representative == 0
@@ -202,15 +221,14 @@ class TestTrackingStep:
         assert not any(out.delivered for out in res.outcomes)
         assert res.frames_sent == 1  # counted as sent, never delivered
         # detectors stay awake as monitors; pair kept awake; rest sleep
-        assert field.nodes[0].mode is NodeMode.MONITOR
-        assert field.nodes[3].mode is NodeMode.SLEEP
+        assert res.modes[0] is NodeMode.MONITOR
+        assert res.common is NodeMode.SLEEP and 3 not in res.modes
 
     def test_wake_cost_only_for_sleepers(self):
         # node 2 is already awake: it hears the wake call but pays no wake-up
         # cost; node 3 sleeps at 35 m and gets woken (region 15 + r_s 25 = 40)
         field = make_field([(0, 0), (10, 0), (30, 0), (40, 0)])
-        for n in field.nodes[:3]:
-            field.set_mode(n, NodeMode.DETECT)
+        field.modes = dict.fromkeys(range(3), NodeMode.DETECT)
         tracker = TrackerState(episode=Episode.TRACKING, est_pos=Point(15, 0),
                                est_speed=10.0, closest=ClosestPair(0, 5.0, 1, 5.0))
         res = tracking_step(tracker, field, Point(5, 0), mac(), 1)
@@ -218,17 +236,7 @@ class TestTrackingStep:
         assert res.tracker.est_speed == 10.0
         assert res.wake_targets == {2, 3}
         assert res.woken == {3}
-        assert field.nodes[2].mode is NodeMode.MONITOR  # it detects the target
-
-
-def awake_during(res, field):
-    """Nodes awake in the slot body: the map's nodes not asleep, plus every
-    other alive node when the slot's common mode is not sleep."""
-    awake = {nid for nid, m in res.slot_modes.items() if m is not NodeMode.SLEEP}
-    if res.common is not NodeMode.SLEEP:
-        awake |= {n.id for n in field.alive_nodes() if n.id not in res.slot_modes}
-    assert len(awake) == res.n_awake
-    return awake
+        assert res.modes[2] is NodeMode.MONITOR  # it detects the target
 
 
 def reference_schedule(positions, r_s, r_c, trace, alpha, floor, prior):
@@ -297,20 +305,22 @@ class TestAgainstReferenceSchedule:
         trace = [(10.0 + 15.0 * k, 50.0) for k in range(20)]
         r_s, r_c, alpha, floor, prior = 25.0, 55.0, 1.5, 0.1, 20.0
 
-        field = make_field([positions[i] for i in range(10)], r_s=r_s, r_c=r_c)
+        field = detecting(make_field([positions[i] for i in range(10)], r_s=r_s, r_c=r_c))
         service = mac(p_persist=1.0)  # ideal channel: notice always lands
         tracker = TrackerState()
         expected = reference_schedule(positions, r_s, r_c, trace, alpha, floor, prior)
 
         saw_tracking = saw_loss = False
         for k, (x, y) in enumerate(trace):
+            awake = awake_in(field)
             res = tracking_step(tracker, field, Point(x, y), service, k,
                                 alpha=alpha, radius_floor_frac=floor,
                                 speed_prior=prior)
             tracker = res.tracker
+            field.common, field.modes = res.common, res.modes
             ep, during, dets, rep = expected[k]
             assert tracker.episode.value == ep, f"slot {k}"
-            assert awake_during(res, field) == during, f"slot {k}"
+            assert awake == during, f"slot {k}"
             assert res.detectors == dets, f"slot {k}"
             if rep is not None:
                 assert tracker.representative == rep, f"slot {k}"
@@ -324,23 +334,24 @@ class TestInvariants:
     def test_awake_subset_and_representative_rule(self):
         fc = FieldConfig(n_nodes=120, seed=21)
         from wsn_track_sim.field import deploy
-        field = deploy(fc, 100.0)  # plenty of battery: isolate scheduling
+        field = detecting(deploy(fc, 100.0))  # plenty of battery: isolate scheduling
         trace = generate_trace(MobilityConfig(seed=21), fc, 400)
         service = mac(p_persist=1.0, seed=2)
         tracker = TrackerState()
         prev = None  # (detectors, wake recipients, pair)
         for k, row in enumerate(trace):
+            awake = awake_in(field)
             res = tracking_step(tracker, field, Point(row.x, row.y), service, k,
                                 speed_prior=20.0)
             tracker = res.tracker
-            awake = awake_during(res, field)
+            field.common, field.modes = res.common, res.modes
             if prev is not None and tracker.episode is Episode.TRACKING:
                 dets_prev, wake_prev, pair_prev = prev
                 assert awake <= dets_prev | wake_prev | pair_prev
             if res.detectors:
                 assert tracker.representative == min(res.detectors)
             if tracker.episode is Episode.LOST:
-                assert all(n.mode is NodeMode.SLEEP for n in field.alive_nodes())
+                assert field.common is NodeMode.SLEEP and not field.modes
                 break
             pair_ids = set(tracker.closest.ids()) if tracker.closest else set()
             prev = (set(res.detectors), set(res.wake_targets), pair_ids)
