@@ -11,20 +11,21 @@ nodes, whose ids are their positions in the field. Every fJ leaves a node
 through debit()'s clamp at zero, which kills the node; settle_slot repeats its
 operations inline for platform costs, _charge_outcomes for the radio records
 of a slot's or a whole drain's outcomes.
-The append-only log holds one record per run of same-mode slots of a node plus
-one per radio or wake debit, so conservation checks can sum it and tx/rx
-records reconcile with the MAC.
+Platform costs add up in three sums, by the mode of the slots they pay for
+(sleep, sense, comm); the append-only log holds one record per radio, wake or
+direct debit, so tx/rx records reconcile with the MAC. Conservation checks
+add the sums to the log's amounts.
 
 Each slot has a common mode, the one mode of every alive node outside the
 slot's mode map: sleep while the proposed method tracks, detect while the
 whole field senses. A node that stays in the common mode from one slot to the
 next is charged lazily: the network total still takes the mode's cost in
-every slot, but the node's level and its open record catch up, by the cost
-times the slots owed, only when something reads or debits them. Sums of ints
-are exact, so every level, record and total equals a per-slot charge of every
-node. A lazy slot with no node outside the common mode in it or the slot
-before, as in every all-active slot and every dormant slot after a loss, visits
-no node: its platform charge is the cost times the alive count, O(1) in N.
+every slot, but the node's level and the mode's sum catch up, by the cost
+times the slots owed, only when something reads or debits the node. Sums of
+ints are exact, so every level, sum and total equals a per-slot charge of
+every node. A lazy slot visits only the nodes outside the common mode in it;
+with none, as in every all-active slot and every dormant slot after a loss,
+its platform charge is the cost times the alive count, O(1) in N.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def _safe_slots(level: int, cost: int) -> int | float:
 
 
 class EnergyLedger:
-    """Battery bookkeeping of one run, in whole fJ, with an append-only
-    interval debit log.
+    """Battery bookkeeping of one run, in whole fJ: platform sums and an
+    append-only debit log.
 
     A ledger is bound to its field, mode costs and radio model when it is
     built, and rounds its mode costs to fJ there. Levels live on the
@@ -106,61 +107,55 @@ class EnergyLedger:
     and dropped to sleep. Every level, amount and total is an int of fJ;
     callers that report joules divide by `FJ`.
 
-    A log record is `(first_slot, node, reason, applied_fJ)`. A platform record
-    ("sleep", "sense", "comm") covers one node's run of consecutive slots in
-    one mode; it is a list, because its applied amount grows in place while
-    the run lasts. Every other debit ("tx", "rx", "wake", or a direct debit()
-    call) is a tuple of its own, so radio records count one per MAC operation.
-    The applied amounts sum to the energy drawn.
+    `platform` holds the fJ that settle_slot drew in sleep, sense and comm
+    slots, in that order. The log, `debits`, holds one `(slot, node, reason,
+    applied_fJ)` tuple per other debit: "tx", "rx", "wake", or a direct
+    debit() call, so radio records count one per MAC operation. The fJ of a
+    reason are its platform sum, if it has one, plus its log amounts, and
+    `sum(platform)` plus all log amounts is the energy drawn, `e_sx_total`.
 
     A node in the common mode that settle_slot did not visit still owes that
-    mode's charges since its run's last slot. remaining(), debit() and a visit
+    mode's charges since the last slot it paid for. debit() and a visit
     collect them from one node; flush() and total_remaining() from every node.
-    Read `SensorNode.remaining_energy` or an open platform record's amount
-    directly only after flush().
+    Read `SensorNode.remaining_energy` or `platform` directly only after
+    flush().
     """
 
     def __init__(self, field: NodeField, costs: ModeCosts, radio: RadioModel):
         self.field, self.costs, self.radio = field, costs, radio
-        # each mode's per-slot platform charge, (fJ, debit reason), after its
-        # mode (monitor's last): settle_slot picks one by `is` tests, which
+        # each mode's per-slot platform charge, (fJ, index in `platform`), after
+        # its mode (monitor's last): settle_slot picks one by `is` tests, which
         # cost less than a NodeMode-keyed lookup's hash
-        self._charges = (NodeMode.SLEEP, (fj(costs.sleep_per_slot), "sleep"),
-                         NodeMode.DETECT, (fj(costs.sense_per_slot), "sense"),
-                         (fj(costs.comm_per_slot), "comm"))
+        self._charges = (NodeMode.SLEEP, (fj(costs.sleep_per_slot), 0),
+                         NodeMode.DETECT, (fj(costs.sense_per_slot), 1),
+                         (fj(costs.comm_per_slot), 2))
         self._wake = fj(costs.wake_cost)
-        self.debits: list[tuple | list] = []
-        self.e_sx_total = 0  # running network total, fJ; == sum of applied debits
-        # per node id: [record, last slot, mode] of its latest platform record
-        self._runs = [[None, -1, None] for _ in field.nodes]
+        self.platform = [0, 0, 0]  # fJ drawn in sleep, sense and comm slots
+        self.debits: list[tuple] = []
+        self.e_sx_total = 0  # running network total, fJ; see the class docstring
+        self._paid = [-1] * len(field.nodes)  # per node id: the last slot it paid for
         self._through = -1        # last settled slot
         self._common = None       # the common mode of the lazy nodes
-        self._cost = None         # its per-slot cost, which the lazy nodes owe
+        self._cost = None         # its per-slot cost, which the lazy nodes owe,
+        self._at = None           # and its index in `platform`
         self._horizon = -1        # last slot in which no lazy node can die
-        self._last_awake = ()     # ids in the last settled slot's mode map
         self._tx_costs: dict = {}  # tx record -> fJ; positions and radio are fixed
         self._rx_costs: dict = {}  # rx bits -> fJ
 
     def _catch_up(self, node) -> None:
-        """Charge a lazy node the common-mode slots it owes since its run's last slot."""
-        run = self._runs[node.id]
-        owed = self._through - run[1]
+        """Charge a lazy node the common-mode slots it owes since the last one it paid for."""
+        owed = self._through - self._paid[node.id]
         if owed > 0 and node.alive:
             charge = owed * self._cost
             node.remaining_energy -= charge
-            run[0][3] += charge
-            run[1] = self._through
+            self.platform[self._at] += charge
+            self._paid[node.id] = self._through
 
     def flush(self) -> None:
-        """Bring every node's level and open record up to the last settled slot."""
+        """Bring every node's level, and `platform`, up to the last settled slot."""
         if self._cost is not None:  # else no slot settled yet: nothing is owed
             for node in self.field.nodes:
                 self._catch_up(node)
-
-    def remaining(self, node_id: int) -> int:
-        node = self.field.node(node_id)
-        self._catch_up(node)
-        return node.remaining_energy
 
     def total_remaining(self) -> int:
         self.flush()
@@ -172,7 +167,7 @@ class EnergyLedger:
             raise ValueError(f"debit amount must be a non-negative int of fJ, got {amount!r}")
         node = self.field.node(node_id)
         cost = self._cost  # None until a slot is settled: no lazy nodes
-        if cost is not None and self._runs[node_id][1] < self._through:
+        if cost is not None and self._paid[node_id] < self._through:
             self._catch_up(node)
         current = node.remaining_energy
         applied = amount if amount <= current else current
@@ -197,7 +192,7 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
     an rx record's only on its bits, so the ledger rounds each to fJ once and
     keeps it.
     """
-    field, rm, log, runs = ledger.field, ledger.radio, ledger.debits, ledger._runs
+    field, rm, log, paid = ledger.field, ledger.radio, ledger.debits, ledger._paid
     nodes, tx_costs, rx_costs = field.nodes, ledger._tx_costs, ledger._rx_costs
     n_nodes = len(nodes)
     cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
@@ -221,7 +216,7 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
                 amount = rx_costs.get(bits)
                 if amount is None:
                     amount = rx_costs[bits] = fj(rx_energy(bits, rm))
-            if cost is not None and runs[nid][1] < through:
+            if cost is not None and paid[nid] < through:
                 ledger._catch_up(node)
             current = node.remaining_energy
             applied = amount if amount <= current else current
@@ -248,46 +243,38 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     `slot_modes` holds the slot-body mode of each node not in the slot's
     `common` mode; every other alive node spent the slot body in `common`.
     `woken` lists nodes pulled out of sleep by a wake message this slot.
-    Platform costs are charged inline, in field order, with debit()'s
-    operations, so levels, deaths and totals match a per-node debit() loop.
+    Platform costs are charged inline, with debit()'s operations, to the
+    levels and to `ledger.platform`, so levels, deaths and totals match a
+    per-node debit() loop.
     Radio charges follow the MAC outcome records, logged at each outcome's
     slot, which is this one, so the ledger's tx/rx debit counts reconcile
     exactly with the MAC's own counters.
 
-    Only the nodes in this slot's or the last slot's map are visited; the
-    total takes the common mode's cost times the alive nodes not visited,
-    and those nodes pay later (see EnergyLedger). With both maps empty, as in
-    every all-active slot and every dormant slot after a loss, that is the
-    whole platform charge: O(1), whatever the field's size. Every node is visited
-    instead after a skipped slot, a change of common mode, or in the slot in
-    which a lazy node dies.
+    Only the nodes in this slot's map are visited; the total takes the common
+    mode's cost times the alive nodes not visited, and those nodes pay later
+    (see EnergyLedger), a node that left the map since its last visit too.
+    With the map empty, as in every all-active slot and every dormant slot
+    after a loss, that is the whole platform charge: O(1), whatever the
+    field's size. Every node is visited instead after a skipped slot, in the
+    slot in which a lazy node dies, and at a change of common mode, so that
+    the cost a lazy node owes never changes.
     """
     sleep, asleep, detect, sensing, monitoring = ledger._charges
-    c = (asleep if common is sleep else sensing if common is detect else monitoring)[0]
-    field, log, runs = ledger.field, ledger.debits, ledger._runs
-    nodes, last_awake = field.nodes, ledger._last_awake
-    total, through = ledger.e_sx_total, ledger._through
-    prev = slot - 1
-    lazy = prev == through and common is ledger._common and slot <= ledger._horizon
-    if not lazy:
-        order = range(len(nodes))
-    elif slot_modes or last_awake:
-        order = sorted({*slot_modes, *last_awake})
-    else:
-        order = ()
+    c, at = asleep if common is sleep else sensing if common is detect else monitoring
+    field, platform, paid = ledger.field, ledger.platform, ledger._paid
+    nodes, total, through = field.nodes, ledger.e_sx_total, ledger._through
+    lazy = slot - 1 == through and common is ledger._common and slot <= ledger._horizon
     unvisited = field.n_alive  # alive nodes the walk below does not visit
     low = math.inf  # lowest level a visited node keeps
-    for i in order:
+    for i in tuple(slot_modes) if lazy else range(len(nodes)):  # a kill() may edit the map
         node = nodes[i]
         if not node.alive:
             continue
         unvisited -= 1
-        run = runs[i]
-        if run[1] < through:
+        if paid[i] < through:
             ledger._catch_up(node)
         mode = slot_modes.get(i, common)
-        charge = asleep if mode is sleep else sensing if mode is detect else monitoring
-        amount = charge[0]
+        amount, k = asleep if mode is sleep else sensing if mode is detect else monitoring
         current = node.remaining_energy
         applied = amount if amount <= current else current
         level = current - applied
@@ -297,13 +284,9 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
         elif level < low:
             low = level
         node.remaining_energy = level
+        platform[k] += applied
         total += applied
-        if run[1] == prev and run[2] is mode:
-            run[0][3] += applied
-        else:
-            run[0], run[2] = [slot, i, charge[1], applied], mode
-            log.append(run[0])
-        run[1] = slot
+        paid[i] = slot
     if lazy:
         total += c * unvisited
     ledger.e_sx_total = total
@@ -311,8 +294,7 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     # alive when `low` stayed infinite
     horizon = slot + _safe_slots(low, c) if low < math.inf else math.inf
     ledger._horizon = min(ledger._horizon, horizon) if lazy else horizon
-    ledger._through, ledger._common, ledger._cost = slot, common, c
-    ledger._last_awake = tuple(slot_modes) if slot_modes else ()
+    ledger._through, ledger._common, ledger._cost, ledger._at = slot, common, c, at
     if outcomes:
         _charge_outcomes(ledger, outcomes)
     if woken:

@@ -135,10 +135,11 @@ class NodeField:
     """A deployed field: ordered node list, sleep schedule, and the config
     that produced it.
 
-    The constructor builds one fresh node per point of `layout`: node i, at
-    the i-th point, asleep and alive with a battery of `level` fJ. A node's
-    id is thus its position in `nodes`. Range queries read the layout's
-    entries, grid and blocks, whose cell side must be the config's r_s.
+    The constructor builds one fresh node per point of `layout`, which must
+    hold the config's n_nodes points: node i, at the i-th point, asleep and
+    alive with a battery of `level` fJ. A node's id is thus its position in
+    `nodes`. Range queries read the layout's entries, grid and blocks, whose
+    cell side must be the config's r_s.
 
     The schedule is `common`, the mode of every alive node outside `modes`,
     and `modes`, which maps each alive node in another mode to that mode;
@@ -153,6 +154,9 @@ class NodeField:
             raise ConfigError(f"initial level {level!r} is not an int of at least 1 fJ")
         if layout.side != config.r_s:
             raise ConfigError(f"layout binned at {layout.side} m, but r_s is {config.r_s} m")
+        if len(layout.points) != config.n_nodes:
+            raise ConfigError(f"layout of {len(layout.points)} points, "
+                              f"but n_nodes is {config.n_nodes}")
         self.nodes: list[SensorNode] = [SensorNode(i, p, level, True)
                                         for i, p in enumerate(layout.points)]
         self.config = config

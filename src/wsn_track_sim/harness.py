@@ -110,11 +110,15 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         field: NodeField | None = None) -> RunReport:
     """Execute one scenario and aggregate its report.
 
-    `trace` and `field` exist for paired comparisons and constructed test
-    scenarios; left unset, both are derived from the scenario's seeds.
+    `trace` serves paired comparisons, and both `trace` and `field` serve
+    constructed scenarios; left unset, each is derived from the scenario's
+    seeds. A given field must have been built for `cfg.field`, since the
+    report and the coverage test read that config.
     """
     if field is None:
         field = deploy(cfg.field, cfg.mode_costs.initial_energy)
+    elif field.config != cfg.field:
+        raise ConfigError(f"field built for {field.config}, but the scenario's is {cfg.field}")
     if trace is None:
         trace = generate_trace(cfg.mobility, cfg.field, cfg.max_slots)
     n_slots = min(cfg.max_slots, len(trace))
@@ -204,7 +208,7 @@ def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: int,
     """A report whose config, energy, PDR, delay and conservation fields are
     derived alike for every run, from the ledger's fJ; `fields` holds the rest."""
     final_energy = ledger.total_remaining()
-    applied = sum(d[3] for d in ledger.debits)
+    applied = sum(ledger.platform) + sum(d[3] for d in ledger.debits)
     return RunReport(
         method=cfg.method,
         seed=cfg.seed,

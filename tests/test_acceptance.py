@@ -256,12 +256,12 @@ def test_c10_loss_handling():
     empty awake set at the loss slot."""
     n = 20
     positions = [(5.0 + 10.0 * i, 100.0) for i in range(n)]  # covered to x=220
-    fc = FieldConfig(n_nodes=n, seed=0)
+    cfg = replace(default_scenario(max_slots=20),
+                  field=replace(default_scenario().field, n_nodes=n))
+    fc = cfg.field
     field = NodeField(fc, layout_of([Point(*p) for p in positions], fc.r_s), 5 * FJ)
     from wsn_track_sim.mobility import TraceRow
     trace = [TraceRow(k, 20.0 * k, 100.0, 20.0) for k in range(20)]
-    cfg = replace(default_scenario(max_slots=20),
-                  field=replace(default_scenario().field, n_nodes=n))
 
     report = run(cfg, trace=trace, field=field)
     assert report.lost_episodes >= 1

@@ -99,7 +99,8 @@ class TestLedger:
         field = small_field([(0, 0)])
         ledger = EnergyLedger(field, COSTS, RM)
         ledger.debit(0, fj(0.012), "sense", 0)
-        assert ledger.remaining(0) == fj(4.988) == 5 * FJ - 12 * 10**12
+        ledger.flush()
+        assert field.nodes[0].remaining_energy == fj(4.988) == 5 * FJ - 12 * 10**12
         assert field.nodes[0].alive
 
     def test_overdraw_clamps_and_kills(self):
@@ -108,7 +109,8 @@ class TestLedger:
         ledger = EnergyLedger(field, COSTS, RM)
         applied = ledger.debit(0, fj(0.012), "sense", 0)
         assert applied == fj(0.001)
-        assert ledger.remaining(0) == 0
+        ledger.flush()
+        assert field.nodes[0].remaining_energy == 0
         assert not field.nodes[0].alive
         assert field.modes == {}  # dead, so out of the schedule
         assert ledger.debits[-1] == (0, 0, "sense", fj(0.001))
@@ -184,8 +186,9 @@ class TestLedger:
         for _, node_id, _, applied in ledger.debits:
             replay_total += applied
             replay_level[node_id] -= applied
+        ledger.flush()
         for i in range(5):
-            assert max(replay_level[i], 0) == ledger.remaining(i)
+            assert max(replay_level[i], 0) == field.nodes[i].remaining_energy
         assert replay_total == ledger.e_sx_total
 
     def test_monotone_levels(self):
@@ -196,8 +199,9 @@ class TestLedger:
         for k in range(500):
             nid = rng.randrange(2)
             ledger.debit(nid, fj(rng.uniform(0, 0.05)), "x", k)
-            assert ledger.remaining(nid) <= last[nid]
-            last[nid] = ledger.remaining(nid)
+            ledger.flush()
+            assert field.nodes[nid].remaining_energy <= last[nid]
+            last[nid] = field.nodes[nid].remaining_energy
 
 
 class TestSettleSlot:
@@ -214,9 +218,11 @@ class TestSettleSlot:
         modes = {n.id: NodeMode.SLEEP for n in field.nodes}
         modes[0] = NodeMode.MONITOR
         settle_slot(ledger, [], modes, slot=3, common=SLEEP)
-        per_node = {nid: amt for _, nid, _, amt in ledger.debits}
-        assert per_node[0] == fj(0.0378)
-        assert all(per_node[i] == fj(0.00027) for i in range(1, 250))
+        assert ledger.platform == [249 * fj(0.00027), 0, fj(0.0378)]
+        assert ledger.debits == []
+        ledger.flush()
+        assert field.nodes[0].remaining_energy == 5 * FJ - fj(0.0378)
+        assert all(n.remaining_energy == 5 * FJ - fj(0.00027) for n in field.nodes[1:])
 
     def test_three_node_two_slot_hand_trace(self):
         # node 0 at origin, node 1 at distance exactly 50, node 2 far away
@@ -249,10 +255,15 @@ class TestSettleSlot:
                       + fj(0.0378))                                # monitor slot 1
         hand_node2 = fj(0.00027) + fj(0.001) + fj(0.012)           # sleep, wake-up, sense
 
-        assert 5 * FJ - ledger.remaining(0) == hand_node0
-        assert 5 * FJ - ledger.remaining(1) == hand_node1
-        assert 5 * FJ - ledger.remaining(2) == hand_node2
+        ledger.flush()
+        assert 5 * FJ - field.nodes[0].remaining_energy == hand_node0
+        assert 5 * FJ - field.nodes[1].remaining_energy == hand_node1
+        assert 5 * FJ - field.nodes[2].remaining_energy == hand_node2
         assert ledger.e_sx_total == hand_node0 + hand_node1 + hand_node2
+        # two slots of each mode; the log holds the four radio records and the wake-up
+        assert ledger.platform == [2 * fj(0.00027), 2 * fj(0.012), 2 * fj(0.0378)]
+        assert [d[1:3] for d in ledger.debits] == [(0, "tx"), (1, "rx"), (1, "tx"),
+                                                   (0, "rx"), (2, "wake")]
 
     def test_dead_nodes_pay_nothing(self):
         # ten nodes, so that the two slots with empty maps settle lazily and
@@ -268,13 +279,13 @@ class TestSettleSlot:
         for slot in (1, 2):
             settle_slot(ledger, [], {}, slot=slot, common=SLEEP)
         spent = initial - ledger.total_remaining()
-        assert spent == ledger.e_sx_total == sum(d[3] for d in ledger.debits)
-        assert ledger.remaining(1) == 0
+        assert spent == ledger.e_sx_total == sum(ledger.platform)
+        assert field.nodes[1].remaining_energy == 0 and ledger.debits == []
 
 
 def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
-    """Per-node debit() settlement: one log record per charge, as settle_slot
-    did before it booked platform costs inline as runs of slots. An alive
+    """Per-node debit() settlement: one log record per charge, platform
+    charges included, which settle_slot books as sums instead. An alive
     node absent from `slot_modes` spent the slot in `common`. Every charge
     is fj() of its cost in joules."""
     field, costs, rm = ledger.field, ledger.costs, ledger.radio
@@ -423,39 +434,33 @@ class TestSettlementMatchesReference:
             for reason in ("tx", "rx"):
                 assert (debit_counts_by_reason(new, reason)
                         == debit_counts_by_reason(ref, reason))
-            assert sum(d[3] for d in new.debits) == initial - new.total_remaining()
-        assert len(new.debits) <= len(ref.debits)
+            assert (new.platform, new.debits) == split_log(ref.debits)
+            assert sum(new.platform) + sum(d[3] for d in new.debits) == (
+                initial - new.total_remaining())
 
-    def test_runs_of_one_mode_share_a_record(self):
+    def test_platform_sums_by_the_mode_of_each_slot(self):
         field = small_field([(0, 0), (10, 0)])
         ledger = EnergyLedger(field, COSTS, RM)
         for slot, mode in enumerate([NodeMode.SLEEP] * 3 + [NodeMode.DETECT] * 2):
             settle_slot(ledger, [], {0: mode, 1: NodeMode.SLEEP}, slot=slot, common=SLEEP)
         settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=6, common=SLEEP)
-        assert [tuple(d[:3]) for d in ledger.debits] == [
-            (0, 0, "sleep"), (0, 1, "sleep"), (3, 0, "sense"), (6, 0, "sense"),
-            (6, 1, "sleep")]
-        assert ledger.debits[1][3] == 5 * fj(COSTS.sleep_per_slot)
+        s, d = fj(COSTS.sleep_per_slot), fj(COSTS.sense_per_slot)
+        # sleep: node 0 in slots 0-2, node 1 in 0-4 and 6; sense: node 0 in 3, 4 and 6
+        assert ledger.platform == [9 * s, 3 * d, 0]
+        assert ledger.debits == []
+        assert [n.remaining_energy for n in field.nodes] == [5 * FJ - 3 * s - 3 * d,
+                                                             5 * FJ - 6 * s]
 
 
 PLATFORM = ("sleep", "sense", "comm")
 
 
-def merged_runs(log):
-    """A per-slot log with each node's platform records merged into runs of
-    consecutive slots of one reason, amounts summed in slot order."""
-    merged, last = [], {}
-    for slot, nid, why, amount in log:
-        run = last.get(nid)
-        if why in PLATFORM and run and run[0][2] == why and run[1] == slot - 1:
-            run[0][3] += amount
-            run[1] = slot
-            continue
-        record = [slot, nid, why, amount]
-        if why in PLATFORM:
-            last[nid] = [record, slot]
-        merged.append(record)
-    return [tuple(r) for r in merged]
+def split_log(log):
+    """A per-node debit() log as the ledger keeps it: the platform records'
+    amounts summed by reason, in PLATFORM order, and every other record, in
+    order."""
+    sums = [sum(d[3] for d in log if d[2] == why) for why in PLATFORM]
+    return sums, [d for d in log if d[2] not in PLATFORM]
 
 
 @st.composite
@@ -514,9 +519,9 @@ class TestLazySettlement:
                 new.flush()
                 assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
                         == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
-                assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+                assert (new.platform, new.debits) == split_log(ref.debits)
         assert new.total_remaining() == ref.total_remaining()
-        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+        assert (new.platform, new.debits) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([0.004, 0.02, 5.0]),
@@ -550,7 +555,7 @@ class TestLazySettlement:
                 == [n.remaining_energy for n in fields[1].nodes])
         assert ([n.alive for n in fields[0].nodes]
                 == [n.alive for n in fields[1].nodes])
-        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+        assert (new.platform, new.debits) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]), st.floats(8.0, 60.0),
@@ -598,7 +603,7 @@ class TestLazySettlement:
                 == [n.remaining_energy for n in fields[1].nodes])
         assert ([n.alive for n in fields[0].nodes]
                 == [n.alive for n in fields[1].nodes])
-        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
+        assert (new.platform, new.debits) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(20, 90), st.integers(3, 40), st.data())
@@ -607,7 +612,8 @@ class TestLazySettlement:
         senses, both maps stay empty, and a radio charge kills a node now and
         then, so that a lazy slot directly follows a death. The nodes no
         radio record reaches are never visited after slot 0; every total,
-        death slot, level and record equals per-node debit() settlement."""
+        death slot, level, platform sum and record equals per-node debit()
+        settlement."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
         new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
         kills = data.draw(st.lists(st.tuples(st.integers(1, n_slots - 2), st.integers(0, n - 1)),
@@ -627,14 +633,14 @@ class TestLazySettlement:
             assert new.e_sx_total == ref.e_sx_total
             assert [n.alive for n in fields[0].nodes] == [n.alive for n in fields[1].nodes]
             assert fields[0].n_alive == fields[1].n_alive
-            assert new._last_awake == () and new._through == slot and new._common is DETECT
+            assert new._through == slot and new._common is DETECT
         assert fields[0].n_alive == n - len({victim for _, victim in kills})
-        assert all(new._runs[i][1] == 0 for i in range(n) if i not in touched)
+        assert all(new._paid[i] == 0 for i in range(n) if i not in touched)
         new.flush()
         assert ([n.remaining_energy for n in fields[0].nodes]
                 == [n.remaining_energy for n in fields[1].nodes])
-        assert [tuple(d) for d in new.debits] == merged_runs(ref.debits)
-        assert new.e_sx_total == sum(d[3] for d in new.debits)
+        assert (new.platform, new.debits) == split_log(ref.debits)
+        assert new.e_sx_total == sum(new.platform) + sum(d[3] for d in new.debits)
 
     def test_sleepers_pay_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
@@ -642,9 +648,30 @@ class TestLazySettlement:
         for slot in range(10):
             settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=slot, common=SLEEP)
         # slot 0 walked every node; slots 1-9 visited node 0 only
-        assert field.nodes[7].remaining_energy == 5 * FJ - fj(0.00027)
-        assert ledger.remaining(7) == 5 * FJ - 10 * fj(0.00027)
-        assert field.nodes[7].remaining_energy == ledger.remaining(7)
+        s, d = fj(0.00027), fj(0.012)
+        assert field.nodes[7].remaining_energy == 5 * FJ - s
+        assert ledger.platform == [39 * s, 10 * d, 0]
+        ledger.flush()
+        assert field.nodes[7].remaining_energy == 5 * FJ - 10 * s
+        assert ledger.platform == [390 * s, 10 * d, 0]
+        assert sum(ledger.platform) == ledger.e_sx_total
+
+    def test_a_node_that_leaves_the_map_pays_the_common_cost(self):
+        """Node 4 monitors in slot 1 only; no later slot visits it, yet it
+        owes exactly the common cost of each slot since."""
+        field = small_field([(i * 5.0, 0.0) for i in range(10)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        settle_slot(ledger, [], {}, slot=0, common=SLEEP)  # the first slot walks
+        settle_slot(ledger, [], {4: NodeMode.MONITOR}, slot=1, common=SLEEP)
+        s, m = fj(0.00027), fj(0.0378)
+        for slot in range(2, 6):
+            settle_slot(ledger, [], {}, slot=slot, common=SLEEP)
+            assert ledger._paid[4] == 1
+            assert field.nodes[4].remaining_energy == 5 * FJ - s - m
+        assert ledger.e_sx_total == 59 * s + m
+        ledger.flush()
+        assert field.nodes[4].remaining_energy == 5 * FJ - 5 * s - m
+        assert ledger.platform == [59 * s, 0, m] and ledger.debits == []
 
     def test_detecting_field_pays_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
@@ -653,9 +680,10 @@ class TestLazySettlement:
             settle_slot(ledger, [], {}, slot=slot, common=DETECT)
         assert ledger.e_sx_total == 400 * fj(0.012)
         assert field.nodes[7].remaining_energy == 5 * FJ - fj(0.012)  # only slot 0 walked it
-        assert ledger.remaining(7) == 5 * FJ - 10 * fj(0.012)
+        assert ledger.platform == [0, 40 * fj(0.012), 0]
         ledger.flush()
-        assert ledger.debits == [[0, i, "sense", 10 * fj(0.012)] for i in range(40)]
+        assert field.nodes[7].remaining_energy == 5 * FJ - 10 * fj(0.012)
+        assert ledger.platform == [0, 400 * fj(0.012), 0] and ledger.debits == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]),
@@ -678,6 +706,7 @@ class TestLazySettlement:
             ledgers[1]._catch_up(node)
         assert ([n.remaining_energy for n in fields[0].nodes]
                 == [n.remaining_energy for n in fields[1].nodes])
+        assert ledgers[0].platform == ledgers[1].platform
         assert ledgers[0].debits == ledgers[1].debits
 
 
@@ -698,12 +727,14 @@ class TestExactHorizon:
         for slot in range(death):
             settle_slot(ledger, [], {}, slot=slot, common=common)
             assert field.n_alive == 8
-            assert ledger._runs[0][1] == 0  # node 0 not visited since slot 0: no walk
+            assert ledger._paid[0] == 0  # node 0 not visited since slot 0: no walk
         settle_slot(ledger, [], {}, slot=death, common=common)
         assert not field.nodes[3].alive and field.n_alive == 7
-        assert ledger._runs[0][1] == death
-        assert ledger.debits[3][3] == level + c  # its whole battery, in one record
+        assert ledger._paid[0] == death
         assert ledger.total_remaining() == 7 * 10**18 - ledger.e_sx_total + level + c
+        # the common mode's sum holds every fJ drawn, node 3's whole battery too
+        assert ledger.platform[0 if common is SLEEP else 1] == ledger.e_sx_total
+        assert ledger.debits == [] and field.nodes[3].remaining_energy == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([SLEEP, DETECT]), st.sampled_from([0.0, 1e-16, 4.9e-16]),
@@ -717,7 +748,7 @@ class TestExactHorizon:
         for slot in range(n_slots):
             settle_slot(ledger, [], {}, slot=slot, common=common)
         assert ledger._horizon == math.inf
-        assert all(run[1] == 0 for run in ledger._runs)  # only slot 0 walked
+        assert ledger._paid == [0] * 8  # only slot 0 walked
         assert ledger.total_remaining() == 8 * level and ledger.e_sx_total == 0
         assert field.n_alive == 8
 
@@ -742,7 +773,8 @@ class TestExactConservation:
     @given(small_scenarios())
     def test_initial_minus_final_is_the_sum_of_the_log(self, cfg):
         """Whole runs, lazy charging and deaths included: the fJ drawn from
-        the batteries are exactly the fJ in the log, and the report says so."""
+        the batteries are exactly the fJ in the platform sums and the log,
+        and the report says so."""
         ledgers = []
 
         class Recorded(EnergyLedger):
@@ -756,7 +788,9 @@ class TestExactConservation:
         (ledger,) = ledgers
         initial = cfg.field.n_nodes * fj(cfg.mode_costs.initial_energy)
         final = sum(n.remaining_energy for n in field.nodes)  # run() flushed them
-        assert initial - final == sum(d[3] for d in ledger.debits) == ledger.e_sx_total
+        assert (initial - final == sum(ledger.platform) + sum(d[3] for d in ledger.debits)
+                == ledger.e_sx_total)
+        assert all(type(d) is tuple for d in ledger.debits)
         assert report.conservation_rel_err == 0.0
         assert report.total_energy_j == ledger.e_sx_total / FJ
         assert field.n_alive == sum(n.remaining_energy > 0 for n in field.nodes)

@@ -93,6 +93,12 @@ class TestNodeField:
         with pytest.raises(ConfigError, match="layout binned at 60.0 m"):
             NodeField(FieldConfig(n_nodes=2, r_s=25.0), layout_of(points, 60.0), FJ)
 
+    def test_rejects_a_layout_of_another_node_count(self):
+        # 20 nodes under a config of 5 would disagree with every report of N
+        points = [Point(10.0 * i, 0.0) for i in range(20)]
+        with pytest.raises(ConfigError, match="layout of 20 points, but n_nodes is 5"):
+            NodeField(FieldConfig(n_nodes=5), layout_of(points, 25.0), FJ)
+
     def test_kill_drops_the_node_from_the_schedule(self):
         field = make_field([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
         field.modes = {0: NodeMode.MONITOR, 1: NodeMode.DETECT}

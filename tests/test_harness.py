@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsn_track_sim import (ConfigError, Episode, FieldConfig, Frame, FrameKind,
+from wsn_track_sim import (ConfigError, Episode, Frame, FrameKind,
                            MacService, MetricCounters, NodeField, NodeMode, Point,
                            SlotOutcome, TrackerState, default_scenario, deploy,
                            detectors_of, emit_csv, generate_trace, layout_of, run,
@@ -33,8 +33,9 @@ def small_cfg(seed=0, slots=60, n_nodes=80):
 
 
 def strip_field(n_nodes=250, xmin=300.0):
-    """All nodes bunched away from the origin so a target at (0,0) is unseen."""
-    cfg = FieldConfig(n_nodes=n_nodes, seed=0)
+    """All nodes bunched away from the origin so a target at (0,0) is unseen,
+    for the field config of `default_scenario(seed=0)`."""
+    cfg = replace(default_scenario(seed=0).field, n_nodes=n_nodes)
     step = 190.0 / max(n_nodes - 1, 1)
     points = [Point(xmin + i * step * 0.9, 300.0 + (i % 40)) for i in range(n_nodes)]
     return NodeField(cfg, layout_of(points, cfg.r_s), 5 * FJ)
@@ -51,6 +52,15 @@ class TestRun:
     def test_zero_slots_rejected(self):
         with pytest.raises(ConfigError):
             default_scenario(seed=0, max_slots=0)
+
+    @pytest.mark.parametrize("change", [dict(n_nodes=20), dict(r_s=20.0), dict(seed=1)])
+    def test_a_field_built_for_another_config_is_rejected(self, change):
+        # the report states cfg.field's n_nodes and the coverage test reads its r_s
+        cfg = default_scenario(seed=0, max_slots=5)
+        field = deploy(replace(cfg.field, **change))
+        with pytest.raises(ConfigError, match="field built for"):
+            run(cfg, field=field)
+        assert run(cfg, field=deploy(cfg.field)) == run(cfg)
 
     def test_defaults_complete_and_sleep_pays_off(self):
         report = run(small_cfg(seed=0, slots=120))
