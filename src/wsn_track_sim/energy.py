@@ -6,8 +6,8 @@ but the ledger counts whole femtojoules (fJ): `fj()` rounds each cost once,
 where a ledger takes it in, so levels, log amounts and totals are exact ints,
 and reports divide by the int `FJ` to state joules. A ledger is bound to one
 run's field, mode costs and radio model when it is built, so the settle
-functions take only the slot's outcomes and modes; battery levels live on the
-nodes, whose ids are their positions in the field. Every fJ leaves a node
+functions take only the slot's outcomes and modes; battery levels live in the
+field's `level` column, indexed by node id. Every fJ leaves a node
 through debit()'s clamp at zero, which kills the node; settle_slot repeats its
 operations inline for platform costs, _charge_outcomes for the radio records
 of a slot's or a whole drain's outcomes.
@@ -101,10 +101,10 @@ class EnergyLedger:
     append-only debit log.
 
     A ledger is bound to its field, mode costs and radio model when it is
-    built, and rounds its mode costs to fJ there. Levels live on the
-    SensorNode objects and nowhere else: the ledger writes each charge to
-    `remaining_energy`, and a node whose battery clamps to zero is marked dead
-    and dropped to sleep. Every level, amount and total is an int of fJ;
+    built, and rounds its mode costs to fJ there. Levels live in the field's
+    `level` column and nowhere else: the ledger writes each charge there, and
+    a node whose battery clamps to zero is killed, which drops it from the
+    schedule. Every level, amount and total is an int of fJ;
     callers that report joules divide by `FJ`.
 
     `platform` holds the fJ that settle_slot drew in sleep, sense and comm
@@ -117,8 +117,7 @@ class EnergyLedger:
     A node in the common mode that settle_slot did not visit still owes that
     mode's charges since the last slot it paid for. debit() and a visit
     collect them from one node; flush() and total_remaining() from every node.
-    Read `SensorNode.remaining_energy` or `platform` directly only after
-    flush().
+    Read `field.level` or `platform` directly only after flush().
     """
 
     def __init__(self, field: NodeField, costs: ModeCosts, radio: RadioModel):
@@ -133,7 +132,7 @@ class EnergyLedger:
         self.platform = [0, 0, 0]  # fJ drawn in sleep, sense and comm slots
         self.debits: list[tuple] = []
         self.e_sx_total = 0  # running network total, fJ; see the class docstring
-        self._paid = [-1] * len(field.nodes)  # per node id: the last slot it paid for
+        self._paid = [-1] * len(field.level)  # per node id: the last slot it paid for
         self._through = -1        # last settled slot
         self._common = None       # the common mode of the lazy nodes
         self._cost = None         # its per-slot cost, which the lazy nodes owe,
@@ -142,42 +141,43 @@ class EnergyLedger:
         self._tx_costs: dict = {}  # tx record -> fJ; positions and radio are fixed
         self._rx_costs: dict = {}  # rx bits -> fJ
 
-    def _catch_up(self, node) -> None:
+    def _catch_up(self, node_id: int) -> None:
         """Charge a lazy node the common-mode slots it owes since the last one it paid for."""
-        owed = self._through - self._paid[node.id]
-        if owed > 0 and node.alive:
+        owed = self._through - self._paid[node_id]
+        if owed > 0 and self.field.alive[node_id]:
             charge = owed * self._cost
-            node.remaining_energy -= charge
+            self.field.level[node_id] -= charge
             self.platform[self._at] += charge
-            self._paid[node.id] = self._through
+            self._paid[node_id] = self._through
 
     def flush(self) -> None:
         """Bring every node's level, and `platform`, up to the last settled slot."""
         if self._cost is not None:  # else no slot settled yet: nothing is owed
-            for node in self.field.nodes:
-                self._catch_up(node)
+            for i in range(len(self._paid)):
+                self._catch_up(i)
 
     def total_remaining(self) -> int:
         self.flush()
-        return sum(n.remaining_energy for n in self.field.nodes)
+        return sum(self.field.level)
 
     def debit(self, node_id: int, amount: int, reason: str, slot: int) -> int:
         """Draw `amount` fJ from a node, clamped at zero. Returns the applied amount."""
         if type(amount) is not int or amount < 0:  # a float, joules or fJ, is an error
             raise ValueError(f"debit amount must be a non-negative int of fJ, got {amount!r}")
-        node = self.field.node(node_id)
+        field = self.field
+        field.pos(node_id)  # the range check
         cost = self._cost  # None until a slot is settled: no lazy nodes
         if cost is not None and self._paid[node_id] < self._through:
-            self._catch_up(node)
-        current = node.remaining_energy
+            self._catch_up(node_id)
+        current = field.level[node_id]
         applied = amount if amount <= current else current
         new_level = current - applied
         if new_level <= 0:
             new_level = 0
-            self.field.kill(node)
+            field.kill(node_id)
         elif cost is not None:
             self._horizon = min(self._horizon, self._through + _safe_slots(new_level, cost))
-        node.remaining_energy = new_level
+        field.level[node_id] = new_level
         self.debits.append((slot, node_id, reason, applied))
         self.e_sx_total += applied
         return applied
@@ -190,11 +190,11 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
 
     A tx record's cost depends only on (node, peer, bits) on a static field,
     an rx record's only on its bits, so the ledger rounds each to fJ once and
-    keeps it.
+    keeps it. A tx record's ids pass pos()'s range check when its cost is
+    first rounded, an rx record's node at every record.
     """
     field, rm, log, paid = ledger.field, ledger.radio, ledger.debits, ledger._paid
-    nodes, tx_costs, rx_costs = field.nodes, ledger._tx_costs, ledger._rx_costs
-    n_nodes = len(nodes)
+    levels, tx_costs, rx_costs, pos = field.level, ledger._tx_costs, ledger._rx_costs, field.pos
     cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
     low = math.inf
     per_outcome = []
@@ -204,29 +204,28 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
         before = total
         for rec in out.records:
             op, nid, peer, bits = rec
-            # a plain index would wrap -1 to the last node; node() raises KeyError
-            node = nodes[nid] if 0 <= nid < n_nodes else field.node(nid)
             if op == "tx":
                 amount = tx_costs.get(rec)
                 if amount is None:
                     amount = tx_costs[rec] = fj(tx_energy(
-                        bits, distance(node.pos, field.node(peer).pos), rm))
+                        bits, distance(pos(nid), pos(peer)), rm))
                 sent += bits
             else:
+                pos(nid)  # the range check
                 amount = rx_costs.get(bits)
                 if amount is None:
                     amount = rx_costs[bits] = fj(rx_energy(bits, rm))
             if cost is not None and paid[nid] < through:
-                ledger._catch_up(node)
-            current = node.remaining_energy
+                ledger._catch_up(nid)
+            current = levels[nid]
             applied = amount if amount <= current else current
             level = current - applied
             if level <= 0:
                 level = 0
-                field.kill(node)
+                field.kill(nid)
             elif level < low:
                 low = level
-            node.remaining_energy = level
+            levels[nid] = level
             log.append((at, nid, op, applied))
             total += applied
         per_outcome.append((total - before) / FJ)
@@ -262,28 +261,27 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     sleep, asleep, detect, sensing, monitoring = ledger._charges
     c, at = asleep if common is sleep else sensing if common is detect else monitoring
     field, platform, paid = ledger.field, ledger.platform, ledger._paid
-    nodes, total, through = field.nodes, ledger.e_sx_total, ledger._through
+    levels, alive, total, through = field.level, field.alive, ledger.e_sx_total, ledger._through
     lazy = slot - 1 == through and common is ledger._common and slot <= ledger._horizon
     unvisited = field.n_alive  # alive nodes the walk below does not visit
     low = math.inf  # lowest level a visited node keeps
-    for i in tuple(slot_modes) if lazy else range(len(nodes)):  # a kill() may edit the map
-        node = nodes[i]
-        if not node.alive:
+    for i in tuple(slot_modes) if lazy else range(len(levels)):  # a kill() may edit the map
+        if not alive[i]:
             continue
         unvisited -= 1
         if paid[i] < through:
-            ledger._catch_up(node)
+            ledger._catch_up(i)
         mode = slot_modes.get(i, common)
         amount, k = asleep if mode is sleep else sensing if mode is detect else monitoring
-        current = node.remaining_energy
+        current = levels[i]
         applied = amount if amount <= current else current
         level = current - applied
         if level <= 0:
             level = 0
-            field.kill(node)
+            field.kill(i)
         elif level < low:
             low = level
-        node.remaining_energy = level
+        levels[i] = level
         platform[k] += applied
         total += applied
         paid[i] = slot

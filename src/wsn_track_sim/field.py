@@ -10,7 +10,9 @@ the query point, not the field size. Queries within r_s, as detectors_of and
 a run's coverage test make, read the entries of the 3x3 cells around the
 query point as one block, concatenated on first use and kept in the layout.
 deploy() draws a layout once while its config repeats, as in a paired
-comparison, and builds fresh nodes on it each call.
+comparison, and builds a fresh field on it each call. A node is its id, 0..n-1:
+its position lives in the layout, and its battery level and alive flag in the
+field's columns, indexed by id.
 A field's sleep schedule is one common mode plus a map of the alive nodes in
 another mode (`NodeField.common`, `NodeField.modes`); a node holds no mode.
 """
@@ -61,16 +63,6 @@ class NodeMode(Enum):
     SLEEP = "sleep"      # no sensing; radio idle-listens for wake messages
     DETECT = "detect"    # actively sensing for the target
     MONITOR = "monitor"  # sensed the target, exchanging tracking messages
-
-
-@dataclass(slots=True)
-class SensorNode:
-    """One sensor: fixed position, remaining battery."""
-
-    id: int
-    pos: Point
-    remaining_energy: int = 0  # whole fJ (see fj), never a float
-    alive: bool = True
 
 
 @dataclass(frozen=True)
@@ -132,21 +124,23 @@ def layout_of(points: Iterable[Point], r_s: float) -> Layout:
 
 
 class NodeField:
-    """A deployed field: ordered node list, sleep schedule, and the config
-    that produced it.
+    """A deployed field: per-node columns, sleep schedule, and the config that
+    produced it.
 
-    The constructor builds one fresh node per point of `layout`, which must
-    hold the config's n_nodes points: node i, at the i-th point, asleep and
-    alive with a battery of `level` fJ. A node's id is thus its position in
-    `nodes`. Range queries read the layout's entries, grid and blocks, whose
-    cell side must be the config's r_s.
+    Node i stands at the i-th point of `layout`, which must hold the config's
+    n_nodes points. The field keeps two columns indexed by id: `level`, each
+    node's battery in whole fJ (see fj), and `alive`. The constructor starts
+    every node alive, asleep, at `level` fJ. pos() is the one range check of a
+    node id: an id outside 0..n-1 raises KeyError there, where a plain index
+    would wrap -1 to the last node. Range queries read the layout's entries,
+    grid and blocks, whose cell side must be the config's r_s.
 
     The schedule is `common`, the mode of every alive node outside `modes`,
     and `modes`, which maps each alive node in another mode to that mode;
     a dead node is in neither. Nodes are awake where the mode is not SLEEP,
     so a slot visits its awake nodes, or learns that every alive node is
-    awake, without a scan. `n_alive` counts the alive nodes; it and `modes`
-    stay exact as long as every death goes through kill().
+    awake, without a scan. `n_alive` counts the alive nodes; it, `alive` and
+    `modes` stay exact as long as every death goes through kill().
     """
 
     def __init__(self, config: FieldConfig, layout: Layout, level: int):
@@ -154,29 +148,35 @@ class NodeField:
             raise ConfigError(f"initial level {level!r} is not an int of at least 1 fJ")
         if layout.side != config.r_s:
             raise ConfigError(f"layout binned at {layout.side} m, but r_s is {config.r_s} m")
-        if len(layout.points) != config.n_nodes:
-            raise ConfigError(f"layout of {len(layout.points)} points, "
-                              f"but n_nodes is {config.n_nodes}")
-        self.nodes: list[SensorNode] = [SensorNode(i, p, level, True)
-                                        for i, p in enumerate(layout.points)]
+        n = len(layout.points)
+        if n != config.n_nodes:
+            raise ConfigError(f"layout of {n} points, but n_nodes is {config.n_nodes}")
         self.config = config
+        self.level: list[int] = [level] * n
+        self.alive: list[bool] = [True] * n
         self.common = NodeMode.SLEEP
         self.modes: dict[int, NodeMode] = {}
-        self.n_alive = len(self.nodes)
-        self._entries, self._cells, self._blocks = layout.entries, layout.cells, layout.blocks
+        self.n_alive = n
+        self._points, self._entries = layout.points, layout.entries
+        self._cells, self._blocks = layout.cells, layout.blocks
 
-    def kill(self, node: SensorNode) -> None:
+    def pos(self, node_id: int) -> Point:
+        """Where node `node_id` stands; KeyError for an id outside 0..n-1."""
+        if node_id >= 0:  # a plain index would wrap -1 to the last node
+            try:
+                return self._points[node_id]
+            except IndexError:  # cheaper than a length test on every call
+                pass
+        raise KeyError(f"unknown node id {node_id}")
+
+    def kill(self, node_id: int) -> None:
         """Mark a node dead and drop it from the schedule; killing a dead
         node changes nothing."""
-        if node.alive:
-            node.alive = False
+        self.pos(node_id)  # the range check
+        if self.alive[node_id]:
+            self.alive[node_id] = False
             self.n_alive -= 1
-            self.modes.pop(node.id, None)
-
-    def node(self, node_id: int) -> SensorNode:
-        if 0 <= node_id < len(self.nodes):  # a plain index would wrap -1 to the last node
-            return self.nodes[node_id]
-        raise KeyError(f"unknown node id {node_id}")
+            self.modes.pop(node_id, None)
 
     def near(self, p: Point, r: float) -> Iterable[Entry]:
         """A superset of the entries of the nodes, alive or dead, within r of p.
@@ -196,7 +196,7 @@ class NodeField:
         block = r == side and i_hi - i_lo == 2 == j_hi - j_lo
         if block and (found := self._blocks.get((i_lo, j_lo))) is not None:
             return found
-        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) > len(self.nodes):
+        if (i_hi - i_lo + 1) * (j_hi - j_lo + 1) > len(self._entries):
             return self._entries
         cells = self._cells
         found = []
@@ -227,7 +227,7 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
 
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
     battery of `initial_energy` joules, which each node holds as fj() of it.
-    Same config and seed reproduce the exact same field: fresh nodes on one
+    Same config and seed reproduce the exact same field: fresh columns on one
     layout cached while the config repeats.
     """
     level = fj(initial_energy) if math.isfinite(initial_energy * FJ) else 0
@@ -236,21 +236,23 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
 
 def detectors_of(field: NodeField, target_pos: Point) -> set[int]:
     """Ids of alive nodes whose sensing disk contains the target (inclusive)."""
-    r_s, px, py, nodes = field.config.r_s, target_pos.x, target_pos.y, field.nodes
+    r_s, px, py, alive = field.config.r_s, target_pos.x, target_pos.y, field.alive
     return {i for i, x, y in field.near(target_pos, r_s)
-            if math.hypot(x - px, y - py) <= r_s and nodes[i].alive}
+            if math.hypot(x - px, y - py) <= r_s and alive[i]}
 
 
 def neighbors_of(field: NodeField, node_id: int,
                  among: Iterable[int] | None = None) -> dict[int, float]:
     """{id: distance from `node_id`} of the alive nodes within its communication
     range, itself excluded; only those in `among`, when given, which then
-    replaces the grid."""
-    center = field.node(node_id).pos
-    cx, cy, r_c, nodes = center.x, center.y, field.config.r_c, field.nodes
-    pool = field.near(center, r_c) if among is None else map(field._entries.__getitem__, among)
+    replaces the grid. Every id passes pos()'s range check."""
+    pos = field.pos
+    center = pos(node_id)
+    cx, cy, r_c, alive = center.x, center.y, field.config.r_c, field.alive
+    pool = (field.near(center, r_c) if among is None
+            else [(i, (p := pos(i)).x, p.y) for i in among])
     return {i: d for i, x, y in pool
-            if (d := math.hypot(x - cx, y - cy)) <= r_c and i != node_id and nodes[i].alive}
+            if (d := math.hypot(x - cx, y - cy)) <= r_c and i != node_id and alive[i]}
 
 
 def k_closest(field: NodeField, p: Point, k: int,
@@ -262,5 +264,5 @@ def k_closest(field: NodeField, p: Point, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted((distance(field.node(i).pos, p), i) for i in set(candidates))
+    ranked = sorted((distance(field.pos(i), p), i) for i in set(candidates))
     return [i for _, i in ranked[:k]]

@@ -9,8 +9,8 @@ The run owns the field's schedule: it has the whole field detect before slot
 the ledger settles the slot body's, so a node that dies in a slot is asleep
 from the next one on.
 Paired comparisons feed the same trajectory and field layout to both methods
-so differences come only from the activation strategy; each run deploys its
-own nodes onto that layout.
+so differences come only from the activation strategy; each run deploys a
+field of its own, with fresh battery levels, onto that layout.
 """
 
 from __future__ import annotations
@@ -241,12 +241,12 @@ BENCH_CHUNK = 512  # MAC rounds that bench_run drains and settles at a time
 
 def _bench_endpoints(field: NodeField, n_background: int):
     """Origin/destination pair plus nearby background reporters."""
-    for node in field.nodes:
-        nbrs = neighbors_of(field, node.id)
+    for i in range(field.config.n_nodes):
+        nbrs = neighbors_of(field, i)
         if not nbrs:
             continue
         ranked = sorted(nbrs, key=lambda t: (nbrs[t], t))
-        return node.id, ranked[0], ranked[1:1 + n_background]
+        return i, ranked[0], ranked[1:1 + n_background]
     raise ConfigError("no node has a neighbor in range; cannot run the bench")
 
 

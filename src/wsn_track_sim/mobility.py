@@ -87,32 +87,6 @@ def spawn_target(mc: MobilityConfig, fc: FieldConfig,
     return TargetState(pos=pos, waypoint=Point(wx, wy), speed=speed, slot_index=0)
 
 
-def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
-                rng: random.Random) -> TargetState:
-    """Advance one slot toward the waypoint; redraw waypoint/speed on arrival.
-
-    The per-slot displacement is min(speed*T, remaining distance), so it never
-    exceeds speed*T and in particular never exceeds r_s. This is the
-    single-step rule; generate_trace repeats it on floats, and the tests check
-    that loop against spawn_target followed by this step.
-    """
-    step = ts.speed * mc.slot_duration
-    remaining = distance(ts.pos, ts.waypoint)
-    if remaining <= step:
-        # Arrive exactly at the waypoint, then pick the next leg (no pause).
-        new_pos = ts.waypoint
-        wx, wy, speed = _draw_leg(mc, fc, rng)
-        waypoint = Point(wx, wy)
-    else:
-        f = step / remaining
-        new_pos = Point(ts.pos.x + (ts.waypoint.x - ts.pos.x) * f,
-                        ts.pos.y + (ts.waypoint.y - ts.pos.y) * f)
-        waypoint = ts.waypoint
-        speed = ts.speed
-    return TargetState(pos=new_pos, waypoint=waypoint, speed=speed,
-                       slot_index=ts.slot_index + 1)
-
-
 def observed_speed(prev: Point, curr: Point, slot_duration: float) -> float:
     """Speed implied by two consecutive positions one slot apart."""
     if slot_duration <= 0:
@@ -135,9 +109,10 @@ class TraceRow(NamedTuple):
 def generate_trace(mc: MobilityConfig, fc: FieldConfig, n_slots: int) -> list[TraceRow]:
     """Full trajectory for a run: one row per slot, reproducible from mc.seed.
 
-    The one loop: step_target's rule on local floats, with its draws in its
-    order and its float expressions, so every row equals spawn_target followed
-    by step_target bit for bit, without building a state per slot.
+    The one loop of the module's motion rule, on local floats without a state
+    per slot: a slot moves the target min(speed*T, remaining distance), so at
+    most r_s. Every row equals spawn_target followed by the tests' one-step
+    reference, `step_target`, bit for bit.
     """
     if n_slots < 1:
         raise ConfigError("need at least one slot")

@@ -89,10 +89,10 @@ def estimate_position(field: NodeField, pair: ClosestPair) -> Point:
     (the closer node pulls harder); a single anchor or two zero ranges give
     the anchor position itself.
     """
-    a = field.node(pair.i).pos
+    a = field.pos(pair.i)
     if pair.j is None:
         return a
-    b = field.node(pair.j).pos
+    b = field.pos(pair.j)
     total = pair.d_i + pair.d_j
     if total == 0:
         return a
@@ -121,9 +121,9 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
     These are exactly the nodes that could sense the target anywhere inside
     the predicted disk.
     """
-    c, reach, nodes = region.center, region.radius + field.config.r_s, field.nodes
+    c, reach, alive = region.center, region.radius + field.config.r_s, field.alive
     return {i for i, x, y in field.near(c, reach)
-            if math.hypot(x - c.x, y - c.y) <= reach and nodes[i].alive}
+            if math.hypot(x - c.x, y - c.y) <= reach and alive[i]}
 
 
 @dataclass(slots=True)
@@ -176,8 +176,8 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     order = k_closest(field, true_target, 2, dets)
     i = order[0]
     j = order[1] if len(order) > 1 else None
-    d_i = distance(field.node(i).pos, true_target)
-    d_j = distance(field.node(j).pos, true_target) if j is not None else None
+    d_i = distance(field.pos(i), true_target)
+    d_j = distance(field.pos(j), true_target) if j is not None else None
     pair = ClosestPair(i, d_i, j, d_j)
 
     est = estimate_position(field, pair)

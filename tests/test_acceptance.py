@@ -153,11 +153,11 @@ def test_c06_oracle_equivalence():
     """Criterion 6: range queries and election match brute force exactly."""
     rng = random.Random(2025)
     field = deploy(FieldConfig(seed=77), 5.0)
-    for n in field.nodes:
+    for i in range(field.config.n_nodes):
         if rng.random() < 0.05:
-            field.kill(n)
-    positions = {n.id: (n.pos.x, n.pos.y) for n in field.nodes}
-    alive = {n.id for n in field.nodes if n.alive}
+            field.kill(i)
+    positions = {i: (field.pos(i).x, field.pos(i).y) for i in range(field.config.n_nodes)}
+    alive = {i for i, a in enumerate(field.alive) if a}
 
     def dist(a, b):
         return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)

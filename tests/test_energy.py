@@ -100,8 +100,8 @@ class TestLedger:
         ledger = EnergyLedger(field, COSTS, RM)
         ledger.debit(0, fj(0.012), "sense", 0)
         ledger.flush()
-        assert field.nodes[0].remaining_energy == fj(4.988) == 5 * FJ - 12 * 10**12
-        assert field.nodes[0].alive
+        assert field.level[0] == fj(4.988) == 5 * FJ - 12 * 10**12
+        assert field.alive[0]
 
     def test_overdraw_clamps_and_kills(self):
         field = small_field([(0, 0)], energy=fj(0.001))
@@ -110,8 +110,8 @@ class TestLedger:
         applied = ledger.debit(0, fj(0.012), "sense", 0)
         assert applied == fj(0.001)
         ledger.flush()
-        assert field.nodes[0].remaining_energy == 0
-        assert not field.nodes[0].alive
+        assert field.level[0] == 0
+        assert not field.alive[0]
         assert field.modes == {}  # dead, so out of the schedule
         assert ledger.debits[-1] == (0, 0, "sense", fj(0.001))
 
@@ -126,9 +126,12 @@ class TestLedger:
         assert field.modes == {}
 
     def test_unknown_node(self):
-        ledger = EnergyLedger(small_field([(0, 0)]), COSTS, RM)
-        with pytest.raises(KeyError):
-            ledger.debit(42, fj(0.1), "sense", 0)
+        field = small_field([(0, 0), (10, 0)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        for nid in (42, 2, -1):  # -1 must not reach the last node
+            with pytest.raises(KeyError):
+                ledger.debit(nid, fj(0.1), "sense", 0)
+        assert field.level == [5 * FJ] * 2 and not ledger.debits
 
     @pytest.mark.parametrize("record", [("tx", -1, 0), ("tx", 2, 0), ("tx", 0, -1),
                                         ("tx", 0, 2), ("rx", -1, 0), ("rx", 2, 0)])
@@ -150,7 +153,7 @@ class TestLedger:
         ledger = EnergyLedger(field, COSTS, RM)
         with pytest.raises(ValueError):
             ledger.debit(0, math.nan, "tx", 0)
-        assert field.nodes[0].remaining_energy == 5 * FJ and not ledger.debits
+        assert field.level[0] == 5 * FJ and not ledger.debits
 
     @pytest.mark.parametrize("amount", [0.012, 1.2e13, 0.0, math.inf, True])
     def test_amount_that_is_not_an_int_of_fj_rejected(self, amount):
@@ -159,19 +162,17 @@ class TestLedger:
         ledger = EnergyLedger(field, COSTS, RM)
         with pytest.raises(ValueError):
             ledger.debit(0, amount, "sense", 0)
-        assert field.nodes[0].remaining_energy == 5 * FJ and not ledger.debits
+        assert field.level[0] == 5 * FJ and not ledger.debits
 
     def test_total_before_any_settle_reads_the_initial_levels(self):
         levels = [5 * FJ, fj(0.1), fj(1e-3), fj(3.3), fj(2.0 / 3)]
         field = small_field([(10.0 * i, 0.0) for i in range(len(levels))])
-        for node, e in zip(field.nodes, levels):
-            node.remaining_energy = e
+        field.level[:] = levels
         ledger = EnergyLedger(field, COSTS, RM)
         assert ledger.total_remaining() == sum(levels)
         ledger.flush()
         assert ledger.debits == []
-        assert [(n.remaining_energy, n.alive) for n in field.nodes] == [
-            (e, True) for e in levels]
+        assert field.level == levels and field.alive == [True] * len(levels)
         assert field.common is SLEEP and field.modes == {}
 
     def test_replay_sum_oracle(self):
@@ -188,7 +189,7 @@ class TestLedger:
             replay_level[node_id] -= applied
         ledger.flush()
         for i in range(5):
-            assert max(replay_level[i], 0) == field.nodes[i].remaining_energy
+            assert max(replay_level[i], 0) == field.level[i]
         assert replay_total == ledger.e_sx_total
 
     def test_monotone_levels(self):
@@ -200,29 +201,29 @@ class TestLedger:
             nid = rng.randrange(2)
             ledger.debit(nid, fj(rng.uniform(0, 0.05)), "x", k)
             ledger.flush()
-            assert field.nodes[nid].remaining_energy <= last[nid]
-            last[nid] = field.nodes[nid].remaining_energy
+            assert field.level[nid] <= last[nid]
+            last[nid] = field.level[nid]
 
 
 class TestSettleSlot:
     def test_all_sleep_slot(self):
         field = small_field([(i % 25 * 20.0, i // 25 * 20.0) for i in range(250)])
         ledger = EnergyLedger(field, COSTS, RM)
-        modes = {n.id: NodeMode.SLEEP for n in field.nodes}
+        modes = dict.fromkeys(range(250), NodeMode.SLEEP)
         settle_slot(ledger, [], modes, slot=0, common=SLEEP)
         assert ledger.e_sx_total == 250 * fj(0.00027)
 
     def test_one_monitor_rest_sleeping(self):
         field = small_field([(i * 2.0, 0.0) for i in range(250)])
         ledger = EnergyLedger(field, COSTS, RM)
-        modes = {n.id: NodeMode.SLEEP for n in field.nodes}
+        modes = dict.fromkeys(range(250), NodeMode.SLEEP)
         modes[0] = NodeMode.MONITOR
         settle_slot(ledger, [], modes, slot=3, common=SLEEP)
         assert ledger.platform == [249 * fj(0.00027), 0, fj(0.0378)]
         assert ledger.debits == []
         ledger.flush()
-        assert field.nodes[0].remaining_energy == 5 * FJ - fj(0.0378)
-        assert all(n.remaining_energy == 5 * FJ - fj(0.00027) for n in field.nodes[1:])
+        assert field.level[0] == 5 * FJ - fj(0.0378)
+        assert field.level[1:] == [5 * FJ - fj(0.00027)] * 249
 
     def test_three_node_two_slot_hand_trace(self):
         # node 0 at origin, node 1 at distance exactly 50, node 2 far away
@@ -256,9 +257,9 @@ class TestSettleSlot:
         hand_node2 = fj(0.00027) + fj(0.001) + fj(0.012)           # sleep, wake-up, sense
 
         ledger.flush()
-        assert 5 * FJ - field.nodes[0].remaining_energy == hand_node0
-        assert 5 * FJ - field.nodes[1].remaining_energy == hand_node1
-        assert 5 * FJ - field.nodes[2].remaining_energy == hand_node2
+        assert 5 * FJ - field.level[0] == hand_node0
+        assert 5 * FJ - field.level[1] == hand_node1
+        assert 5 * FJ - field.level[2] == hand_node2
         assert ledger.e_sx_total == hand_node0 + hand_node1 + hand_node2
         # two slots of each mode; the log holds the four radio records and the wake-up
         assert ledger.platform == [2 * fj(0.00027), 2 * fj(0.012), 2 * fj(0.0378)]
@@ -269,8 +270,8 @@ class TestSettleSlot:
         # ten nodes, so that the two slots with empty maps settle lazily and
         # charge the unvisited nodes by n_alive
         field = small_field([(10 * i, 0) for i in range(10)])
-        field.kill(field.nodes[1])
-        field.nodes[1].remaining_energy = 0
+        field.kill(1)
+        field.level[1] = 0
         ledger = EnergyLedger(field, COSTS, RM)
         initial = ledger.total_remaining()
         modes = {0: NodeMode.DETECT, 1: NodeMode.DETECT}
@@ -280,7 +281,7 @@ class TestSettleSlot:
             settle_slot(ledger, [], {}, slot=slot, common=SLEEP)
         spent = initial - ledger.total_remaining()
         assert spent == ledger.e_sx_total == sum(ledger.platform)
-        assert field.nodes[1].remaining_energy == 0 and ledger.debits == []
+        assert field.level[1] == 0 and ledger.debits == []
 
 
 def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
@@ -292,13 +293,13 @@ def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEE
     per_mode = {NodeMode.SLEEP: (fj(costs.sleep_per_slot), "sleep"),
                 NodeMode.DETECT: (fj(costs.sense_per_slot), "sense"),
                 NodeMode.MONITOR: (fj(costs.comm_per_slot), "comm")}
-    for node in field.nodes:
-        if node.alive:
-            ledger.debit(node.id, *per_mode[slot_modes.get(node.id, common)], slot)
+    for i, alive in enumerate(field.alive):
+        if alive:
+            ledger.debit(i, *per_mode[slot_modes.get(i, common)], slot)
     for out in outcomes:
         for rec in out.records:
             if rec.op == "tx":
-                d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
+                d = distance(field.pos(rec.node), field.pos(rec.peer))
                 ledger.debit(rec.node, fj(tx_energy(rec.bits, d, rm)), "tx", slot)
             else:
                 ledger.debit(rec.node, fj(rx_energy(rec.bits, rm)), "rx", slot)
@@ -315,7 +316,7 @@ def reference_radio(ledger, outcomes):
         before = ledger.e_sx_total
         for rec in out.records:
             if rec.op == "tx":
-                d = distance(field.node(rec.node).pos, field.node(rec.peer).pos)
+                d = distance(field.pos(rec.node), field.pos(rec.peer))
                 ledger.debit(rec.node, fj(tx_energy(rec.bits, d, rm)), "tx", out.slot)
             else:
                 ledger.debit(rec.node, fj(rx_energy(rec.bits, rm)), "rx", out.slot)
@@ -343,8 +344,7 @@ class TestSettleRadio:
         outcomes = drain_queue(queues, 500, cfg, random.Random(seed))
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
-            for node, e in zip(f.nodes, energies):
-                node.remaining_energy = fj(e)
+            f.level[:] = [fj(e) for e in energies[:len(f.level)]]
         new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
         per_outcome, bits = settle_radio(new, outcomes)
         ref_per_outcome, ref_bits = reference_radio(ref, outcomes)
@@ -352,8 +352,7 @@ class TestSettleRadio:
         assert bits == ref_bits
         assert new.debits == ref.debits
         assert new.e_sx_total == ref.e_sx_total
-        assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
-                == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
+        assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
 
 
     def test_rx_costs_are_kept_per_size_and_per_ledger(self):
@@ -386,7 +385,7 @@ class TestSettleRadio:
         out.add_tx(0, 1, 512)
         per_outcome, bits = settle_radio(ledger, [out])
         assert ledger.debits == [(0, 0, "tx", 5 * FJ)] and per_outcome == [5.0]
-        assert not field.nodes[0].alive and field.nodes[1].alive and bits == 512
+        assert not field.alive[0] and field.alive[1] and bits == 512
 
 
 @st.composite
@@ -418,9 +417,8 @@ class TestSettlementMatchesReference:
         positions, energies, wake_cost, slots = run
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
-            for node, e in zip(f.nodes, energies):
-                node.remaining_energy = fj(e)
-            f.modes = dict.fromkeys(range(len(f.nodes)), NodeMode.MONITOR)
+            f.level[:] = [fj(e) for e in energies[:len(f.level)]]
+            f.modes = dict.fromkeys(range(len(f.level)), NodeMode.MONITOR)
         new, ref = (EnergyLedger(f, ModeCosts(wake_cost=wake_cost), RM) for f in fields)
         initial = sum(map(fj, energies))
         for slot, modes, outcomes, woken in slots:
@@ -428,8 +426,7 @@ class TestSettlementMatchesReference:
             reference_settle(ref, outcomes, modes, woken, slot)
             assert new.e_sx_total == ref.e_sx_total
             new.flush()
-            assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
-                    == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
+            assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
             assert fields[0].modes == fields[1].modes
             for reason in ("tx", "rx"):
                 assert (debit_counts_by_reason(new, reason)
@@ -448,8 +445,7 @@ class TestSettlementMatchesReference:
         # sleep: node 0 in slots 0-2, node 1 in 0-4 and 6; sense: node 0 in 3, 4 and 6
         assert ledger.platform == [9 * s, 3 * d, 0]
         assert ledger.debits == []
-        assert [n.remaining_energy for n in field.nodes] == [5 * FJ - 3 * s - 3 * d,
-                                                             5 * FJ - 6 * s]
+        assert field.level == [5 * FJ - 3 * s - 3 * d, 5 * FJ - 6 * s]
 
 
 PLATFORM = ("sleep", "sense", "comm")
@@ -506,19 +502,18 @@ class TestLazySettlement:
         positions, energies, costs, slots = run
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
-            for node, e in zip(f.nodes, energies):
-                node.remaining_energy = e
+            f.level[:] = energies
         new, ref = (EnergyLedger(f, costs, RM) for f in fields)
         for slot, common, modes, outcomes, woken, check in slots:
             settle_slot(new, outcomes, modes, woken, slot, common=common)
             reference_settle(ref, outcomes, modes, woken, slot, common)
             assert new.e_sx_total == ref.e_sx_total
-            alive = sum(n.alive for n in fields[1].nodes)
+            alive = sum(fields[1].alive)
             assert fields[0].n_alive == fields[1].n_alive == alive
             if check:
                 new.flush()
-                assert ([(n.remaining_energy, n.alive) for n in fields[0].nodes]
-                        == [(n.remaining_energy, n.alive) for n in fields[1].nodes])
+                assert ((fields[0].level, fields[0].alive)
+                        == (fields[1].level, fields[1].alive))
                 assert (new.platform, new.debits) == split_log(ref.debits)
         assert new.total_remaining() == ref.total_remaining()
         assert (new.platform, new.debits) == split_log(ref.debits)
@@ -551,10 +546,7 @@ class TestLazySettlement:
             assert new.e_sx_total == ref.e_sx_total
             assert fields[0].n_alive == fields[1].n_alive
         new.flush()
-        assert ([n.remaining_energy for n in fields[0].nodes]
-                == [n.remaining_energy for n in fields[1].nodes])
-        assert ([n.alive for n in fields[0].nodes]
-                == [n.alive for n in fields[1].nodes])
+        assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
         assert (new.platform, new.debits) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
@@ -573,8 +565,7 @@ class TestLazySettlement:
         energies = [level if i in cohort else 5 * FJ for i in range(n)]
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
         for f in fields:
-            for node, e in zip(f.nodes, energies):
-                node.remaining_energy = e
+            f.level[:] = energies
         new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
         walked_at = after = None
         slot = 0
@@ -599,10 +590,7 @@ class TestLazySettlement:
             slot += 1
         assert walked_at > 4  # the cohort owed several slots
         new.flush()
-        assert ([n.remaining_energy for n in fields[0].nodes]
-                == [n.remaining_energy for n in fields[1].nodes])
-        assert ([n.alive for n in fields[0].nodes]
-                == [n.alive for n in fields[1].nodes])
+        assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
         assert (new.platform, new.debits) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
@@ -631,14 +619,13 @@ class TestLazySettlement:
             settle_slot(new, [out], {}, (), slot, common=DETECT)
             reference_settle(ref, [out], {}, (), slot, DETECT)
             assert new.e_sx_total == ref.e_sx_total
-            assert [n.alive for n in fields[0].nodes] == [n.alive for n in fields[1].nodes]
+            assert fields[0].alive == fields[1].alive
             assert fields[0].n_alive == fields[1].n_alive
             assert new._through == slot and new._common is DETECT
         assert fields[0].n_alive == n - len({victim for _, victim in kills})
         assert all(new._paid[i] == 0 for i in range(n) if i not in touched)
         new.flush()
-        assert ([n.remaining_energy for n in fields[0].nodes]
-                == [n.remaining_energy for n in fields[1].nodes])
+        assert fields[0].level == fields[1].level
         assert (new.platform, new.debits) == split_log(ref.debits)
         assert new.e_sx_total == sum(new.platform) + sum(d[3] for d in new.debits)
 
@@ -649,10 +636,10 @@ class TestLazySettlement:
             settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=slot, common=SLEEP)
         # slot 0 walked every node; slots 1-9 visited node 0 only
         s, d = fj(0.00027), fj(0.012)
-        assert field.nodes[7].remaining_energy == 5 * FJ - s
+        assert field.level[7] == 5 * FJ - s
         assert ledger.platform == [39 * s, 10 * d, 0]
         ledger.flush()
-        assert field.nodes[7].remaining_energy == 5 * FJ - 10 * s
+        assert field.level[7] == 5 * FJ - 10 * s
         assert ledger.platform == [390 * s, 10 * d, 0]
         assert sum(ledger.platform) == ledger.e_sx_total
 
@@ -667,10 +654,10 @@ class TestLazySettlement:
         for slot in range(2, 6):
             settle_slot(ledger, [], {}, slot=slot, common=SLEEP)
             assert ledger._paid[4] == 1
-            assert field.nodes[4].remaining_energy == 5 * FJ - s - m
+            assert field.level[4] == 5 * FJ - s - m
         assert ledger.e_sx_total == 59 * s + m
         ledger.flush()
-        assert field.nodes[4].remaining_energy == 5 * FJ - 5 * s - m
+        assert field.level[4] == 5 * FJ - 5 * s - m
         assert ledger.platform == [59 * s, 0, m] and ledger.debits == []
 
     def test_detecting_field_pays_when_read(self):
@@ -679,10 +666,10 @@ class TestLazySettlement:
         for slot in range(10):
             settle_slot(ledger, [], {}, slot=slot, common=DETECT)
         assert ledger.e_sx_total == 400 * fj(0.012)
-        assert field.nodes[7].remaining_energy == 5 * FJ - fj(0.012)  # only slot 0 walked it
+        assert field.level[7] == 5 * FJ - fj(0.012)  # only slot 0 walked it
         assert ledger.platform == [0, 40 * fj(0.012), 0]
         ledger.flush()
-        assert field.nodes[7].remaining_energy == 5 * FJ - 10 * fj(0.012)
+        assert field.level[7] == 5 * FJ - 10 * fj(0.012)
         assert ledger.platform == [0, 400 * fj(0.012), 0] and ledger.debits == []
 
     @settings(max_examples=40, deadline=None)
@@ -694,18 +681,16 @@ class TestLazySettlement:
         catching each node up on its own."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
         for f in fields:
-            for node, e in zip(f.nodes, energies):
-                node.remaining_energy = fj(e)
+            f.level[:] = [fj(e) for e in energies[:len(f.level)]]
         ledgers = [EnergyLedger(f, COSTS, RM) for f in fields]
         for slot, awake in enumerate(awake_sets):
             modes = {i: NodeMode.MONITOR for i in awake if i < n}
             for ledger in ledgers:
                 settle_slot(ledger, [], modes, slot=slot, common=common)
         ledgers[0].flush()
-        for node in fields[1].nodes:
-            ledgers[1]._catch_up(node)
-        assert ([n.remaining_energy for n in fields[0].nodes]
-                == [n.remaining_energy for n in fields[1].nodes])
+        for i in range(n):
+            ledgers[1]._catch_up(i)
+        assert fields[0].level == fields[1].level
         assert ledgers[0].platform == ledgers[1].platform
         assert ledgers[0].debits == ledgers[1].debits
 
@@ -721,7 +706,7 @@ class TestExactHorizon:
         costs = ModeCosts(sleep_per_slot=c / FJ, sense_per_slot=c / FJ)
         assert fj(costs.sleep_per_slot) == c
         field = small_field([(i * 5.0, 0.0) for i in range(8)], energy=10**18)
-        field.nodes[3].remaining_energy = level + c  # pays c in slot 0
+        field.level[3] = level + c  # pays c in slot 0
         ledger = EnergyLedger(field, costs, RM)
         death = -(-level // c)
         for slot in range(death):
@@ -729,12 +714,12 @@ class TestExactHorizon:
             assert field.n_alive == 8
             assert ledger._paid[0] == 0  # node 0 not visited since slot 0: no walk
         settle_slot(ledger, [], {}, slot=death, common=common)
-        assert not field.nodes[3].alive and field.n_alive == 7
+        assert not field.alive[3] and field.n_alive == 7
         assert ledger._paid[0] == death
         assert ledger.total_remaining() == 7 * 10**18 - ledger.e_sx_total + level + c
         # the common mode's sum holds every fJ drawn, node 3's whole battery too
         assert ledger.platform[0 if common is SLEEP else 1] == ledger.e_sx_total
-        assert ledger.debits == [] and field.nodes[3].remaining_energy == 0
+        assert ledger.debits == [] and field.level[3] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([SLEEP, DETECT]), st.sampled_from([0.0, 1e-16, 4.9e-16]),
@@ -787,13 +772,13 @@ class TestExactConservation:
             report = run(cfg, field=field)
         (ledger,) = ledgers
         initial = cfg.field.n_nodes * fj(cfg.mode_costs.initial_energy)
-        final = sum(n.remaining_energy for n in field.nodes)  # run() flushed them
+        final = sum(field.level)  # run() flushed them
         assert (initial - final == sum(ledger.platform) + sum(d[3] for d in ledger.debits)
                 == ledger.e_sx_total)
         assert all(type(d) is tuple for d in ledger.debits)
         assert report.conservation_rel_err == 0.0
         assert report.total_energy_j == ledger.e_sx_total / FJ
-        assert field.n_alive == sum(n.remaining_energy > 0 for n in field.nodes)
+        assert field.n_alive == sum(level > 0 for level in field.level)
 
 
 class TestMetrics:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
-                           Point, SensorNode, deploy, detectors_of, distance,
+                           Point, deploy, detectors_of, distance,
                            k_closest, layout_of, neighbors_of)
 from wsn_track_sim.field import FJ, _layout, fj
 from wsn_track_sim.protocol import PredictedRegion, wake_set
@@ -46,27 +46,29 @@ class TestFieldConfig:
 class TestDeploy:
     def test_table_defaults(self):
         field = deploy(FieldConfig(seed=7), initial_energy=5.0)
-        assert len(field.nodes) == 250
-        for n in field.nodes:
-            assert 0 <= n.pos.x <= 500 and 0 <= n.pos.y <= 500
-            assert n.remaining_energy == 5 * FJ and type(n.remaining_energy) is int
-            assert n.alive
-        assert [n.id for n in field.nodes] == list(range(250))
+        assert len(field.level) == len(field.alive) == 250
+        for i in range(250):
+            p = field.pos(i)
+            assert 0 <= p.x <= 500 and 0 <= p.y <= 500
+            assert field.level[i] == 5 * FJ and type(field.level[i]) is int
+            assert field.alive[i] is True
         assert field.common is NodeMode.SLEEP and field.modes == {}
 
     def test_single_node(self):
         field = deploy(FieldConfig(n_nodes=1, seed=0))
-        assert len(field.nodes) == 1 and field.nodes[0].id == 0
+        assert field.level == [5 * FJ] and field.alive == [True]
+        assert field.pos(0) == _layout(field.config).points[0]
 
     def test_same_seed_reproduces(self):
         a = deploy(FieldConfig(seed=42))
         b = deploy(FieldConfig(seed=42))
-        assert [(n.pos.x, n.pos.y) for n in a.nodes] == [(n.pos.x, n.pos.y) for n in b.nodes]
+        assert ([(a.pos(i).x, a.pos(i).y) for i in range(250)]
+                == [(b.pos(i).x, b.pos(i).y) for i in range(250)])
 
     def test_different_seed_differs(self):
         a = deploy(FieldConfig(seed=1))
         b = deploy(FieldConfig(seed=2))
-        assert any(x.pos != y.pos for x, y in zip(a.nodes, b.nodes))
+        assert any(a.pos(i) != b.pos(i) for i in range(250))
 
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1e300, 0.0,
                                         -1.0, 4e-16])
@@ -76,7 +78,7 @@ class TestDeploy:
             deploy(FieldConfig(n_nodes=3, seed=0), energy)
 
     def test_smallest_level_is_one_fj(self):
-        assert [n.remaining_energy for n in deploy(FieldConfig(n_nodes=2), 6e-16).nodes] == [1, 1]
+        assert deploy(FieldConfig(n_nodes=2), 6e-16).level == [1, 1]
 
 
 class TestNodeField:
@@ -102,33 +104,34 @@ class TestNodeField:
     def test_kill_drops_the_node_from_the_schedule(self):
         field = make_field([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
         field.modes = {0: NodeMode.MONITOR, 1: NodeMode.DETECT}
-        field.kill(field.nodes[0])
-        field.kill(field.nodes[2])
+        field.kill(0)
+        field.kill(2)
         assert field.modes == {1: NodeMode.DETECT} and field.common is NodeMode.SLEEP
-        assert field.n_alive == 1
-        field.kill(field.nodes[0])  # killing a dead node changes nothing
+        assert field.n_alive == 1 and field.alive == [False, True, False]
+        field.kill(0)  # killing a dead node changes nothing
         assert field.modes == {1: NodeMode.DETECT} and field.n_alive == 1
+        assert field.alive == [False, True, False]
 
 
 def reference_deploy(config, initial_energy):
-    """deploy() as a per-node loop that draws every position afresh; a node
-    holds `initial_energy` joules as whole fJ."""
+    """deploy() as a per-node loop that draws every position afresh: each
+    node's (id, position, level, alive), the level `initial_energy` joules
+    as whole fJ."""
     rng = random.Random(config.seed)
     nodes = []
     for i in range(config.n_nodes):
         pos = Point(rng.uniform(0.0, config.area_width),
                     rng.uniform(0.0, config.area_height))
-        nodes.append(SensorNode(id=i, pos=pos, remaining_energy=fj(initial_energy),
-                                alive=True))
+        nodes.append((i, pos, fj(initial_energy), True))
     return nodes
 
 
 def reference_cells(nodes, side):
     """Node ids binned by (floor(x / side), floor(y / side)), in field order."""
     cells = {}
-    for n in nodes:
-        key = (math.floor(n.pos.x / side), math.floor(n.pos.y / side))
-        cells.setdefault(key, []).append(n.id)
+    for i, pos, _, _ in nodes:
+        key = (math.floor(pos.x / side), math.floor(pos.y / side))
+        cells.setdefault(key, []).append(i)
     return cells
 
 
@@ -138,8 +141,15 @@ def entry_ids(cells):
 
 
 def node_state(nodes):
-    return [(n.id, n.pos.x.hex(), n.pos.y.hex(), n.remaining_energy,
-             type(n.remaining_energy), n.alive) for n in nodes]
+    """(id, position, level, alive) rows, as reference_deploy gives them, bit for bit."""
+    return [(i, pos.x.hex(), pos.y.hex(), level, type(level), type(alive), alive)
+            for i, pos, level, alive in nodes]
+
+
+def field_state(field):
+    """A field's columns as node_state rows."""
+    return node_state((i, field.pos(i), level, alive)
+                      for i, (level, alive) in enumerate(zip(field.level, field.alive)))
 
 
 @st.composite
@@ -162,9 +172,9 @@ class TestLayoutCache:
         for cfg in (a, a, b, a):
             field = deploy(cfg, energy)
             reference = reference_deploy(cfg, energy)
-            assert node_state(field.nodes) == node_state(reference)
+            assert field_state(field) == node_state(reference)
             assert ([(i, x.hex(), y.hex()) for i, x, y in field._entries]
-                    == [(n.id, n.pos.x.hex(), n.pos.y.hex()) for n in reference])
+                    == [(i, pos.x.hex(), pos.y.hex()) for i, pos, _, _ in reference])
             assert entry_ids(field._cells) == reference_cells(reference, cfg.r_s)
             assert all(e is field._entries[e[0]] for cell in field._cells.values() for e in cell)
             assert field.common is NodeMode.SLEEP and field.modes == {}
@@ -174,20 +184,20 @@ class TestLayoutCache:
         assert info.currsize == 1
 
     def test_fields_of_one_config_share_nothing_mutable(self):
-        """They share only the layout's entries, grid and blocks, which hold
-        tuples and which no mutation of a field or its nodes writes: a query
-        adds a block of entries of all nodes, dead or alive."""
+        """They share only the layout's points, entries, grid and blocks, which
+        hold tuples and which no mutation of a field or its columns writes: a
+        query adds a block of entries of all nodes, dead or alive."""
         cfg = FieldConfig(n_nodes=300, seed=3)
         one, two = deploy(cfg), deploy(cfg)
-        untouched = node_state(two.nodes)
+        untouched = field_state(two)
         grid = {key: list(cell) for key, cell in two._cells.items()}
-        assert {id(n) for n in one.nodes}.isdisjoint(id(n) for n in two.nodes)
+        assert one.level is not two.level and one.alive is not two.alive
         assert one.modes is not two.modes
         one.common = NodeMode.DETECT
         one.modes.update({3: NodeMode.MONITOR, 4: NodeMode.MONITOR})
-        one.kill(one.nodes[1])
-        one.nodes[2].remaining_energy = fj(1.25)
-        assert node_state(two.nodes) == untouched
+        one.kill(1)
+        one.level[2] = fj(1.25)
+        assert field_state(two) == untouched
         assert two.common is NodeMode.SLEEP and two.modes == {} and two.n_alive == 300
         rng = random.Random(11)
         for field in (one, two):
@@ -199,9 +209,10 @@ class TestLayoutCache:
                 found = field.near(p, r)
                 assert all(type(e) is tuple for e in found)
                 assert ({i for i, x, y in found if math.hypot(x - p.x, y - p.y) <= r}
-                        == {n.id for n in field.nodes if distance(n.pos, p) <= r})
+                        == {i for i in range(300) if distance(field.pos(i), p) <= r})
         assert {key: list(cell) for key, cell in one._cells.items()} == grid
-        assert [(n.pos.x, n.pos.y) for n in one.nodes] == [(x, y) for _, x, y in one._entries]
+        assert ([(one.pos(i).x, one.pos(i).y) for i in range(300)]
+                == [(x, y) for _, x, y in one._entries])
         assert two._blocks and all(type(b) is tuple for b in two._blocks.values())
 
 
@@ -238,22 +249,23 @@ class TestDetectors:
 
     def test_dead_nodes_never_detect(self):
         field = make_field([(100, 100)])
-        field.kill(field.nodes[0])
+        field.kill(0)
         assert detectors_of(field, Point(100, 100)) == set()
 
     def test_matches_exhaustive_scan(self):
         rng = random.Random(7)
         field = deploy(FieldConfig(seed=5))
-        for n in field.nodes:
+        for i in range(250):
             if rng.random() < 0.1:
-                field.kill(n)
+                field.kill(i)
         for _ in range(500):
             target = Point(rng.uniform(0, 500), rng.uniform(0, 500))
             expected = set()
-            for n in field.nodes:  # independent inclusive-disk scan
-                if n.alive and math.sqrt((n.pos.x - target.x) ** 2
-                                         + (n.pos.y - target.y) ** 2) <= 25.0:
-                    expected.add(n.id)
+            for i in range(250):  # independent inclusive-disk scan
+                p = field.pos(i)
+                if field.alive[i] and math.sqrt((p.x - target.x) ** 2
+                                                + (p.y - target.y) ** 2) <= 25.0:
+                    expected.add(i)
             assert detectors_of(field, target) == expected
 
 
@@ -274,24 +286,27 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("nid", [2, -1])
     def test_id_outside_the_list(self, nid):
-        # ids are list positions, but -1 must not reach the last node
+        # ids index the columns, but -1 must not reach the last node
         field = make_field([(0, 0), (10, 0)])
-        with pytest.raises(KeyError, match="unknown node id"):
-            field.node(nid)
+        for query in (field.pos, field.kill, lambda i: neighbors_of(field, 0, among=[i]),
+                      lambda i: neighbors_of(field, 0, among=[1, i])):
+            with pytest.raises(KeyError, match="unknown node id"):
+                query(nid)
+        assert field.alive == [True, True] and field.n_alive == 2
 
     def test_matches_pairwise_scan(self):
         field = deploy(FieldConfig(n_nodes=120, seed=11))
-        field.kill(field.nodes[17])
+        field.kill(17)
         for nid in range(120):
-            if not field.nodes[nid].alive:
+            if not field.alive[nid]:
                 continue
-            me = field.nodes[nid].pos
-            expected = {n.id for n in field.nodes
-                        if n.alive and n.id != nid
-                        and math.hypot(n.pos.x - me.x, n.pos.y - me.y) <= 50.0}
+            me = field.pos(nid)
+            expected = {i for i in range(120)
+                        if field.alive[i] and i != nid
+                        and math.hypot(field.pos(i).x - me.x, field.pos(i).y - me.y) <= 50.0}
             found = neighbors_of(field, nid)
             assert found.keys() == expected
-            assert all(d == distance(field.nodes[t].pos, me) for t, d in found.items())
+            assert all(d == distance(field.pos(t), me) for t, d in found.items())
 
 
 class TestKClosest:
@@ -323,12 +338,12 @@ class TestKClosest:
     def test_matches_full_sort(self):
         rng = random.Random(99)
         field = deploy(FieldConfig(n_nodes=80, seed=3))
-        ids = [n.id for n in field.nodes]
+        ids = list(range(80))
         for _ in range(1000):
             p = Point(rng.uniform(0, 500), rng.uniform(0, 500))
             cands = set(rng.sample(ids, rng.randint(1, 30)))
             ranked = sorted(cands, key=lambda i: (math.hypot(
-                field.node(i).pos.x - p.x, field.node(i).pos.y - p.y), i))
+                field.pos(i).x - p.x, field.pos(i).y - p.y), i))
             assert k_closest(field, p, 2, cands) == ranked[:2]
 
     def test_stable_under_candidate_permutation(self):
@@ -344,7 +359,7 @@ class TestKClosest:
 
 def scan(field, p, r):
     """Linear-scan oracle: the range query as it reads without the grid index."""
-    return {n.id for n in field.nodes if n.alive and distance(n.pos, p) <= r}
+    return {i for i, alive in enumerate(field.alive) if alive and distance(field.pos(i), p) <= r}
 
 
 @st.composite
@@ -385,9 +400,9 @@ def fields_with_query(draw):
     cfg = FieldConfig(area_width=w, area_height=h, n_nodes=len(positions),
                       r_s=r_s, r_c=r_c, seed=0)
     field = NodeField(cfg, layout_of([Point(x, y) for x, y in positions], r_s), FJ)
-    for node, d in zip(field.nodes, dead):
+    for i, d in enumerate(dead):
         if d:
-            field.kill(node)
+            field.kill(i)
     return field, q, radius
 
 
@@ -409,18 +424,19 @@ class TestGridMatchesLinearScan:
         r_s, r_c = field.config.r_s, field.config.r_c
         assert detectors_of(field, q) == scan(field, q, r_s)
         assert wake_set(field, PredictedRegion(q, radius)) == scan(field, q, radius + r_s)
-        for n in field.nodes:
-            if n.alive:
-                assert neighbors_of(field, n.id).keys() == scan(field, n.pos, r_c) - {n.id}
+        points = [field.pos(i) for i in range(field.config.n_nodes)]
+        for i, alive in enumerate(field.alive):
+            if alive:
+                assert neighbors_of(field, i).keys() == scan(field, points[i], r_c) - {i}
         # the coverage test as harness.run writes it: dead nodes count too,
         # also in a field whose nodes all died before any query built a block
-        covered = any(distance(n.pos, q) <= r_s for n in field.nodes)
-        dead = NodeField(field.config, layout_of([n.pos for n in field.nodes], r_s), FJ)
-        for n in dead.nodes:
-            dead.kill(n)
+        covered = any(distance(p, q) <= r_s for p in points)
+        dead = NodeField(field.config, layout_of(points, r_s), FJ)
+        for i in range(len(points)):
+            dead.kill(i)
         for f in (field, dead):
             found = f.near(q, r_s)
-            assert all((x, y) == (f.nodes[i].pos.x, f.nodes[i].pos.y) for i, x, y in found)
+            assert all((x, y) == (f.pos(i).x, f.pos(i).y) for i, x, y in found)
             assert any(math.hypot(x - q.x, y - q.y) <= r_s for _, x, y in found) == covered
         assert detectors_of(dead, q) == set()
 
@@ -435,22 +451,23 @@ class TestGridMatchesLinearScan:
         multiple of r_s."""
         field, q, _ = case
         r_s = field.config.r_s
-        twin = NodeField(field.config, layout_of([n.pos for n in field.nodes], r_s), FJ)
-        for n in field.nodes:
-            if not n.alive:
-                twin.kill(twin.nodes[n.id])
+        n = field.config.n_nodes
+        twin = NodeField(field.config, layout_of(map(field.pos, range(n)), r_s), FJ)
+        for i, alive in enumerate(field.alive):
+            if not alive:
+                twin.kill(i)
         points = [Point(q.x - r_s / 2, q.y - r_s / 2), q, Point(q.x + r_s / 2, q.y),
                   Point(q.x, q.y - r_s)]
-        ids = st.integers(0, len(field.nodes) - 1)
+        ids = st.integers(0, n - 1)
         for f in (field, twin, field):
             for _ in range(2):
                 for p in points:
                     assert detectors_of(f, p) == scan(f, p, r_s)
                     found = f.near(p, r_s)
                     assert (any(math.hypot(x - p.x, y - p.y) <= r_s for _, x, y in found)
-                            == any(distance(n.pos, p) <= r_s for n in f.nodes))
+                            == any(distance(f.pos(i), p) <= r_s for i in range(n)))
                 for nid in data.draw(st.lists(ids, max_size=4)):
-                    f.kill(f.nodes[nid])
+                    f.kill(nid)
         assert field._blocks is not twin._blocks
 
     @settings(max_examples=40, deadline=None)
@@ -471,23 +488,23 @@ class TestGridMatchesLinearScan:
             Point, st.floats(0.0, cfg.area_width), st.floats(0.0, cfg.area_height)),
             min_size=1, max_size=12))
         for nid in data.draw(st.sets(st.integers(0, cfg.n_nodes - 1), max_size=cfg.n_nodes)):
-            one.kill(one.nodes[nid])
+            one.kill(nid)
         for f in (one, two, one, two):
             for p in points:
                 assert detectors_of(f, p) == scan(f, p, r_s)
                 assert ({i for i, x, y in f.near(p, r_s) if math.hypot(x - p.x, y - p.y) <= r_s}
-                        == {n.id for n in f.nodes if distance(n.pos, p) <= r_s})
+                        == {i for i in range(cfg.n_nodes) if distance(f.pos(i), p) <= r_s})
 
     @settings(max_examples=150, deadline=None)
     @given(fields_with_query(), st.data())
     def test_neighbors_among_a_subset_equal_the_scan(self, case, data):
         field, _, _ = case
         r_c = field.config.r_c
-        among = data.draw(st.sets(st.sampled_from([n.id for n in field.nodes])))
-        for n in field.nodes:
-            if n.alive:
-                assert (neighbors_of(field, n.id, among=among).keys()
-                        == (scan(field, n.pos, r_c) - {n.id}) & among)
+        among = data.draw(st.sets(st.sampled_from(range(field.config.n_nodes))))
+        for i, alive in enumerate(field.alive):
+            if alive:
+                assert (neighbors_of(field, i, among=among).keys()
+                        == (scan(field, field.pos(i), r_c) - {i}) & among)
 
 
 class TestEntryGrid:
@@ -505,7 +522,7 @@ class TestEntryGrid:
         assert type(entries) is tuple and all(type(e) is tuple for e in entries)
         assert all(type(key) is tuple and type(cell) is tuple
                    and all(type(e) is tuple for e in cell) for key, cell in grid.items())
-        direct = layout_of([n.pos for n in reference_deploy(cfg, 1.0)], cfg.r_s)
+        direct = layout_of([pos for _, pos, _, _ in reference_deploy(cfg, 1.0)], cfg.r_s)
         assert direct.points == points and direct.entries == entries
         assert direct.cells == grid and list(direct.cells) == list(grid)
 
@@ -519,9 +536,9 @@ class TestEntryGrid:
         scheduled = data.draw(st.lists(ids, max_size=5))
         field.modes = dict.fromkeys(scheduled, NodeMode.MONITOR)
         for nid in data.draw(st.lists(ids, max_size=3)):
-            field.kill(field.nodes[nid])
-        assert set(field.modes) == {nid for nid in scheduled if field.nodes[nid].alive}
-        assert field.n_alive == sum(n.alive for n in field.nodes)
+            field.kill(nid)
+        assert set(field.modes) == {nid for nid in scheduled if field.alive[nid]}
+        assert field.n_alive == sum(field.alive)
 
     @settings(max_examples=100, deadline=None)
     @given(field_configs())
@@ -538,9 +555,9 @@ class TestEntryGrid:
     @given(fields_with_query(), st.data())
     def test_neighbor_distances_equal_distance_bit_for_bit(self, case, data):
         field, _, _ = case
-        among = data.draw(st.sets(st.sampled_from([n.id for n in field.nodes])))
-        for n in field.nodes:
-            if n.alive:
+        among = data.draw(st.sets(st.sampled_from(range(field.config.n_nodes))))
+        for i, alive in enumerate(field.alive):
+            if alive:
                 for pool in (None, among):
-                    for t, d in neighbors_of(field, n.id, among=pool).items():
-                        assert d.hex() == distance(field.nodes[t].pos, n.pos).hex()
+                    for t, d in neighbors_of(field, i, among=pool).items():
+                        assert d.hex() == distance(field.pos(t), field.pos(i)).hex()

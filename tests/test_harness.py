@@ -193,7 +193,7 @@ class TestBaseline:
         cfg = small_cfg(seed=0, slots=1)
         field = deploy(cfg.field, cfg.mode_costs.initial_energy)
         mac = MacService(cfg.slots, random.Random(0))
-        for target in (Point(-1000.0, -1000.0), field.nodes[0].pos):
+        for target in (Point(-1000.0, -1000.0), field.pos(0)):
             res = harness._baseline_step(TrackerState(), field, target, mac, 0)
             assert res.common is NodeMode.DETECT and res.modes == {}
             assert not res.woken and not res.wake_targets
@@ -202,7 +202,7 @@ class TestBaseline:
         cfg = small_cfg(seed=0, slots=3)
         field = deploy(cfg.field, cfg.mode_costs.initial_energy)
         mac = MacService(cfg.slots, random.Random(0))
-        unseen, seen = Point(-1000.0, -1000.0), field.nodes[0].pos
+        unseen, seen = Point(-1000.0, -1000.0), field.pos(0)
         res = harness._baseline_step(TrackerState(), field, unseen, mac, 0)
         assert not res.detectors and res.tracker.episode is Episode.IDLE
         res = harness._baseline_step(res.tracker, field, seen, mac, 1)
@@ -488,10 +488,10 @@ def test_a_step_leaves_the_schedule_and_the_nodes_unchanged(cfg):
     def guarded(step):
         def call(tracker, field, *args, **kwargs):
             common, modes, contents = field.common, field.modes, dict(field.modes)
-            alive = [n.alive for n in field.nodes]
+            alive = list(field.alive)
             res = step(tracker, field, *args, **kwargs)
             assert field.common is common and field.modes is modes and modes == contents
-            assert [n.alive for n in field.nodes] == alive
+            assert field.alive == alive
             assert res.modes is not modes
             calls.append(res)
             return res
@@ -506,19 +506,24 @@ def test_a_step_leaves_the_schedule_and_the_nodes_unchanged(cfg):
 
 def schedule_checked(scanned):
     """A `settle_slot` that checks the schedule around each call and appends
-    a scan of the slot body's awake count to `scanned`."""
+    a scan of the slot body's awake count to `scanned`. After each call, a
+    node is alive exactly when the level it would have after paying what it
+    owes is above zero: no lazy node passes its horizon."""
     def checked(ledger, outcomes, slot_modes, woken, slot, *, common):
         # the ledger logs an outcome's records at the outcome's own slot
         assert all(out.slot == slot for out in outcomes)
-        nodes = ledger.field.nodes
-        assert all(nodes[i].alive for i in slot_modes)
-        scanned.append(sum(n.alive and slot_modes.get(n.id, common) is not NodeMode.SLEEP
-                           for n in nodes))
-        settle_slot(ledger, outcomes, slot_modes, woken, slot, common=common)
         field = ledger.field
-        assert all(nodes[i].alive and m is not NodeMode.SLEEP and m is not field.common
+        alive = field.alive
+        assert all(alive[i] for i in slot_modes)
+        scanned.append(sum(a and slot_modes.get(i, common) is not NodeMode.SLEEP
+                           for i, a in enumerate(alive)))
+        settle_slot(ledger, outcomes, slot_modes, woken, slot, common=common)
+        assert all(alive[i] and m is not NodeMode.SLEEP and m is not field.common
                    for i, m in field.modes.items())
-        assert field.n_alive == sum(n.alive for n in nodes)
+        assert field.n_alive == sum(alive)
+        owed = [(ledger._through - paid) * ledger._cost for paid in ledger._paid]
+        assert all(level - due > 0 if a else level == 0
+                   for a, level, due in zip(alive, field.level, owed))
     return checked
 
 
@@ -527,12 +532,17 @@ def schedule_checked(scanned):
 def test_schedule_after_every_slot_holds_alive_exceptions_only(cfg):
     """After every slot of run(), each id in `field.modes` is an alive node in
     neither sleep nor the common mode, and `per_slot_awake` equals a scan of
-    the slot body's schedule."""
+    the slot body's schedule. After the run's final flush, a node is alive
+    exactly when its level is above zero: deaths come only from the clamp at
+    zero, and no lazy node outlives its battery."""
     scanned = []
+    field = deploy(cfg.field, cfg.mode_costs.initial_energy)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "settle_slot", schedule_checked(scanned))
-        report = run(cfg)
+        report = run(cfg, field=field)
     assert report.per_slot_awake == scanned and len(scanned) == 200
+    assert all(alive == (level > 0) for alive, level in zip(field.alive, field.level))
+    assert field.n_alive == field.alive.count(True)
 
 
 @pytest.mark.parametrize("method", ["proposed", "baseline"])

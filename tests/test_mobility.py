@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, FieldConfig, MobilityConfig, Point,
                            TargetState, TraceRow, distance, generate_trace,
-                           observed_speed, read_trace, spawn_target,
-                           step_target, write_trace)
-from wsn_track_sim.mobility import validate_mobility
+                           observed_speed, read_trace, spawn_target, write_trace)
+from wsn_track_sim.mobility import _draw_leg, validate_mobility
 
 FC = FieldConfig()  # 500x500, r_s 25
 
@@ -95,6 +94,32 @@ class TestStep:
             step = distance(Point(a.x, a.y), Point(b.x, b.y))
             assert step <= FC.r_s + 1e-9
             assert step <= a.speed * 1.0 + 1e-9
+
+
+def step_target(ts: TargetState, mc: MobilityConfig, fc: FieldConfig,
+                rng: random.Random) -> TargetState:
+    """Advance one slot toward the waypoint; redraw waypoint/speed on arrival.
+
+    The per-slot displacement is min(speed*T, remaining distance), so it never
+    exceeds speed*T and in particular never exceeds r_s. This is the
+    single-step rule; generate_trace repeats it on floats, and the tests check
+    that loop against spawn_target followed by this step.
+    """
+    step = ts.speed * mc.slot_duration
+    remaining = distance(ts.pos, ts.waypoint)
+    if remaining <= step:
+        # Arrive exactly at the waypoint, then pick the next leg (no pause).
+        new_pos = ts.waypoint
+        wx, wy, speed = _draw_leg(mc, fc, rng)
+        waypoint = Point(wx, wy)
+    else:
+        f = step / remaining
+        new_pos = Point(ts.pos.x + (ts.waypoint.x - ts.pos.x) * f,
+                        ts.pos.y + (ts.waypoint.y - ts.pos.y) * f)
+        waypoint = ts.waypoint
+        speed = ts.speed
+    return TargetState(pos=new_pos, waypoint=waypoint, speed=speed,
+                       slot_index=ts.slot_index + 1)
 
 
 def reference_trace(mc, fc, n_slots):

@@ -31,8 +31,8 @@ def detecting(field):
 
 def awake_in(field):
     """A scan for the alive nodes that the field's schedule keeps awake."""
-    return {n.id for n in field.nodes
-            if n.alive and field.modes.get(n.id, field.common) is not NodeMode.SLEEP}
+    return {i for i, alive in enumerate(field.alive)
+            if alive and field.modes.get(i, field.common) is not NodeMode.SLEEP}
 
 
 def mac(p_persist=1.0, seed=0):
@@ -145,16 +145,15 @@ class TestWakeSet:
         rng = random.Random(13)
         positions = [(rng.uniform(0, 500), rng.uniform(0, 500)) for _ in range(150)]
         field = make_field(positions)
-        field.kill(field.nodes[10])
+        field.kill(10)
         for _ in range(500):
             region = PredictedRegion(Point(rng.uniform(0, 500), rng.uniform(0, 500)),
                                      rng.uniform(0, 25))
             expected = set()
-            for n in field.nodes:
-                d = math.sqrt((n.pos.x - region.center.x) ** 2
-                              + (n.pos.y - region.center.y) ** 2)
-                if n.alive and d <= region.radius + 25.0:
-                    expected.add(n.id)
+            for i, (x, y) in enumerate(positions):
+                d = math.sqrt((x - region.center.x) ** 2 + (y - region.center.y) ** 2)
+                if field.alive[i] and d <= region.radius + 25.0:
+                    expected.add(i)
             assert wake_set(field, region) == expected
 
 
@@ -207,7 +206,7 @@ class TestTrackingStep:
         assert res.tracker.episode is Episode.LOST
         assert res.detectors == set()
         assert res.common is NodeMode.SLEEP and res.modes == {}
-        assert field.nodes[1].alive
+        assert field.alive[1]
 
     def test_notice_failure_skips_wake_messages(self):
         # representative (lowest id) is not in the closest pair; the notice
