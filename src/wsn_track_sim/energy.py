@@ -242,6 +242,7 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     `slot_modes` holds the slot-body mode of each node not in the slot's
     `common` mode; every other alive node spent the slot body in `common`.
     `woken` lists nodes pulled out of sleep by a wake message this slot.
+    A map id outside 0..n-1 raises pos()'s KeyError before anything is charged.
     Platform costs are charged inline, with debit()'s operations, to the
     levels and to `ledger.platform`, so levels, deaths and totals match a
     per-node debit() loop.
@@ -261,6 +262,9 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     sleep, asleep, detect, sensing, monitoring = ledger._charges
     c, at = asleep if common is sleep else sensing if common is detect else monitoring
     field, platform, paid = ledger.field, ledger.platform, ledger._paid
+    if slot_modes:  # the range check of the map's ids, before any charge
+        field.pos(min(slot_modes))
+        field.pos(max(slot_modes))
     levels, alive, total, through = field.level, field.alive, ledger.e_sx_total, ledger._through
     lazy = slot - 1 == through and common is ledger._common and slot <= ledger._horizon
     unvisited = field.n_alive  # alive nodes the walk below does not visit

@@ -20,6 +20,7 @@ import functools
 import logging
 import math
 import random
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
 from typing import NamedTuple
@@ -63,8 +64,11 @@ class RunReport:
     config_digest: str
     axis_name: str = ""
     axis_value: str = ""
-    # in-memory diagnostics, not serialized to CSV
-    per_step_energy: list[float] = dc_field(default_factory=list, repr=False)
+    # in-memory diagnostics, not serialized to CSV; the joules of each slot
+    # (run) or MAC round (bench) as packed C doubles: 8 B an entry, where a
+    # list of floats takes 32 B
+    per_step_energy: array = dc_field(default_factory=functools.partial(array, "d"),
+                                      repr=False)
     per_slot_awake: list[int] = dc_field(default_factory=list, repr=False)
     per_slot_tracking: list[bool] = dc_field(default_factory=list, repr=False)
     conservation_rel_err: float = 0.0
@@ -185,7 +189,7 @@ def _fold(records: list[SlotRecord]) -> dict:
         lost_episodes=sum(r.lost for r in records),
         tracked_slots=len(tracked_awake),
         detection_fraction=(sum(covered) / len(covered)) if covered else 0.0,
-        per_step_energy=[r.joules for r in records],
+        per_step_energy=array("d", [r.joules for r in records]),
         per_slot_awake=[r.awake for r in records],
         per_slot_tracking=[r.tracking for r in records],
     )
@@ -266,6 +270,8 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     It drains and settles BENCH_CHUNK rounds at a time: one whole drain's
     outcomes, alive at once, set the bench's peak memory and its GC time. The
     chunks make one drain's rounds (`drain_queue`); the MAC reads no battery.
+    What outlives a chunk is the ledger's debit log, the largest part of a
+    bench's memory, and each round's joules as one packed C double (8 B).
     """
     field = deploy(cfg.field, cfg.mode_costs.initial_energy)
     rng = random.Random(derive_seed(cfg.seed, f"bench:{cfg.method}"))
@@ -286,13 +292,13 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     ledger = EnergyLedger(field, cfg.mode_costs, cfg.radio)
     initial_energy = ledger.total_remaining()
     counters = MetricCounters(sent_pckt=enqueued)
-    per_step, tx_bits = [], 0
+    per_step, tx_bits = array("d"), 0
     budget = enqueued * (cfg.slots.max_retries + 2) * 8
     while len(per_step) < budget:
         ask = min(BENCH_CHUNK, budget - len(per_step))
         outcomes = drain_queue(queues, ask, cfg.slots, rng, start_slot=len(per_step))
         joules, sent = settle_radio(ledger, outcomes)
-        per_step += joules
+        per_step.extend(joules)
         tx_bits += sent
         _deliveries(counters, outcomes, cfg.slots.slot_duration)
         if len(outcomes) < ask:  # the queues ran empty

@@ -283,6 +283,22 @@ class TestSettleSlot:
         assert spent == ledger.e_sx_total == sum(ledger.platform)
         assert field.level[1] == 0 and ledger.debits == []
 
+    @pytest.mark.parametrize("walk", [False, True], ids=["lazy", "walk"])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_a_map_id_outside_the_field_raises_before_any_charge(self, bad, walk):
+        # -1 must not wrap to node 2, and 3 must not be skipped by a walk
+        field = small_field([(0, 0), (30, 40), (100, 0)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        settle_slot(ledger, [], {}, slot=0, common=SLEEP)  # a walk: the first slot
+        before = (list(field.level), list(field.alive), list(ledger.platform),
+                  list(ledger.debits), ledger.e_sx_total)
+        # slot 1 keeps the common mode, so it is lazy; DETECT makes it a walk
+        with pytest.raises(KeyError, match=f"unknown node id {bad}"):
+            settle_slot(ledger, [], {0: NodeMode.MONITOR, bad: NodeMode.MONITOR},
+                        slot=1, common=DETECT if walk else SLEEP)
+        assert (field.level, field.alive, ledger.platform, ledger.debits,
+                ledger.e_sx_total) == before
+
 
 def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
     """Per-node debit() settlement: one log record per charge, platform

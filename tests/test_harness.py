@@ -5,7 +5,10 @@ import hashlib
 import json
 import logging
 import math
+import pickle
 import random
+import sys
+from array import array
 from collections import deque
 from dataclasses import fields, replace
 from pathlib import Path
@@ -119,6 +122,19 @@ class TestRun:
         assert skipped and not report.radio_reconciled
 
 
+def exact(v):
+    """`v` with every float as float.hex, in dicts, lists and packed arrays
+    too, element by element; an array keeps its typecode, so a change of
+    representation shows."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, array):
+        return v.typecode, [x.hex() for x in v]
+    if isinstance(v, dict):
+        return {k: exact(x) for k, x in v.items()}
+    return [exact(x) for x in v] if isinstance(v, list) else v
+
+
 def reference_fold(records):
     """The per-slot accumulation `run()` did before slot records: the oracle
     for `_fold`."""
@@ -141,7 +157,7 @@ def reference_fold(records):
         lost_episodes=lost,
         tracked_slots=tracked,
         detection_fraction=(detected_slots / covered_slots) if covered_slots else 0.0,
-        per_step_energy=per_step,
+        per_step_energy=array("d", per_step),
         per_slot_awake=per_awake,
         per_slot_tracking=per_tracking,
     )
@@ -159,7 +175,7 @@ class TestFold:
     @example([])
     @example([harness.SlotRecord(0.5, 3, False, False, False, False)] * 4)
     def test_fold_equals_the_accumulation_loop(self, records):
-        assert harness._fold(records) == reference_fold(records)
+        assert exact(harness._fold(records)) == exact(reference_fold(records))
 
     def test_deliveries_delay_is_slots_times_t(self):
         # the first send stands for T_s; a frame that never reached the air
@@ -302,17 +318,13 @@ def whole_drain_bench(cfg):
         mean_active_nodes=float(len(senders) + 1), max_active_nodes=len(senders) + 1,
         throughput_bps=throughput(counters) if counters.elapsed > 0 else 0.0,
         lost_episodes=0, tracked_slots=len(outcomes), detection_fraction=0.0,
-        per_step_energy=per_step)
+        per_step_energy=array("d", per_step))
     return report, sum(len(q) for q in queues.values())
 
 
 def exact_fields(report):
-    """Every field of a report, floats (in lists too) as float.hex."""
-    def exact(v):
-        if isinstance(v, float):
-            return v.hex()
-        return [exact(x) for x in v] if isinstance(v, list) else v
-    return {f.name: exact(getattr(report, f.name)) for f in fields(report)}
+    """Every field of a report, as `exact` states it."""
+    return exact({f.name: getattr(report, f.name) for f in fields(report)})
 
 
 class TestBenchRun:
@@ -363,6 +375,38 @@ class TestBenchRun:
         assert exact_fields(report) == exact_fields(ref)
         assert max(sizes) <= harness.BENCH_CHUNK < report.slots
         assert (left > 0) == bool(slot_kw)
+
+
+def small_report(kind):
+    """A small report of a kind: "run", or "bench-" and a method; the bench's
+    rounds span several chunks."""
+    if kind == "run":
+        return run(small_cfg(seed=1, slots=40))
+    method = kind.removeprefix("bench-")
+    return bench_run(replace(default_scenario(seed=3), method=method, bench_packets=300))
+
+
+KINDS = ["run", "bench-baseline", "bench-proposed"]
+
+
+class TestPackedEnergy:
+    """`per_step_energy` holds each slot's or MAC round's joules as one C double."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_8_bytes_a_step(self, kind):
+        report = small_report(kind)
+        series = report.per_step_energy
+        assert type(series) is array and series.typecode == "d"
+        assert len(series) == report.slots
+        assert sys.getsizeof(series) <= 9 * report.slots + 128
+        assert kind == "run" or report.slots > harness.BENCH_CHUNK
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_report_survives_pickling(self, kind):
+        # a process pool hands reports back pickled
+        report = small_report(kind)
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report and exact_fields(back) == exact_fields(report)
 
 
 class TestEmitCsv:
