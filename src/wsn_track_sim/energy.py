@@ -14,7 +14,8 @@ of a slot's or a whole drain's outcomes.
 Platform costs add up in three sums, by the mode of the slots they pay for
 (sleep, sense, comm); the append-only log holds one record per radio, wake or
 direct debit, so tx/rx records reconcile with the MAC. Conservation checks
-add the sums to the log's amounts.
+add the sums to the log's amounts. The log is packed columns (`DebitLog`),
+about 25 bytes a record and no object that the garbage collector traverses.
 
 Each slot has a common mode, the one mode of every alive node outside the
 slot's mode map: sleep while the proposed method tracks, detect while the
@@ -31,8 +32,10 @@ its platform charge is the cost times the alive count, O(1) in N.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import astuple, dataclass, field as dc_field
+from itertools import compress
 from statistics import fmean
 
 from .errors import ConfigError
@@ -96,6 +99,49 @@ def _safe_slots(level: int, cost: int) -> int | float:
     return (level - 1) // cost if cost else math.inf
 
 
+class DebitLog:
+    """The ledger's append-only log of `(slot, node, reason, applied_fJ)`
+    records as packed columns, about 25 B a record where a tuple in a list
+    takes about 90: `slots` and `nodes` (int64), `codes` (a byte indexing
+    `reasons`) and `amounts` (Python ints, exact at any battery size and
+    shared with the ledger's cost memos). `len()`, iteration in append order
+    and int indexing, negative too, read it as a sequence of those tuples.
+    """
+
+    __slots__ = ("slots", "nodes", "codes", "amounts", "reasons", "_code")
+
+    def __init__(self) -> None:
+        self.slots = array("q")
+        self.nodes = array("q")
+        self.codes = bytearray()
+        self.amounts: list[int] = []
+        self.reasons: list[str] = []     # code -> reason
+        self._code: dict[str, int] = {}  # reason -> code
+
+    def code_of(self, reason: str) -> int:
+        """The code of `reason`, given it on first use; a 257th distinct
+        reason raises ValueError, since a code is one byte."""
+        code = self._code.get(reason)
+        if code is None:
+            code = len(self.reasons)
+            if code > 255:
+                raise ValueError(f"a debit log holds at most 256 distinct reasons; "
+                                 f"{reason!r} would be the 257th")
+            self._code[reason] = code
+            self.reasons.append(reason)
+        return code
+
+    def __len__(self) -> int:
+        return len(self.amounts)
+
+    def __iter__(self):
+        return zip(self.slots, self.nodes, map(self.reasons.__getitem__, self.codes),
+                   self.amounts)
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.slots[i], self.nodes[i], self.reasons[self.codes[i]], self.amounts[i]
+
+
 class EnergyLedger:
     """Battery bookkeeping of one run, in whole fJ: platform sums and an
     append-only debit log.
@@ -108,11 +154,12 @@ class EnergyLedger:
     callers that report joules divide by `FJ`.
 
     `platform` holds the fJ that settle_slot drew in sleep, sense and comm
-    slots, in that order. The log, `debits`, holds one `(slot, node, reason,
-    applied_fJ)` tuple per other debit: "tx", "rx", "wake", or a direct
-    debit() call, so radio records count one per MAC operation. The fJ of a
-    reason are its platform sum, if it has one, plus its log amounts, and
-    `sum(platform)` plus all log amounts is the energy drawn, `e_sx_total`.
+    slots, in that order. The log, `debits`, a `DebitLog`, holds one
+    `(slot, node, reason, applied_fJ)` record per other debit: "tx", "rx",
+    "wake", or a direct debit() call, so `len(debits)` counts one per MAC
+    radio operation, wake-up and direct debit. The fJ of a reason are its
+    platform sum, if it has one, plus its log amounts, and `sum(platform)`
+    plus `sum(debits.amounts)` is the energy drawn, `e_sx_total`.
 
     A node in the common mode that settle_slot did not visit still owes that
     mode's charges since the last slot it paid for. debit() and a visit
@@ -130,7 +177,7 @@ class EnergyLedger:
                          (fj(costs.comm_per_slot), 2))
         self._wake = fj(costs.wake_cost)
         self.platform = [0, 0, 0]  # fJ drawn in sleep, sense and comm slots
-        self.debits: list[tuple] = []
+        self.debits = DebitLog()
         self.e_sx_total = 0  # running network total, fJ; see the class docstring
         self._paid = [-1] * len(field.level)  # per node id: the last slot it paid for
         self._through = -1        # last settled slot
@@ -161,11 +208,14 @@ class EnergyLedger:
         return sum(self.field.level)
 
     def debit(self, node_id: int, amount: int, reason: str, slot: int) -> int:
-        """Draw `amount` fJ from a node, clamped at zero. Returns the applied amount."""
+        """Draw `amount` fJ from a node, clamped at zero. Returns the applied
+        amount. A record the log cannot take raises before any charge."""
         if type(amount) is not int or amount < 0:  # a float, joules or fJ, is an error
             raise ValueError(f"debit amount must be a non-negative int of fJ, got {amount!r}")
-        field = self.field
+        field, log = self.field, self.debits
         field.pos(node_id)  # the range check
+        code = log.code_of(reason)
+        log.slots.append(slot)  # the one column append that can fail: first
         cost = self._cost  # None until a slot is settled: no lazy nodes
         if cost is not None and self._paid[node_id] < self._through:
             self._catch_up(node_id)
@@ -178,7 +228,9 @@ class EnergyLedger:
         elif cost is not None:
             self._horizon = min(self._horizon, self._through + _safe_slots(new_level, cost))
         field.level[node_id] = new_level
-        self.debits.append((slot, node_id, reason, applied))
+        log.nodes.append(node_id)
+        log.codes.append(code)
+        log.amounts.append(applied)
         self.e_sx_total += applied
         return applied
 
@@ -191,11 +243,15 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
     A tx record's cost depends only on (node, peer, bits) on a static field,
     an rx record's only on its bits, so the ledger rounds each to fJ once and
     keeps it. A tx record's ids pass pos()'s range check when its cost is
-    first rounded, an rx record's node at every record.
+    first rounded, an rx record's node at every record. Every record that is
+    not a tx is charged and logged as an rx.
     """
     field, rm, log, paid = ledger.field, ledger.radio, ledger.debits, ledger._paid
     levels, tx_costs, rx_costs, pos = field.level, ledger._tx_costs, ledger._rx_costs, field.pos
     cost, through, total = ledger._cost, ledger._through, ledger.e_sx_total
+    tx, rx = log.code_of("tx"), log.code_of("rx")  # once a call, before any charge
+    add_slot, add_node = log.slots.append, log.nodes.append
+    add_code, add_amount = log.codes.append, log.amounts.append
     low = math.inf
     per_outcome = []
     sent = 0
@@ -210,11 +266,14 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
                     amount = tx_costs[rec] = fj(tx_energy(
                         bits, distance(pos(nid), pos(peer)), rm))
                 sent += bits
+                code = tx
             else:
                 pos(nid)  # the range check
                 amount = rx_costs.get(bits)
                 if amount is None:
                     amount = rx_costs[bits] = fj(rx_energy(bits, rm))
+                code = rx
+            add_slot(at)  # the one column append that can fail: before the charge
             if cost is not None and paid[nid] < through:
                 ledger._catch_up(nid)
             current = levels[nid]
@@ -226,7 +285,9 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
             elif level < low:
                 low = level
             levels[nid] = level
-            log.append((at, nid, op, applied))
+            add_node(nid)
+            add_code(code)
+            add_amount(applied)
             total += applied
         per_outcome.append((total - before) / FJ)
     ledger.e_sx_total = total
@@ -316,7 +377,13 @@ def settle_radio(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
 
 def debit_counts_by_reason(ledger: EnergyLedger, reason: str) -> Counter:
     """How many debits of a given reason each node accrued (for reconciliation)."""
-    return Counter(node_id for _, node_id, why, _ in ledger.debits if why == reason)
+    log = ledger.debits
+    code = log._code.get(reason)
+    if code is None:
+        return Counter()
+    mask = bytearray(256)  # code -> 1 for the reason's code, 0 for every other
+    mask[code] = 1
+    return Counter(compress(log.nodes, log.codes.translate(mask)))
 
 
 @dataclass

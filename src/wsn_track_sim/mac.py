@@ -70,7 +70,7 @@ class SlotConfig:
         return self.slot_duration * (1 - self.sense_fraction) - ack
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     src: int
     dst: int

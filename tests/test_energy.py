@@ -2,7 +2,8 @@
 
 import math
 import random
-from collections import deque
+import sys
+from collections import Counter, deque
 from dataclasses import replace
 from unittest import mock
 
@@ -14,7 +15,7 @@ from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
                            default_scenario, delay, deploy, distance, layout_of,
                            pdr, run, rx_energy, settle_slot, throughput, tx_energy)
 from wsn_track_sim import harness
-from wsn_track_sim.energy import FJ, debit_counts_by_reason, fj, settle_radio
+from wsn_track_sim.energy import FJ, DebitLog, debit_counts_by_reason, fj, settle_radio
 from wsn_track_sim.errors import ConfigError
 from wsn_track_sim.mac import Frame, FrameKind, SlotConfig, SlotOutcome, drain_queue
 from wsn_track_sim.scenario import with_seed
@@ -171,7 +172,7 @@ class TestLedger:
         ledger = EnergyLedger(field, COSTS, RM)
         assert ledger.total_remaining() == sum(levels)
         ledger.flush()
-        assert ledger.debits == []
+        assert list(ledger.debits) == []
         assert field.level == levels and field.alive == [True] * len(levels)
         assert field.common is SLEEP and field.modes == {}
 
@@ -205,6 +206,109 @@ class TestLedger:
             last[nid] = field.level[nid]
 
 
+@st.composite
+def debit_calls(draw):
+    """debit() calls on a 4-node field whose batteries hold more fJ than an
+    int64 can count, so that amounts beyond 2**63 are logged and nodes die:
+    (node, amount, reason, slot) each, slots across the whole int64 range."""
+    reasons = st.sampled_from(["tx", "rx", "wake", "sense", "x", "", "é"])
+    return draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**66), reasons,
+                                   st.integers(-2**63, 2**63 - 1)),
+                         max_size=60))
+
+
+class TestDebitLog:
+    """The ledger's log as packed columns reads as the list of its records."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(debit_calls())
+    def test_reads_as_the_list_of_appended_records(self, calls):
+        ledger = EnergyLedger(small_field([(i * 10.0, 0.0) for i in range(4)],
+                                          energy=2**66), COSTS, RM)
+        appended = [(slot, node, reason, ledger.debit(node, amount, reason, slot))
+                    for node, amount, reason, slot in calls]
+        log = ledger.debits
+        assert type(log) is DebitLog
+        assert list(log) == appended
+        assert all(type(d) is tuple for d in log)
+        assert len(log) == len(appended) and bool(log) == bool(appended)
+        for i in range(-len(appended), len(appended)):
+            assert log[i] == appended[i]
+        for i in (len(appended), -len(appended) - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        assert sum(log.amounts) == ledger.e_sx_total == sum(d[3] for d in appended)
+
+    @settings(max_examples=60, deadline=None)
+    @given(debit_calls(), st.lists(st.tuples(st.sampled_from(["tx", "rx"]),
+                                             st.integers(0, 3), st.integers(1, 4096)),
+                                   max_size=20))
+    def test_counts_by_reason_equal_a_count_over_the_records(self, calls, radio):
+        """Radio records and direct debits mixed: each reason's counts per
+        node, and a reason that is in no record, equal a brute-force count."""
+        ledger = EnergyLedger(small_field([(i * 10.0, 0.0) for i in range(4)]), COSTS, RM)
+        out = SlotOutcome(slot=3)
+        for op, node, bits in radio:
+            (out.add_tx if op == "tx" else out.add_rx)(node, (node + 1) % 4, bits)
+        half = len(calls) // 2
+        for node, amount, reason, slot in calls[:half]:
+            ledger.debit(node, amount, reason, slot)
+        settle_radio(ledger, [out])
+        for node, amount, reason, slot in calls[half:]:
+            ledger.debit(node, amount, reason, slot)
+        records = list(ledger.debits)
+        for reason in {d[2] for d in records} | {"tx", "rx", "absent"}:
+            assert debit_counts_by_reason(ledger, reason) == Counter(
+                node for _, node, why, _ in records if why == reason)
+
+    def test_a_257th_reason_is_refused_before_any_charge(self):
+        field = small_field([(0, 0), (10, 0)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        for k in range(256):
+            ledger.debit(k % 2, 1, f"r{k}", k)
+        before = (list(field.level), list(ledger.debits), ledger.e_sx_total)
+        with pytest.raises(ValueError, match="256 distinct reasons"):
+            ledger.debit(0, 1, "r256", 256)
+        out = SlotOutcome(slot=256)
+        out.add_tx(0, 1, 512)
+        with pytest.raises(ValueError, match="256 distinct reasons"):
+            settle_radio(ledger, [out])  # "tx" would be the 257th reason too
+        assert (field.level, list(ledger.debits), ledger.e_sx_total) == before
+        ledger.debit(1, 5, "r7", 256)  # a known reason still logs
+        assert ledger.debits[-1] == (256, 1, "r7", 5) and len(ledger.debits) == 257
+
+    @pytest.mark.parametrize("slot", [1.5, "3", None, 2**63, -2**63 - 1])
+    def test_a_slot_the_log_cannot_hold_is_refused_before_any_charge(self, slot):
+        field = small_field([(0, 0), (10, 0)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        ledger.debit(0, fj(0.01), "sense", 0)
+        before = (list(field.level), list(ledger.debits), ledger.e_sx_total)
+        with pytest.raises((TypeError, OverflowError)):
+            ledger.debit(1, fj(0.01), "sense", slot)
+        assert (field.level, list(ledger.debits), ledger.e_sx_total) == before
+
+    def test_a_bench_log_takes_at_most_30_bytes_a_record(self):
+        """A baseline bench's log: its columns take at most 30 B a record, and
+        its amounts are the ledger's memoised cost ints, not an int each."""
+        ledgers = []
+
+        class Recorded(EnergyLedger):
+            def __init__(self, *args):
+                super().__init__(*args)
+                ledgers.append(self)
+
+        cfg = replace(default_scenario(seed=3), method="baseline", bench_packets=300)
+        with mock.patch.object(harness, "EnergyLedger", Recorded):
+            harness.bench_run(cfg)
+        (ledger,) = ledgers
+        log = ledger.debits
+        columns = (log.slots, log.nodes, log.codes, log.amounts)
+        assert all(len(c) == len(log) for c in columns) and len(log) > 4000
+        assert sum(map(sys.getsizeof, columns)) <= 30 * len(log)
+        memos = {id(a) for a in (*ledger._tx_costs.values(), *ledger._rx_costs.values())}
+        assert {id(a) for a in log.amounts} <= memos
+
+
 class TestSettleSlot:
     def test_all_sleep_slot(self):
         field = small_field([(i % 25 * 20.0, i // 25 * 20.0) for i in range(250)])
@@ -220,7 +324,7 @@ class TestSettleSlot:
         modes[0] = NodeMode.MONITOR
         settle_slot(ledger, [], modes, slot=3, common=SLEEP)
         assert ledger.platform == [249 * fj(0.00027), 0, fj(0.0378)]
-        assert ledger.debits == []
+        assert list(ledger.debits) == []
         ledger.flush()
         assert field.level[0] == 5 * FJ - fj(0.0378)
         assert field.level[1:] == [5 * FJ - fj(0.00027)] * 249
@@ -281,7 +385,7 @@ class TestSettleSlot:
             settle_slot(ledger, [], {}, slot=slot, common=SLEEP)
         spent = initial - ledger.total_remaining()
         assert spent == ledger.e_sx_total == sum(ledger.platform)
-        assert field.level[1] == 0 and ledger.debits == []
+        assert field.level[1] == 0 and list(ledger.debits) == []
 
     @pytest.mark.parametrize("walk", [False, True], ids=["lazy", "walk"])
     @pytest.mark.parametrize("bad", [-1, 3])
@@ -296,7 +400,7 @@ class TestSettleSlot:
         with pytest.raises(KeyError, match=f"unknown node id {bad}"):
             settle_slot(ledger, [], {0: NodeMode.MONITOR, bad: NodeMode.MONITOR},
                         slot=1, common=DETECT if walk else SLEEP)
-        assert (field.level, field.alive, ledger.platform, ledger.debits,
+        assert (field.level, field.alive, ledger.platform, list(ledger.debits),
                 ledger.e_sx_total) == before
 
 
@@ -366,7 +470,7 @@ class TestSettleRadio:
         ref_per_outcome, ref_bits = reference_radio(ref, outcomes)
         assert per_outcome == ref_per_outcome
         assert bits == ref_bits
-        assert new.debits == ref.debits
+        assert list(new.debits) == list(ref.debits)
         assert new.e_sx_total == ref.e_sx_total
         assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
 
@@ -400,7 +504,7 @@ class TestSettleRadio:
         out = SlotOutcome(slot=0)
         out.add_tx(0, 1, 512)
         per_outcome, bits = settle_radio(ledger, [out])
-        assert ledger.debits == [(0, 0, "tx", 5 * FJ)] and per_outcome == [5.0]
+        assert list(ledger.debits) == [(0, 0, "tx", 5 * FJ)] and per_outcome == [5.0]
         assert not field.alive[0] and field.alive[1] and bits == 512
 
 
@@ -447,7 +551,7 @@ class TestSettlementMatchesReference:
             for reason in ("tx", "rx"):
                 assert (debit_counts_by_reason(new, reason)
                         == debit_counts_by_reason(ref, reason))
-            assert (new.platform, new.debits) == split_log(ref.debits)
+            assert (new.platform, list(new.debits)) == split_log(ref.debits)
             assert sum(new.platform) + sum(d[3] for d in new.debits) == (
                 initial - new.total_remaining())
 
@@ -460,7 +564,7 @@ class TestSettlementMatchesReference:
         s, d = fj(COSTS.sleep_per_slot), fj(COSTS.sense_per_slot)
         # sleep: node 0 in slots 0-2, node 1 in 0-4 and 6; sense: node 0 in 3, 4 and 6
         assert ledger.platform == [9 * s, 3 * d, 0]
-        assert ledger.debits == []
+        assert list(ledger.debits) == []
         assert field.level == [5 * FJ - 3 * s - 3 * d, 5 * FJ - 6 * s]
 
 
@@ -471,8 +575,9 @@ def split_log(log):
     """A per-node debit() log as the ledger keeps it: the platform records'
     amounts summed by reason, in PLATFORM order, and every other record, in
     order."""
-    sums = [sum(d[3] for d in log if d[2] == why) for why in PLATFORM]
-    return sums, [d for d in log if d[2] not in PLATFORM]
+    records = list(log)
+    sums = [sum(d[3] for d in records if d[2] == why) for why in PLATFORM]
+    return sums, [d for d in records if d[2] not in PLATFORM]
 
 
 @st.composite
@@ -530,9 +635,9 @@ class TestLazySettlement:
                 new.flush()
                 assert ((fields[0].level, fields[0].alive)
                         == (fields[1].level, fields[1].alive))
-                assert (new.platform, new.debits) == split_log(ref.debits)
+                assert (new.platform, list(new.debits)) == split_log(ref.debits)
         assert new.total_remaining() == ref.total_remaining()
-        assert (new.platform, new.debits) == split_log(ref.debits)
+        assert (new.platform, list(new.debits)) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([0.004, 0.02, 5.0]),
@@ -563,7 +668,7 @@ class TestLazySettlement:
             assert fields[0].n_alive == fields[1].n_alive
         new.flush()
         assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
-        assert (new.platform, new.debits) == split_log(ref.debits)
+        assert (new.platform, list(new.debits)) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]), st.floats(8.0, 60.0),
@@ -607,7 +712,7 @@ class TestLazySettlement:
         assert walked_at > 4  # the cohort owed several slots
         new.flush()
         assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
-        assert (new.platform, new.debits) == split_log(ref.debits)
+        assert (new.platform, list(new.debits)) == split_log(ref.debits)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(20, 90), st.integers(3, 40), st.data())
@@ -642,7 +747,7 @@ class TestLazySettlement:
         assert all(new._paid[i] == 0 for i in range(n) if i not in touched)
         new.flush()
         assert fields[0].level == fields[1].level
-        assert (new.platform, new.debits) == split_log(ref.debits)
+        assert (new.platform, list(new.debits)) == split_log(ref.debits)
         assert new.e_sx_total == sum(new.platform) + sum(d[3] for d in new.debits)
 
     def test_sleepers_pay_when_read(self):
@@ -674,7 +779,7 @@ class TestLazySettlement:
         assert ledger.e_sx_total == 59 * s + m
         ledger.flush()
         assert field.level[4] == 5 * FJ - 5 * s - m
-        assert ledger.platform == [59 * s, 0, m] and ledger.debits == []
+        assert ledger.platform == [59 * s, 0, m] and list(ledger.debits) == []
 
     def test_detecting_field_pays_when_read(self):
         field = small_field([(i * 5.0, 0.0) for i in range(40)])
@@ -686,7 +791,7 @@ class TestLazySettlement:
         assert ledger.platform == [0, 40 * fj(0.012), 0]
         ledger.flush()
         assert field.level[7] == 5 * FJ - 10 * fj(0.012)
-        assert ledger.platform == [0, 400 * fj(0.012), 0] and ledger.debits == []
+        assert ledger.platform == [0, 400 * fj(0.012), 0] and list(ledger.debits) == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]),
@@ -708,7 +813,7 @@ class TestLazySettlement:
             ledgers[1]._catch_up(i)
         assert fields[0].level == fields[1].level
         assert ledgers[0].platform == ledgers[1].platform
-        assert ledgers[0].debits == ledgers[1].debits
+        assert list(ledgers[0].debits) == list(ledgers[1].debits)
 
 
 class TestExactHorizon:
@@ -735,7 +840,7 @@ class TestExactHorizon:
         assert ledger.total_remaining() == 7 * 10**18 - ledger.e_sx_total + level + c
         # the common mode's sum holds every fJ drawn, node 3's whole battery too
         assert ledger.platform[0 if common is SLEEP else 1] == ledger.e_sx_total
-        assert ledger.debits == [] and field.level[3] == 0
+        assert list(ledger.debits) == [] and field.level[3] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([SLEEP, DETECT]), st.sampled_from([0.0, 1e-16, 4.9e-16]),

@@ -409,6 +409,35 @@ class TestPackedEnergy:
         assert back == report and exact_fields(back) == exact_fields(report)
 
 
+class TestWhatTheBenchReads:
+    """What the benchmark's notes and memory figures rest on."""
+
+    @pytest.mark.parametrize("method", ["baseline", "proposed"])
+    def test_the_log_grows_by_one_record_per_radio_record(self, monkeypatch, method):
+        grown, received, ledgers = [], [], set()
+
+        def settle(ledger, outcomes):
+            before = len(ledger.debits)
+            result = settle_radio(ledger, outcomes)
+            grown.append(len(ledger.debits) - before)
+            received.append(sum(len(out.records) for out in outcomes))
+            ledgers.add(ledger)
+            return result
+
+        monkeypatch.setattr(harness, "settle_radio", settle)
+        bench_run(replace(default_scenario(seed=3), method=method, bench_packets=300))
+        (ledger,) = ledgers
+        assert grown == received and len(grown) > 1
+        assert len(ledger.debits) == sum(received)
+
+    def test_a_frame_has_no_dict_and_pickles(self):
+        frame = Frame(3, 4, FrameKind.DATA_PAYLOAD, 512, 7, retries=2, ts_slot=9)
+        assert not hasattr(frame, "__dict__")
+        with pytest.raises(AttributeError):
+            frame.note = "x"
+        assert pickle.loads(pickle.dumps(frame)) == frame
+
+
 class TestEmitCsv:
     def test_header_plus_rows(self, tmp_path):
         reports = sweep(small_cfg(slots=10, n_nodes=60), "comm-radius",
