@@ -10,11 +10,12 @@ functions take only the slot's outcomes and modes; battery levels live in the
 field's `level` column, indexed by node id. Every fJ leaves a node
 through debit()'s clamp at zero, which kills the node; settle_slot repeats its
 operations inline for platform costs, _charge_outcomes for the radio records
-of a slot's or a whole drain's outcomes.
+and broadcasts of a slot's or a whole drain's outcomes.
 Platform costs add up in three sums, by the mode of the slots they pay for
 (sleep, sense, comm); the append-only log holds one record per radio, wake or
-direct debit, so tx/rx records reconcile with the MAC. Conservation checks
-add the sums to the log's amounts. The log is packed columns (`DebitLog`),
+direct debit, a broadcast's tx and each of its receivers' rx too, so tx/rx
+records reconcile with the MAC. Conservation checks add the sums to the log's
+amounts. The log is packed columns (`DebitLog`),
 about 25 bytes a record and no object that the garbage collector traverses.
 
 Each slot has a common mode, the one mode of every alive node outside the
@@ -26,7 +27,11 @@ times the slots owed, only when something reads or debits the node. Sums of
 ints are exact, so every level, sum and total equals a per-slot charge of
 every node. A lazy slot visits only the nodes outside the common mode in it;
 with none, as in every all-active slot and every dormant slot after a loss,
-its platform charge is the cost times the alive count, O(1) in N.
+its platform charge is the cost times the alive count, O(1) in N. The first
+slot and a slot that changes the common mode are lazy too: flush() settles
+the old mode's debt in one bulk pass, without a Python loop over the nodes.
+Only a slot after a skipped one, and a slot in which a lazy node could die,
+walk every node, one by one.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import astuple, dataclass, field as dc_field
-from itertools import compress
+from itertools import compress, repeat
+from operator import sub
 from statistics import fmean
 
 from .errors import ConfigError
@@ -157,14 +163,18 @@ class EnergyLedger:
     slots, in that order. The log, `debits`, a `DebitLog`, holds one
     `(slot, node, reason, applied_fJ)` record per other debit: "tx", "rx",
     "wake", or a direct debit() call, so `len(debits)` counts one per MAC
-    radio operation, wake-up and direct debit. The fJ of a reason are its
-    platform sum, if it has one, plus its log amounts, and `sum(platform)`
-    plus `sum(debits.amounts)` is the energy drawn, `e_sx_total`.
+    radio operation (a broadcast's tx, and its rx at each receiver), wake-up
+    and direct debit. The fJ of a reason are its platform sum, if it has
+    one, plus its log amounts, and `sum(platform)` plus `sum(debits.amounts)`
+    is the energy drawn, `e_sx_total`.
 
     A node in the common mode that settle_slot did not visit still owes that
     mode's charges since the last slot it paid for. debit() and a visit
-    collect them from one node; flush() and total_remaining() from every node.
-    Read `field.level` or `platform` directly only after flush().
+    collect them from one node; flush() and total_remaining() from every node,
+    in bulk, and so does settle_slot when the common mode changes. Only a
+    walk (after a skipped slot, or past the death horizon) visits every node
+    in a Python loop. Read `field.level` or `platform` directly only after
+    flush().
     """
 
     def __init__(self, field: NodeField, costs: ModeCosts, radio: RadioModel):
@@ -198,10 +208,21 @@ class EnergyLedger:
             self._paid[node_id] = self._through
 
     def flush(self) -> None:
-        """Bring every node's level, and `platform`, up to the last settled slot."""
-        if self._cost is not None:  # else no slot settled yet: nothing is owed
-            for i in range(len(self._paid)):
-                self._catch_up(i)
+        """Bring every node's level, and `platform`, up to the last settled slot.
+
+        One bulk pass, as _catch_up() of every node would: a list of each
+        alive node's charge, the levels reduced node by node through
+        map(sub, ...), the charges' sum added to the common mode's platform
+        sum, and each alive node marked paid through that slot. No lazy node
+        owes its whole level (see settle_slot's death horizon), so none dies.
+        """
+        cost, through, paid, field = self._cost, self._through, self._paid, self.field
+        if cost is None:  # no slot settled yet: nothing is owed
+            return
+        charges = [(through - p) * cost if a else 0 for p, a in zip(paid, field.alive)]
+        field.level[:] = map(sub, field.level, charges)
+        self.platform[self._at] += sum(charges)
+        paid[:] = [through if a else p for p, a in zip(paid, field.alive)]
 
     def total_remaining(self) -> int:
         self.flush()
@@ -236,15 +257,19 @@ class EnergyLedger:
 
 
 def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
-    """Debit the radio records of `outcomes`, one log record per operation at
-    its outcome's slot, with debit()'s operations inline. Returns the joules
-    each outcome drew and the bits transmitted.
+    """Debit the radio records and broadcasts of `outcomes`, one log record
+    per operation at its outcome's slot, with debit()'s operations inline.
+    Returns the joules each outcome drew and the bits transmitted.
 
-    A tx record's cost depends only on (node, peer, bits) on a static field,
-    an rx record's only on its bits, so the ledger rounds each to fJ once and
-    keeps it. A tx record's ids pass pos()'s range check when its cost is
-    first rounded, an rx record's node at every record. Every record that is
-    not a tx is charged and logged as an rx.
+    A tx's cost depends only on (node, peer, bits) on a static field, an
+    rx's only on its bits, so the ledger rounds each to fJ once and keeps
+    it. A tx's ids pass pos()'s range check when its cost is first rounded,
+    an rx record's node at every record, and a broadcast's receivers through
+    their smallest and largest id, before the broadcast charges anything.
+    Every record that is not a tx is charged and logged as an rx. A
+    broadcast logs its tx, then one rx per receiver in its order, as the
+    equivalent records would, but extends the log's columns once for its
+    receivers and looks their cost up once.
     """
     field, rm, log, paid = ledger.field, ledger.radio, ledger.debits, ledger._paid
     levels, tx_costs, rx_costs, pos = field.level, ledger._tx_costs, ledger._rx_costs, field.pos
@@ -289,6 +314,40 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
             add_code(code)
             add_amount(applied)
             total += applied
+        if out.broadcasts:  # a contention round has none
+            for node, peer, receivers, bits in out.broadcasts:
+                pos(min(receivers))  # the range check of every receiver
+                pos(max(receivers))
+                key = ("tx", node, peer, bits)  # the memo key of the equal tx record
+                amount = tx_costs.get(key)
+                if amount is None:
+                    amount = tx_costs[key] = fj(tx_energy(
+                        bits, distance(pos(node), pos(peer)), rm))
+                rx_amount = rx_costs.get(bits)
+                if rx_amount is None:
+                    rx_amount = rx_costs[bits] = fj(rx_energy(bits, rm))
+                sent += bits
+                add_slot(at)  # the one column append that can fail: before any charge
+                log.slots.extend(repeat(at, len(receivers)))
+                add_node(node)
+                log.nodes.extend(receivers)
+                add_code(tx)
+                log.codes.extend(repeat(rx, len(receivers)))
+                for nid in (node, *receivers):
+                    if cost is not None and paid[nid] < through:
+                        ledger._catch_up(nid)
+                    current = levels[nid]
+                    applied = amount if amount <= current else current
+                    level = current - applied
+                    if level <= 0:
+                        level = 0
+                        field.kill(nid)
+                    elif level < low:
+                        low = level
+                    levels[nid] = level
+                    add_amount(applied)
+                    total += applied
+                    amount = rx_amount  # the sender's tx first, then every receiver's rx
         per_outcome.append((total - before) / FJ)
     ledger.e_sx_total = total
     if cost is not None and low < math.inf:
@@ -307,18 +366,21 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     Platform costs are charged inline, with debit()'s operations, to the
     levels and to `ledger.platform`, so levels, deaths and totals match a
     per-node debit() loop.
-    Radio charges follow the MAC outcome records, logged at each outcome's
-    slot, which is this one, so the ledger's tx/rx debit counts reconcile
-    exactly with the MAC's own counters.
+    Radio charges follow the MAC outcomes' records and broadcasts, logged at
+    each outcome's slot, which is this one, so the ledger's tx/rx debit
+    counts reconcile exactly with the MAC's own counters.
 
     Only the nodes in this slot's map are visited; the total takes the common
     mode's cost times the alive nodes not visited, and those nodes pay later
     (see EnergyLedger), a node that left the map since its last visit too.
     With the map empty, as in every all-active slot and every dormant slot
     after a loss, that is the whole platform charge: O(1), whatever the
-    field's size. Every node is visited instead after a skipped slot, in the
-    slot in which a lazy node dies, and at a change of common mode, so that
-    the cost a lazy node owes never changes.
+    field's size. At the first slot and at a change of common mode, flush()
+    first settles what every node owes at the old mode's cost, in bulk, so
+    that the cost a lazy node owes never changes, and the death horizon
+    restarts from the lowest alive level. Every node is visited, in a Python
+    loop, only after a skipped slot and in a slot in which a lazy node could
+    die.
     """
     sleep, asleep, detect, sensing, monitoring = ledger._charges
     c, at = asleep if common is sleep else sensing if common is detect else monitoring
@@ -326,8 +388,15 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     if slot_modes:  # the range check of the map's ids, before any charge
         field.pos(min(slot_modes))
         field.pos(max(slot_modes))
-    levels, alive, total, through = field.level, field.alive, ledger.e_sx_total, ledger._through
-    lazy = slot - 1 == through and common is ledger._common and slot <= ledger._horizon
+    levels, alive, through = field.level, field.alive, ledger._through
+    lazy = slot - 1 == through
+    if lazy and common is not ledger._common:  # the first slot, or a new common mode
+        ledger.flush()  # every alive node pays the old mode through `through`
+        low = min(compress(levels, alive), default=math.inf)
+        ledger._horizon = through + _safe_slots(low, c) if low < math.inf else math.inf
+        ledger._common, ledger._cost, ledger._at = common, c, at
+    lazy = lazy and slot <= ledger._horizon
+    total = ledger.e_sx_total
     unvisited = field.n_alive  # alive nodes the walk below does not visit
     low = math.inf  # lowest level a visited node keeps
     for i in tuple(slot_modes) if lazy else range(len(levels)):  # a kill() may edit the map

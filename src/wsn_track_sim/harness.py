@@ -23,6 +23,7 @@ import random
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from .energy import (FJ, EnergyLedger, MetricCounters, debit_counts_by_reason, delay,
@@ -107,7 +108,7 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
         tracker = TrackerState(episode=Episode.TRACKING)
     return StepResult(tracker=tracker, common=NodeMode.DETECT, modes={},
                       outcomes=outcomes, woken=set(), detectors=dets,
-                      wake_targets=set(), frames_sent=frames_sent)
+                      frames_sent=frames_sent)
 
 
 def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
@@ -142,7 +143,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
 
     tracker = TrackerState()
     records: list[SlotRecord] = []
-    radio_ops: Counter = Counter()  # (op, node) of each MAC radio record
+    radio_ops: Counter = Counter()  # (op, node) per radio record; a broadcast adds a tx and its rxs
     field.common, field.modes = NodeMode.DETECT, {}  # acquisition: the whole field senses
     sleep = NodeMode.SLEEP
     new = tuple.__new__  # builds a SlotRecord without the generated __new__'s argument handling
@@ -163,6 +164,10 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         if res.outcomes:
             _deliveries(counters, res.outcomes, cfg.slots.slot_duration)
             radio_ops.update([rec[:2] for out in res.outcomes for rec in out.records])
+            for out in res.outcomes:
+                for b in out.broadcasts:
+                    radio_ops["tx", b.node] += 1
+                    radio_ops.update(zip(repeat("rx"), b.receivers))
         # a detector covers the target; so may a dead node (near() includes them)
         covered = bool(res.detectors) or any(math.hypot(x - tx, y - ty) <= cfg.field.r_s
                                              for _, x, y in field.near(target_pos, cfg.field.r_s))

@@ -89,7 +89,7 @@ class Frame:
 
 def on_air_bits(frame: Frame, cfg: SlotConfig) -> int:
     """Bits actually radiated: payload plus CRC when enabled. Every frame rides
-    the data window; wake messages are radio records, not frames."""
+    the data window; wake messages are broadcasts, not frames."""
     if cfg.crc_enabled:
         return frame.bits + cfg.crc_bits
     return frame.bits
@@ -104,22 +104,36 @@ class RadioOp(NamedTuple):
     bits: int
 
 
+class Broadcast(NamedTuple):
+    """One message that `node` transmits once and every id of `receivers`
+    receives: one tx, charged at the distance to `peer`, the farthest
+    receiver, plus one rx per receiver. `receivers` is a non-empty tuple of
+    ascending ids, without `node`."""
+
+    node: int
+    peer: int
+    receivers: tuple[int, ...]
+    bits: int
+
+
 # builds a RadioOp from a 4-tuple without the generated __new__'s argument handling
 _new = tuple.__new__
 
 
 @dataclass(slots=True)
 class SlotOutcome:
-    """What happened on the channel during one contention round."""
+    """What happened on the channel during one contention round, or in a
+    slot's control exchange: the radio operations of a frame, an ACK or a
+    collision are `records`, one RadioOp each; a wake message is one entry of
+    `broadcasts`, which a contention round leaves empty. The ledger charges
+    the records first, then each broadcast's tx and its receivers' rx."""
 
     slot: int
     winner: int | None = None
     collided: set[int] = dc_field(default_factory=set)
     delivered: list[tuple[Frame, int]] = dc_field(default_factory=list)
     records: list[RadioOp] = dc_field(default_factory=list)
-
-    def add_tx(self, node: int, peer: int, bits: int) -> None:
-        self.records.append(_new(RadioOp, ("tx", node, peer, bits)))
+    broadcasts: tuple[Broadcast, ...] = ()
 
     def add_rx(self, node: int, peer: int, bits: int) -> None:
         self.records.append(_new(RadioOp, ("rx", node, peer, bits)))

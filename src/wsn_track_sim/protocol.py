@@ -2,9 +2,11 @@
 
 Each slot: awake nodes sense; detectors elect the lowest-id representative
 and rank the two closest nodes; the representative pushes an observation
-notice through the MAC to the pair; the pair broadcast wake messages into the
-predicted region; everyone not needed goes back to sleep. An empty detector
-set while tracking means the target is lost and the whole field sleeps.
+notice through the MAC to the pair; each informed pair member broadcasts one
+wake message, a `mac.Broadcast`, to the alive nodes of the predicted region's
+wake set within its communication range; everyone not needed goes back to
+sleep. An empty detector set while tracking means the target is lost and the
+whole field sleeps.
 A step reads the slot body's schedule from the field (`NodeField.common` and
 `.modes`) and writes nothing to the field: it reports only through its
 StepResult, which carries the next slot's schedule, and new TrackerState (no
@@ -22,7 +24,7 @@ from enum import Enum
 from .errors import StateError
 from .field import (NodeField, NodeMode, Point, detectors_of, distance,
                     k_closest, neighbors_of)
-from .mac import Frame, FrameKind, MacService, SlotOutcome, on_air_bits
+from .mac import Broadcast, Frame, FrameKind, MacService, SlotOutcome, on_air_bits
 from .mobility import observed_speed
 
 
@@ -134,7 +136,6 @@ class StepResult:
     outcomes: list[SlotOutcome]
     woken: set[int]            # pulled out of sleep by a wake message (one-shot cost)
     detectors: set[int]
-    wake_targets: set[int]     # nodes that actually received a wake message
     frames_sent: int = 0
 
 
@@ -167,9 +168,9 @@ def tracking_step(tracker: TrackerState, field: NodeField,
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
             return StepResult(TrackerState(episode=Episode.LOST), NodeMode.SLEEP, {},
-                              outcomes, set(), set(), set())
+                              outcomes, set(), set())
         # Idle keeps sensing; Lost stays dormant
-        return StepResult(tracker, common, dict(modes), outcomes, set(), set(), set())
+        return StepResult(tracker, common, dict(modes), outcomes, set(), set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
     rep = elect_representative(dets)
@@ -213,28 +214,27 @@ def tracking_step(tracker: TrackerState, field: NodeField,
             for extra in recipients[1:]:
                 notice_out.add_rx(extra, rep, on_air_bits(frame, cfg))
 
-    # wake messages: informed pair members broadcast into the predicted region
+    # wake messages: each informed pair member broadcasts once into the
+    # predicted region, sized to reach its farthest receiver
     senders = [nid for nid in pair.ids() if notice_ok or nid == rep]
     listeners = wset.difference(senders)
-    wake_targets: set[int] = set()
-    control = SlotOutcome(slot=slot)
+    heard: set[int] = set()
+    broadcasts = []
     for s in senders:
         targets = neighbors_of(field, s, among=listeners)
         if not targets:
             continue
         _, far = max((d, t) for t, d in targets.items())
-        control.add_tx(s, far, cfg.control_packet_bits)
-        for t in sorted(targets):
-            control.add_rx(t, s, cfg.control_packet_bits)
-        wake_targets.update(targets)
-    if control.records:
-        outcomes.append(control)
+        broadcasts.append(Broadcast(s, far, tuple(sorted(targets)), cfg.control_packet_bits))
+        heard.update(targets)
+    if broadcasts:
+        outcomes.append(SlotOutcome(slot, broadcasts=tuple(broadcasts)))
 
-    # next schedule: detectors (the pair among them) monitor, wake recipients
-    # detect, every other node sleeps. A recipient that slept through the
+    # next schedule: detectors (the pair among them) monitor, wake receivers
+    # detect, every other node sleeps. A receiver that slept through the
     # slot body was woken by the message; no detector was.
-    woken = wake_targets - modes.keys() if common is NodeMode.SLEEP else set()
-    next_modes = dict.fromkeys(wake_targets - dets, NodeMode.DETECT)
+    woken = heard - modes.keys() if common is NodeMode.SLEEP else set()
+    next_modes = dict.fromkeys(heard - dets, NodeMode.DETECT)
     next_modes.update(dict.fromkeys(dets, NodeMode.MONITOR))
 
     new_tracker = TrackerState(episode=Episode.TRACKING,
@@ -242,4 +242,4 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                                predicted=region, est_pos=est,
                                est_speed=est_speed)
     return StepResult(new_tracker, NodeMode.SLEEP, next_modes, outcomes,
-                      woken, dets, wake_targets, frames_sent)
+                      woken, dets, frames_sent)

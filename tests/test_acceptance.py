@@ -208,6 +208,7 @@ def test_c07_ledger_conservation(paired_by_radius, bench_reports):
     mac = MacService(cfg.slots, random.Random(9))
     tracker = TrackerState()
     tx_mac, rx_mac = Counter(), Counter()
+    broadcasts = 0
     # run()'s order: the whole field detects before slot 0; each slot installs
     # the step's schedule, then settles the slot body's
     field.common, field.modes = NodeMode.DETECT, {}
@@ -220,10 +221,14 @@ def test_c07_ledger_conservation(paired_by_radius, bench_reports):
         for out in res.outcomes:
             tx_mac.update(r.node for r in out.records if r.op == "tx")
             rx_mac.update(r.node for r in out.records if r.op == "rx")
+            for b in out.broadcasts:  # a wake message: one tx, one rx per receiver
+                tx_mac[b.node] += 1
+                rx_mac.update(b.receivers)
+                broadcasts += 1
         settle_slot(ledger, res.outcomes, modes, res.woken, k, common=common)
     assert tx_mac == debit_counts_by_reason(ledger, "tx")
     assert rx_mac == debit_counts_by_reason(ledger, "rx")
-    assert sum(tx_mac.values()) > 0
+    assert sum(tx_mac.values()) > 0 and broadcasts > 0
     report_line("C7 energy-ledger conservation and N_t/N_r reconciliation")
 
 

@@ -17,7 +17,8 @@ from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
 from wsn_track_sim import harness
 from wsn_track_sim.energy import FJ, DebitLog, debit_counts_by_reason, fj, settle_radio
 from wsn_track_sim.errors import ConfigError
-from wsn_track_sim.mac import Frame, FrameKind, SlotConfig, SlotOutcome, drain_queue
+from wsn_track_sim.mac import (Broadcast, Frame, FrameKind, RadioOp, SlotConfig, SlotOutcome,
+                               drain_queue)
 from wsn_track_sim.scenario import with_seed
 
 RM = RadioModel()  # e_elect 50e-9, e_amp 0.0013e-12
@@ -140,7 +141,7 @@ class TestLedger:
         ledger = EnergyLedger(small_field([(0, 0), (10, 0)]), COSTS, RM)
         op, node, peer = record
         out = SlotOutcome(slot=0)
-        (out.add_tx if op == "tx" else out.add_rx)(node, peer, 32)
+        out.records.append(RadioOp(op, node, peer, 32))
         with pytest.raises(KeyError):
             settle_radio(ledger, [out])
 
@@ -249,7 +250,7 @@ class TestDebitLog:
         ledger = EnergyLedger(small_field([(i * 10.0, 0.0) for i in range(4)]), COSTS, RM)
         out = SlotOutcome(slot=3)
         for op, node, bits in radio:
-            (out.add_tx if op == "tx" else out.add_rx)(node, (node + 1) % 4, bits)
+            out.records.append(RadioOp(op, node, (node + 1) % 4, bits))
         half = len(calls) // 2
         for node, amount, reason, slot in calls[:half]:
             ledger.debit(node, amount, reason, slot)
@@ -270,7 +271,7 @@ class TestDebitLog:
         with pytest.raises(ValueError, match="256 distinct reasons"):
             ledger.debit(0, 1, "r256", 256)
         out = SlotOutcome(slot=256)
-        out.add_tx(0, 1, 512)
+        out.records.append(RadioOp("tx", 0, 1, 512))
         with pytest.raises(ValueError, match="256 distinct reasons"):
             settle_radio(ledger, [out])  # "tx" would be the 257th reason too
         assert (field.level, list(ledger.debits), ledger.e_sx_total) == before
@@ -338,10 +339,10 @@ class TestSettleSlot:
         # slot 0: 0 monitors and sends a 544-bit frame to 1 (ACKed with 32 bits),
         # 1 senses, 2 sleeps but is woken by a wake message
         out = SlotOutcome(slot=0)
-        out.add_tx(0, 1, 544)
-        out.add_rx(1, 0, 544)
-        out.add_tx(1, 0, 32)
-        out.add_rx(0, 1, 32)
+        out.records.append(RadioOp("tx", 0, 1, 544))
+        out.records.append(RadioOp("rx", 1, 0, 544))
+        out.records.append(RadioOp("tx", 1, 0, 32))
+        out.records.append(RadioOp("rx", 0, 1, 32))
         modes0 = {0: NodeMode.MONITOR, 1: NodeMode.DETECT, 2: NodeMode.SLEEP}
         settle_slot(ledger, [out], modes0, woken={2}, slot=0, common=SLEEP)
 
@@ -387,21 +388,23 @@ class TestSettleSlot:
         assert spent == ledger.e_sx_total == sum(ledger.platform)
         assert field.level[1] == 0 and list(ledger.debits) == []
 
-    @pytest.mark.parametrize("walk", [False, True], ids=["lazy", "walk"])
+    @pytest.mark.parametrize("slot, common", [(1, SLEEP), (1, DETECT), (2, SLEEP)],
+                             ids=["lazy", "change", "walk"])
     @pytest.mark.parametrize("bad", [-1, 3])
-    def test_a_map_id_outside_the_field_raises_before_any_charge(self, bad, walk):
+    def test_a_map_id_outside_the_field_raises_before_any_charge(self, bad, slot, common):
         # -1 must not wrap to node 2, and 3 must not be skipped by a walk
         field = small_field([(0, 0), (30, 40), (100, 0)])
         ledger = EnergyLedger(field, COSTS, RM)
-        settle_slot(ledger, [], {}, slot=0, common=SLEEP)  # a walk: the first slot
+        settle_slot(ledger, [], {}, slot=0, common=SLEEP)
         before = (list(field.level), list(field.alive), list(ledger.platform),
-                  list(ledger.debits), ledger.e_sx_total)
-        # slot 1 keeps the common mode, so it is lazy; DETECT makes it a walk
+                  list(ledger.debits), ledger.e_sx_total, list(ledger._paid))
+        # slot 1 in the same common mode is lazy, in another one it flushes
+        # the old mode's debt first; slot 2 follows a skipped slot, so it walks
         with pytest.raises(KeyError, match=f"unknown node id {bad}"):
             settle_slot(ledger, [], {0: NodeMode.MONITOR, bad: NodeMode.MONITOR},
-                        slot=1, common=DETECT if walk else SLEEP)
+                        slot=slot, common=common)
         assert (field.level, field.alive, ledger.platform, list(ledger.debits),
-                ledger.e_sx_total) == before
+                ledger.e_sx_total, ledger._paid) == before
 
 
 def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
@@ -502,10 +505,100 @@ class TestSettleRadio:
         field = small_field([(0, 0), (10, 0)])
         ledger = EnergyLedger(field, COSTS, RadioModel(e_elect=1e295))
         out = SlotOutcome(slot=0)
-        out.add_tx(0, 1, 512)
+        out.records.append(RadioOp("tx", 0, 1, 512))
         per_outcome, bits = settle_radio(ledger, [out])
         assert list(ledger.debits) == [(0, 0, "tx", 5 * FJ)] and per_outcome == [5.0]
         assert not field.alive[0] and field.alive[1] and bits == 512
+
+
+def as_records(broadcasts):
+    """The RadioOps that charge like `broadcasts`: each one's tx, then one rx
+    per receiver."""
+    return [op for node, peer, receivers, bits in broadcasts
+            for op in (RadioOp("tx", node, peer, bits),
+                       *(RadioOp("rx", r, node, bits) for r in receivers))]
+
+
+@st.composite
+def broadcast_runs(draw):
+    """A small field whose batteries last a few rx of a large message, and
+    slots in which up to two nodes monitor and up to three broadcasts go out,
+    now and then after an rx record, mostly to lazy sleepers that owe
+    catch-up. A node can hear several broadcasts of a slot and die in any."""
+    n = draw(st.integers(3, 25))
+    positions = [(float(i % 5 * 20), float(i // 5 * 20)) for i in range(n)]
+    energies = draw(st.lists(st.floats(0.0005, 0.01), min_size=n, max_size=n))
+    ids = st.integers(0, n - 1)
+    slots = []
+    slot = draw(st.integers(0, 100))
+    for _ in range(draw(st.integers(1, 12))):
+        slot += draw(st.sampled_from([1, 1, 1, 2]))
+        common = draw(st.sampled_from([SLEEP] * 4 + [DETECT]))
+        modes = draw(st.dictionaries(ids, st.just(NodeMode.MONITOR), max_size=2))
+        records = [RadioOp("rx", r, 0, bits) for r, bits in draw(st.lists(
+            st.tuples(ids, st.sampled_from([32, 4096])), max_size=1))]
+        broadcasts = []
+        for node, heard, bits in draw(st.lists(st.tuples(
+                ids, st.sets(ids, min_size=1), st.sampled_from([32, 4096, 16384])),
+                max_size=3)):
+            receivers = tuple(sorted(heard - {node}))
+            if receivers:
+                broadcasts.append(Broadcast(node, draw(st.sampled_from(receivers)),
+                                            receivers, bits))
+        slots.append((slot, common, modes, records, tuple(broadcasts)))
+    return positions, energies, slots
+
+
+class TestBroadcasts:
+    @settings(max_examples=100, deadline=None)
+    @given(broadcast_runs())
+    def test_a_broadcast_charges_as_its_records_one_by_one(self, run):
+        """Charging an outcome's broadcasts equals charging the equivalent
+        RadioOps in order: the log, levels, deaths, sums, total and death
+        horizon after every slot, and the joules and tx bits of settle_radio."""
+        positions, energies, slots = run
+        fields = [small_field(positions) for _ in range(2)]
+        for f in fields:
+            f.level[:] = [fj(e) for e in energies]
+        new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
+
+        def state(ledger):
+            f = ledger.field
+            return (list(ledger.debits), f.level, f.alive, f.n_alive, ledger.platform,
+                    ledger.e_sx_total, ledger._horizon)
+
+        for slot, common, modes, records, broadcasts in slots:
+            settle_slot(new, [SlotOutcome(slot, records=list(records), broadcasts=broadcasts)],
+                        modes, slot=slot, common=common)
+            settle_slot(ref, [SlotOutcome(slot, records=records + as_records(broadcasts))],
+                        modes, slot=slot, common=common)
+            assert state(new) == state(ref)
+        last = slots[-1][0]
+        tail = [SlotOutcome(last, broadcasts=b) for *_, b in slots]
+        assert (settle_radio(new, tail)
+                == settle_radio(ref, [SlotOutcome(last, records=as_records(b)) for *_, b in slots]))
+        assert state(new) == state(ref)
+        new.flush()
+        ref.flush()
+        assert state(new) == state(ref) and new._paid == ref._paid
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_a_receiver_outside_the_field_raises_before_any_charge(self, bad):
+        # -1 must not wrap to node 3, and 4 must not be reached after the
+        # receivers before it are charged; nodes 2 and 3 owe catch-ups, and
+        # those wait too
+        field = small_field([(i * 10.0, 0.0) for i in range(4)])
+        ledger = EnergyLedger(field, COSTS, RM)
+        settle_slot(ledger, [], {}, slot=0, common=SLEEP)
+        settle_slot(ledger, [], {1: NodeMode.MONITOR}, slot=1, common=SLEEP)
+        before = (list(field.level), list(field.alive), list(ledger.platform),
+                  list(ledger.debits), ledger.e_sx_total, list(ledger._paid))
+        out = SlotOutcome(1, broadcasts=(Broadcast(1, 3, tuple(sorted((2, 3, bad))), 32),))
+        with pytest.raises(KeyError, match=f"unknown node id {bad}"):
+            settle_radio(ledger, [out])
+        assert (field.level, field.alive, ledger.platform, list(ledger.debits),
+                ledger.e_sx_total, ledger._paid) == before
+        assert ledger._paid[2] == -1  # it owes slots 0 and 1
 
 
 @st.composite
@@ -525,7 +618,7 @@ def settlement_runs(draw):
         for op, node, peer, bits in draw(st.lists(st.tuples(
                 st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
                 max_size=4)):
-            (out.add_tx if op == "tx" else out.add_rx)(node, peer, bits)
+            out.records.append(RadioOp(op, node, peer, bits))
         slots.append((slot, modes, [out], draw(st.sets(ids, max_size=2))))
     return positions, energies, draw(st.floats(0, 0.01)), slots
 
@@ -610,7 +703,7 @@ def lazy_settlement_runs(draw):
         for op, node, peer, bits in draw(st.lists(st.tuples(
                 st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
                 max_size=2)):
-            (out.add_tx if op == "tx" else out.add_rx)(node, peer, bits)
+            out.records.append(RadioOp(op, node, peer, bits))
         slots.append((slot, common, modes, [out], draw(st.sets(ids, max_size=1)),
                       draw(st.booleans())))
     return positions, energies, costs, slots
@@ -659,7 +752,7 @@ class TestLazySettlement:
             out = SlotOutcome(slot=slot)
             for t in sorted(listeners):
                 if t < n and t != sender:
-                    out.add_tx(sender, t, bits)
+                    out.records.append(RadioOp("tx", sender, t, bits))
                     out.add_rx(t, sender, bits)
                     out.add_rx(t, sender, bits)
             settle_slot(new, [out], modes, (), slot, common=SLEEP)
@@ -691,7 +784,7 @@ class TestLazySettlement:
         walked_at = after = None
         slot = 0
         while after is None or slot < after:
-            if walked_at is None and slot > max(new._horizon, 0):  # slot 0 walks anyway
+            if walked_at is None and slot > max(new._horizon, 0):  # unset before slot 0
                 walked_at, after = slot, slot + 4
                 kill = data.draw(st.sets(st.sampled_from(sorted(cohort)), min_size=1))
                 modes = {i: NodeMode.MONITOR for i in kill}
@@ -720,7 +813,7 @@ class TestLazySettlement:
         """All-active slots, as the baseline settles them: the whole field
         senses, both maps stay empty, and a radio charge kills a node now and
         then, so that a lazy slot directly follows a death. The nodes no
-        radio record reaches are never visited after slot 0; every total,
+        radio record reaches are never visited, slot 0 included; every total,
         death slot, level, platform sum and record equals per-node debit()
         settlement."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
@@ -732,7 +825,8 @@ class TestLazySettlement:
             out = SlotOutcome(slot=slot)
             for at, victim in kills:
                 if at == slot:
-                    out.add_tx(victim, (victim + 1) % n, 10**9)  # 50 J: more than a battery
+                    # 10**9 bits cost 50 J: more than a battery
+                    out.records.append(RadioOp("tx", victim, (victim + 1) % n, 10**9))
                     touched.add(victim)
             for t in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
                 out.add_rx(t, (t + 1) % n, 544)
@@ -744,7 +838,7 @@ class TestLazySettlement:
             assert fields[0].n_alive == fields[1].n_alive
             assert new._through == slot and new._common is DETECT
         assert fields[0].n_alive == n - len({victim for _, victim in kills})
-        assert all(new._paid[i] == 0 for i in range(n) if i not in touched)
+        assert all(new._paid[i] == -1 for i in range(n) if i not in touched)
         new.flush()
         assert fields[0].level == fields[1].level
         assert (new.platform, list(new.debits)) == split_log(ref.debits)
@@ -755,10 +849,11 @@ class TestLazySettlement:
         ledger = EnergyLedger(field, COSTS, RM)
         for slot in range(10):
             settle_slot(ledger, [], {0: NodeMode.DETECT}, slot=slot, common=SLEEP)
-        # slot 0 walked every node; slots 1-9 visited node 0 only
+        # every slot, slot 0 too, visited node 0 only
         s, d = fj(0.00027), fj(0.012)
-        assert field.level[7] == 5 * FJ - s
-        assert ledger.platform == [39 * s, 10 * d, 0]
+        assert field.level[7] == 5 * FJ and ledger._paid[7] == -1
+        assert ledger.platform == [0, 10 * d, 0]
+        assert ledger.e_sx_total == 390 * s + 10 * d
         ledger.flush()
         assert field.level[7] == 5 * FJ - 10 * s
         assert ledger.platform == [390 * s, 10 * d, 0]
@@ -769,7 +864,7 @@ class TestLazySettlement:
         owes exactly the common cost of each slot since."""
         field = small_field([(i * 5.0, 0.0) for i in range(10)])
         ledger = EnergyLedger(field, COSTS, RM)
-        settle_slot(ledger, [], {}, slot=0, common=SLEEP)  # the first slot walks
+        settle_slot(ledger, [], {}, slot=0, common=SLEEP)
         settle_slot(ledger, [], {4: NodeMode.MONITOR}, slot=1, common=SLEEP)
         s, m = fj(0.00027), fj(0.0378)
         for slot in range(2, 6):
@@ -787,8 +882,8 @@ class TestLazySettlement:
         for slot in range(10):
             settle_slot(ledger, [], {}, slot=slot, common=DETECT)
         assert ledger.e_sx_total == 400 * fj(0.012)
-        assert field.level[7] == 5 * FJ - fj(0.012)  # only slot 0 walked it
-        assert ledger.platform == [0, 40 * fj(0.012), 0]
+        assert field.level[7] == 5 * FJ and ledger._paid[7] == -1  # no slot visited it
+        assert ledger.platform == [0, 0, 0]
         ledger.flush()
         assert field.level[7] == 5 * FJ - 10 * fj(0.012)
         assert ledger.platform == [0, 400 * fj(0.012), 0] and list(ledger.debits) == []
@@ -796,33 +891,76 @@ class TestLazySettlement:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(30, 90), st.sampled_from([SLEEP, DETECT]),
            st.lists(st.sampled_from([0.02, 0.5, 5.0]), min_size=90, max_size=90),
-           st.lists(st.sets(st.integers(0, 89), max_size=3), min_size=2, max_size=30))
-    def test_flush_equals_catch_up_per_node(self, n, common, energies, awake_sets):
-        """Many nodes share a level and an owed count; flush() must equal
-        catching each node up on its own."""
+           st.lists(st.tuples(st.sets(st.integers(0, 89), max_size=3),
+                              st.sets(st.integers(0, 89), max_size=2),
+                              st.sampled_from([1, 1, 1, 2]), st.integers(0, 5)),
+                    min_size=2, max_size=30))
+    def test_flush_equals_catch_up_per_node(self, n, common, energies, slots):
+        """Many nodes share a level and an owed count; others owe fewer
+        slots, since a visit or a debit caught them up, or are dead, by a
+        platform charge or a direct debit. The common mode changes now and
+        then, and a skipped slot makes a walk. flush() must equal catching
+        each node up on its own."""
         fields = [small_field([(i * 5.0, 0.0) for i in range(n)]) for _ in range(2)]
         for f in fields:
             f.level[:] = [fj(e) for e in energies[:len(f.level)]]
         ledgers = [EnergyLedger(f, COSTS, RM) for f in fields]
-        for slot, awake in enumerate(awake_sets):
+        slot = -1
+        for awake, debited, step, switch in slots:
+            slot += step
+            if switch == 0:
+                common = DETECT if common is SLEEP else SLEEP
             modes = {i: NodeMode.MONITOR for i in awake if i < n}
             for ledger in ledgers:
                 settle_slot(ledger, [], modes, slot=slot, common=common)
+                for i in sorted(debited):  # a lazy node caught up, or killed
+                    if i < n:
+                        ledger.debit(i, fj(energies[i]) // 2, "x", slot)
         ledgers[0].flush()
         for i in range(n):
             ledgers[1]._catch_up(i)
         assert fields[0].level == fields[1].level
+        assert (fields[0].alive, fields[0].n_alive) == (fields[1].alive, fields[1].n_alive)
         assert ledgers[0].platform == ledgers[1].platform
         assert list(ledgers[0].debits) == list(ledgers[1].debits)
+        assert ledgers[0]._paid == ledgers[1]._paid
+
+    def test_the_first_slot_and_a_change_of_common_mode_visit_only_the_map(self):
+        """Neither slot 0 nor a slot that changes the common mode walks the
+        field: a node outside the map keeps its `_paid` until flush(), which
+        a change of common mode runs first, to settle the old mode's debt.
+        Every total, level and sum equals per-node debit() settlement."""
+        fields = [small_field([(i * 5.0, 0.0) for i in range(40)]) for _ in range(2)]
+        new, ref = (EnergyLedger(f, COSTS, RM) for f in fields)
+        monitor = NodeMode.MONITOR
+        plan = [  # slot, common mode, map, each node's `_paid` after the slot
+            (0, DETECT, {3: monitor}, {3: 0}, -1),
+            (1, DETECT, {3: monitor}, {3: 1}, -1),
+            (2, SLEEP, {3: monitor, 5: DETECT}, {3: 2, 5: 2}, 1),  # flushed through 1
+            (3, SLEEP, {5: DETECT}, {3: 2, 5: 3}, 1),
+            (4, DETECT, {}, {}, 3),  # flushed through 3
+        ]
+        for slot, common, modes, visited, others in plan:
+            settle_slot(new, [], modes, slot=slot, common=common)
+            reference_settle(ref, [], modes, slot=slot, common=common)
+            assert new._paid == [visited.get(i, others) for i in range(40)]
+            assert new.e_sx_total == ref.e_sx_total
+        s, d, m = fj(COSTS.sleep_per_slot), fj(COSTS.sense_per_slot), fj(COSTS.comm_per_slot)
+        assert fields[0].level[7] == 5 * FJ - 2 * d - 2 * s  # paid at the change to DETECT
+        new.flush()
+        assert new._paid == [4] * 40
+        assert fields[0].level == fields[1].level
+        assert (new.platform, list(new.debits)) == split_log(ref.debits)
+        assert new.platform == [(38 + 39) * s, (39 + 39 + 1 + 1 + 40) * d, 3 * m]
 
 
 class TestExactHorizon:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([SLEEP, DETECT]), st.integers(1, 10**9), st.data())
     def test_a_lazy_node_dies_in_slot_through_plus_ceil_level_over_cost(self, common, c, data):
-        """A node left at level L by a full walk through slot 0 stays lazy and
-        alive while the common mode costs c > 0 per slot, and dies in slot
-        ceil(L / c), whose walk is the first one since slot 0."""
+        """A node at level L + c before slot 0 stays lazy and alive while the
+        common mode costs c > 0 per slot, and dies in slot ceil(L / c), whose
+        walk is the first one: slot 0 settles lazily too."""
         level = data.draw(st.integers(1, 200 * c))
         costs = ModeCosts(sleep_per_slot=c / FJ, sense_per_slot=c / FJ)
         assert fj(costs.sleep_per_slot) == c
@@ -833,7 +971,7 @@ class TestExactHorizon:
         for slot in range(death):
             settle_slot(ledger, [], {}, slot=slot, common=common)
             assert field.n_alive == 8
-            assert ledger._paid[0] == 0  # node 0 not visited since slot 0: no walk
+            assert ledger._paid[0] == -1  # node 0 never visited: no walk
         settle_slot(ledger, [], {}, slot=death, common=common)
         assert not field.alive[3] and field.n_alive == 7
         assert ledger._paid[0] == death
@@ -854,8 +992,9 @@ class TestExactHorizon:
         for slot in range(n_slots):
             settle_slot(ledger, [], {}, slot=slot, common=common)
         assert ledger._horizon == math.inf
-        assert ledger._paid == [0] * 8  # only slot 0 walked
+        assert ledger._paid == [-1] * 8  # no slot walked, slot 0 neither
         assert ledger.total_remaining() == 8 * level and ledger.e_sx_total == 0
+        assert ledger._paid == [n_slots - 1] * 8  # flushed
         assert field.n_alive == 8
 
 

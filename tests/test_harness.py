@@ -121,6 +121,27 @@ class TestRun:
         report = run(small_cfg(seed=0, slots=120))
         assert skipped and not report.radio_reconciled
 
+    def test_a_broadcast_receiver_left_uncharged_breaks_reconciliation(self, monkeypatch):
+        # the MAC side counts a broadcast's receivers from the broadcast:
+        # charging one receiver fewer must show
+        skipped = []
+
+        def skip_first_receiver(ledger, outcomes):
+            outcomes = list(outcomes)
+            for i, out in enumerate(outcomes):
+                for k, b in enumerate(out.broadcasts):
+                    if len(b.receivers) > 1 and not skipped:
+                        skipped.append(b.receivers[0])
+                        kept = b._replace(receivers=b.receivers[1:])
+                        outcomes[i] = replace(out, broadcasts=(
+                            *out.broadcasts[:k], kept, *out.broadcasts[k + 1:]))
+            return _charge_outcomes(ledger, outcomes)
+
+        monkeypatch.setattr("wsn_track_sim.energy._charge_outcomes", skip_first_receiver)
+        report = run(small_cfg(seed=0, slots=120))
+        assert skipped and not report.radio_reconciled
+        assert report.conservation_rel_err == 0.0  # the ledger itself stays exact
+
 
 def exact(v):
     """`v` with every float as float.hex, in dicts, lists and packed arrays
@@ -212,7 +233,7 @@ class TestBaseline:
         for target in (Point(-1000.0, -1000.0), field.pos(0)):
             res = harness._baseline_step(TrackerState(), field, target, mac, 0)
             assert res.common is NodeMode.DETECT and res.modes == {}
-            assert not res.woken and not res.wake_targets
+            assert not res.woken and not any(out.broadcasts for out in res.outcomes)
 
     def test_step_tracks_from_the_first_detection_on(self):
         cfg = small_cfg(seed=0, slots=3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsn_track_sim import (ConfigError, Frame, FrameKind, MacError, MacService,
                            SlotConfig, SlotOutcome, drain_queue, transmit)
-from wsn_track_sim.mac import on_air_bits
+from wsn_track_sim.mac import RadioOp, on_air_bits
 
 
 class ScriptedRng:
@@ -259,7 +259,7 @@ def reference_round(queues, slot, cfg, rng, dropped):
         out.collided = set(sent)
     for nid in sorted(out.collided):
         frame = queues[nid][0]
-        out.add_tx(nid, frame.dst, on_air_bits(frame, cfg))
+        out.records.append(RadioOp("tx", nid, frame.dst, on_air_bits(frame, cfg)))
         frame.retries += 1
         if frame.retries > cfg.max_retries:
             queues[nid].popleft()

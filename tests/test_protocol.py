@@ -13,7 +13,7 @@ from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            predicted_region, tracking_step, wake_set)
 from wsn_track_sim import default_scenario, protocol, run
 from wsn_track_sim.energy import FJ
-from wsn_track_sim.mac import MacService, SlotConfig
+from wsn_track_sim.mac import Broadcast, MacService, SlotConfig
 from wsn_track_sim.mobility import TraceRow, observed_speed
 
 
@@ -33,6 +33,12 @@ def awake_in(field):
     """A scan for the alive nodes that the field's schedule keeps awake."""
     return {i for i, alive in enumerate(field.alive)
             if alive and field.modes.get(i, field.common) is not NodeMode.SLEEP}
+
+
+def receivers_of(res):
+    """The nodes that received a wake message in a step: the receivers of
+    its outcomes' broadcasts."""
+    return {r for out in res.outcomes for b in out.broadcasts for r in b.receivers}
 
 
 def mac(p_persist=1.0, seed=0):
@@ -216,8 +222,8 @@ class TestTrackingStep:
         res = tracking_step(TrackerState(), field, Point(0, 0), dead_mac, 0)
         assert res.tracker.representative == 0
         assert res.tracker.closest.ids() == (1, 2)
-        assert res.wake_targets == set()
-        assert not any(out.delivered for out in res.outcomes)
+        assert receivers_of(res) == set()
+        assert not any(out.delivered or out.broadcasts for out in res.outcomes)
         assert res.frames_sent == 1  # counted as sent, never delivered
         # detectors stay awake as monitors; pair kept awake; rest sleep
         assert res.modes[0] is NodeMode.MONITOR
@@ -233,7 +239,11 @@ class TestTrackingStep:
         res = tracking_step(tracker, field, Point(5, 0), mac(), 1)
         assert res.tracker.est_pos == Point(5, 0)
         assert res.tracker.est_speed == 10.0
-        assert res.wake_targets == {2, 3}
+        assert receivers_of(res) == {2, 3}
+        # one broadcast per informed pair member, charged at its farthest receiver
+        assert res.outcomes[-1].broadcasts == (Broadcast(0, 3, (2, 3), 32),
+                                               Broadcast(1, 3, (2, 3), 32))
+        assert res.outcomes[-1].records == []
         assert res.woken == {3}
         assert res.modes[2] is NodeMode.MONITOR  # it detects the target
 
@@ -353,7 +363,7 @@ class TestInvariants:
                 assert field.common is NodeMode.SLEEP and not field.modes
                 break
             pair_ids = set(tracker.closest.ids()) if tracker.closest else set()
-            prev = (set(res.detectors), set(res.wake_targets), pair_ids)
+            prev = (set(res.detectors), receivers_of(res), pair_ids)
 
     def test_containment_on_constant_velocity_segments(self):
         fc = FieldConfig()
