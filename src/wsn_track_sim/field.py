@@ -9,10 +9,12 @@ so they return exactly a scan's result at a cost that follows the nodes near
 the query point, not the field size. Queries within r_s, as detectors_of and
 a run's coverage test make, read the entries of the 3x3 cells around the
 query point as one block, concatenated on first use and kept in the layout.
-deploy() draws a layout once while its config repeats, as in a paired
-comparison, and builds a fresh field on it each call. A node is its id, 0..n-1:
-its position lives in the layout, and its battery level and alive flag in the
-field's columns, indexed by id.
+deploy() draws a layout once while its key repeats, as in a paired
+comparison or a sweep over r_c, and builds a fresh field on it each call.
+The key is what positions and the grid depend on: (area_width, area_height,
+n_nodes, r_s, seed). r_c is not in it: a field reads r_c from its own config.
+A node is its id, 0..n-1: its position lives in the layout, and its battery
+level and alive flag in the field's columns, indexed by id.
 A field's sleep schedule is one common mode plus a map of the alive nodes in
 another mode (`NodeField.common`, `NodeField.modes`); a node holds no mode.
 """
@@ -208,18 +210,24 @@ class NodeField:
         return found
 
 
-@functools.lru_cache(maxsize=1)
 def _layout(config: FieldConfig) -> Layout:
-    """A config's layout, shared by its fields."""
-    draw, w, h = random.Random(config.seed).random, config.area_width, config.area_height
+    """A config's layout, shared by the fields of every config with its key."""
+    return _drawn_layout(config.area_width, config.area_height, config.n_nodes,
+                         config.r_s, config.seed)
+
+
+@functools.lru_cache(maxsize=1)  # one N = 4 000 layout holds about 0.9 MB
+def _drawn_layout(w: float, h: float, n_nodes: int, r_s: float, seed: int) -> Layout:
+    """n_nodes points drawn uniformly in the w x h area, binned at r_s."""
+    draw = random.Random(seed).random
     new, set_x, set_y, points = object.__new__, Point.x.__set__, Point.y.__set__, []
-    for _ in range(config.n_nodes):
+    for _ in range(n_nodes):
         p = new(Point)  # finite, so the slots are set directly, without __post_init__'s check
         # w * random() is uniform(0.0, w) bit for bit, and x is drawn before y
         set_x(p, w * draw())
         set_y(p, h * draw())
         points.append(p)
-    return layout_of(points, config.r_s)
+    return layout_of(points, r_s)
 
 
 def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
@@ -228,7 +236,8 @@ def deploy(config: FieldConfig, initial_energy: float = 5.0) -> NodeField:
     Ids are assigned 0..n-1 in draw order, everyone starts asleep with a full
     battery of `initial_energy` joules, which each node holds as fj() of it.
     Same config and seed reproduce the exact same field: fresh columns on one
-    layout cached while the config repeats.
+    layout, cached while its key (area_width, area_height, n_nodes, r_s, seed)
+    repeats, so configs that differ only in r_c share it.
     """
     level = fj(initial_energy) if math.isfinite(initial_energy * FJ) else 0
     return NodeField(config, _layout(config), level)

@@ -10,7 +10,9 @@ the ledger settles the slot body's, so a node that dies in a slot is asleep
 from the next one on.
 Paired comparisons feed the same trajectory and field layout to both methods
 so differences come only from the activation strategy; each run deploys a
-field of its own, with fresh battery levels, onto that layout.
+field of its own, with fresh battery levels, onto that layout. A sweep goes
+seed by seed and keeps a seed's trajectory, and deploy() its layout, for
+every axis value that leaves them unchanged.
 """
 
 from __future__ import annotations
@@ -235,13 +237,23 @@ def _report(cfg: ScenarioConfig, ledger: EnergyLedger, initial_energy: int,
 
 
 def paired_runs(cfg: ScenarioConfig, seed: int) -> tuple[RunReport, RunReport]:
-    """(proposed, baseline) reports over the identical trajectory and layout;
-    deploy() draws the layout for the proposed run, and the baseline reuses it."""
+    """(proposed, baseline) reports over the identical trajectory and layout,
+    run in that order: one trajectory built for the pair, and the layout that
+    deploy() draws for the proposed run, which the baseline reuses."""
     scfg = with_seed(cfg, seed)
-    trace = generate_trace(scfg.mobility, scfg.field, scfg.max_slots)
-    rp = run(replace(scfg, method="proposed"), trace=trace)
-    rb = run(replace(scfg, method="baseline"), trace=trace)
-    return rp, rb
+    return _pair(scfg, generate_trace(scfg.mobility, scfg.field, scfg.max_slots))
+
+
+def _pair(scfg: ScenarioConfig, trace: list[TraceRow]) -> tuple[RunReport, RunReport]:
+    """(proposed, baseline) reports of a seeded scenario over `trace`."""
+    return (run(replace(scfg, method="proposed"), trace=trace),
+            run(replace(scfg, method="baseline"), trace=trace))
+
+
+def _trace_key(scfg: ScenarioConfig) -> tuple:
+    """Every input of generate_trace: equal keys give equal trajectories."""
+    f = scfg.field
+    return scfg.mobility, f.area_width, f.area_height, f.r_s, scfg.max_slots
 
 
 # -- throughput bench ---------------------------------------------------------
@@ -351,33 +363,42 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
 def sweep(base: ScenarioConfig, axis: str, values, seeds) -> list[RunReport]:
     """Paired runs per (axis value, seed), the baseline's report first.
 
-    Tracking axes share one trajectory per seed (`paired_runs`); the
-    data-rate axis (alias `throughput-bench`) runs the throughput bench
-    instead of the tracking loop. Axis values that violate the config
-    invariants are skipped with a warning.
+    Values that violate the config invariants are skipped with a warning
+    each, before any run. Then the runs go seed by seed, each seed through
+    every value in turn; the reports come back in (value, seed) order. The
+    tracking axes run each pair as `paired_runs` does, but keep a trajectory
+    for the next value while every input of generate_trace (mobility config,
+    area, r_s, max_slots) stays the same: a comm-radius or node-count sweep
+    builds one per seed, and a comm-radius sweep draws one layout per seed,
+    as r_c is not in deploy()'s key. The data-rate axis (alias
+    `throughput-bench`) runs the throughput bench instead, baseline first.
+    `values` and `seeds` are each read once, so any iterable serves.
     """
     if axis == "throughput-bench":
         axis = "data-rate"
     if axis not in AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
-    reports: list[RunReport] = []
+    configs: list[tuple[str, ScenarioConfig]] = []
     for value in values:
         try:
-            cfg_v = _apply_axis(base, axis, value)
+            configs.append((_fmt_value(value), _apply_axis(base, axis, value)))
         except ConfigError as exc:
             log.warning("skipping %s=%s: %s", axis, value, exc)
-            continue
-        for seed in seeds:
+    by_value: list[list[RunReport]] = [[] for _ in configs]
+    key = trace = None
+    for seed in seeds:
+        for (label, cfg_v), reports in zip(configs, by_value):
+            scfg = with_seed(cfg_v, seed)
             if axis == "data-rate":
-                pair = [bench_run(replace(with_seed(cfg_v, seed), method=m))
-                        for m in ("baseline", "proposed")]
+                pair = [bench_run(replace(scfg, method=m)) for m in ("baseline", "proposed")]
             else:
-                pair = paired_runs(cfg_v, seed)[::-1]  # baseline first
+                if (k := _trace_key(scfg)) != key:
+                    key, trace = k, generate_trace(scfg.mobility, scfg.field, scfg.max_slots)
+                pair = _pair(scfg, trace)[::-1]  # baseline first
             for report in pair:
-                report.axis_name = axis
-                report.axis_value = _fmt_value(value)
+                report.axis_name, report.axis_value = axis, label
             reports.extend(pair)
-    return reports
+    return [r for reports in by_value for r in reports]
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from wsn_track_sim import (ConfigError, FieldConfig, NodeField, NodeMode,
                            Point, deploy, detectors_of, distance,
                            k_closest, layout_of, neighbors_of)
-from wsn_track_sim.field import FJ, _layout, fj
+from wsn_track_sim.field import FJ, _drawn_layout, _layout, fj
 from wsn_track_sim.protocol import PredictedRegion, wake_set
 
 
@@ -162,13 +162,19 @@ def field_configs(draw):
                        seed=draw(st.integers(0, 2**32)))
 
 
+def layout_key(cfg):
+    """What a field's positions and grid depend on: the layout cache's key."""
+    return cfg.area_width, cfg.area_height, cfg.n_nodes, cfg.r_s, cfg.seed
+
+
 class TestLayoutCache:
     @settings(max_examples=100, deadline=None)
     @given(field_configs(), field_configs(), st.floats(1e-3, 10.0))
+    @example(FieldConfig(10.0, 10.0, 5, 1.0, 2.0, 3), FieldConfig(10.0, 10.0, 5, 1.0, 4.0, 3), 1.0)
     def test_deploy_equals_the_per_node_loop(self, a, b, energy):
-        """A hit (a twice), an eviction (b) and a redraw (a again) all give the
-        loop's nodes and grid."""
-        _layout.cache_clear()
+        """A hit (a twice), an eviction (b, or a hit where b's key is a's) and a
+        redraw (a again) all give the loop's nodes and grid."""
+        _drawn_layout.cache_clear()
         for cfg in (a, a, b, a):
             field = deploy(cfg, energy)
             reference = reference_deploy(cfg, energy)
@@ -179,9 +185,25 @@ class TestLayoutCache:
             assert all(e is field._entries[e[0]] for cell in field._cells.values() for e in cell)
             assert field.common is NodeMode.SLEEP and field.modes == {}
             assert field.n_alive == cfg.n_nodes
-        info = _layout.cache_info()
-        assert (info.hits, info.misses) == ((1, 3) if a != b else (3, 1))
+        info = _drawn_layout.cache_info()
+        assert (info.hits, info.misses) == ((1, 3) if layout_key(a) != layout_key(b) else (3, 1))
         assert info.currsize == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(field_configs(), st.floats(2.0, 5.0), st.data())
+    def test_configs_that_differ_only_in_r_c_share_one_layout(self, a, factor, data):
+        """The cache key leaves r_c out, and each field still answers at its own r_c."""
+        b = replace(a, r_c=a.r_s * factor)
+        _drawn_layout.cache_clear()
+        fa, fb = deploy(a), deploy(b)
+        assert fa._entries is fb._entries and fa._cells is fb._cells
+        assert fa._blocks is fb._blocks
+        assert _drawn_layout.cache_info().misses == 1
+        assert (fa.config.r_c, fb.config.r_c) == (a.r_c, b.r_c)
+        i = data.draw(st.integers(0, a.n_nodes - 1))
+        for field in (fa, fb):
+            assert (neighbors_of(field, i).keys()
+                    == scan(field, field.pos(i), field.config.r_c) - {i})
 
     def test_fields_of_one_config_share_nothing_mutable(self):
         """They share only the layout's points, entries, grid and blocks, which

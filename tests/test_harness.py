@@ -21,7 +21,7 @@ from wsn_track_sim import (ConfigError, Episode, Frame, FrameKind,
                            SlotOutcome, TrackerState, default_scenario, deploy,
                            detectors_of, emit_csv, generate_trace, layout_of, run,
                            sweep)
-from wsn_track_sim import harness
+from wsn_track_sim import field as field_module, harness
 from wsn_track_sim.energy import (FJ, EnergyLedger, _charge_outcomes, settle_radio,
                                   settle_slot, throughput)
 from wsn_track_sim.harness import CSV_COLUMNS, bench_run, paired_runs
@@ -306,6 +306,52 @@ class TestSweep:
         assert {rb.method, rp.method} == {"baseline", "proposed"}
         assert rb.seed == rp.seed == 7
 
+    @pytest.mark.parametrize("axis,values,seeds", [
+        ("comm-radius", [50.0, 40.0, 60.0, 55], [3, 0, 3]),  # 40 m < 2 * r_s
+        ("node-count", [60, 60.5, 80], [1, 2, 1]),
+        ("data-rate", [8e6, 0.0, 2e6], [0, 0]),
+    ])
+    def test_equals_the_per_value_loop(self, tmp_path, caplog, axis, values, seeds):
+        """Seed by seed, sweep writes the reports of a loop of paired_runs or
+        bench_run over values, then seeds, in its order and to the byte, and
+        warns once for the one invalid value. It reads `values` and `seeds`
+        once each, so one-shot iterators lose no run."""
+        cfg = replace(small_cfg(slots=30, n_nodes=60), bench_packets=60)
+        with caplog.at_level(logging.WARNING):
+            reports = sweep(cfg, axis, (v for v in values), iter(seeds))
+        assert len([rec for rec in caplog.records if "skipping" in rec.message]) == 1
+        reference = per_value_sweep(cfg, axis, values, seeds)
+        assert ([(r.method, r.seed, r.axis_name, r.axis_value) for r in reports]
+                == [(r.method, r.seed, r.axis_name, r.axis_value) for r in reference])
+        assert len(reports) == 2 * (len(values) - 1) * len(seeds)
+        assert csv_sha256(reports, tmp_path) == csv_sha256(reference, tmp_path)
+
+    @pytest.mark.parametrize("axis,values,traces,draws", [
+        ("comm-radius", [50.0, 55.0, 60.0], 2, 2),
+        ("node-count", [60, 70, 80], 2, 6),
+        ("data-rate", [8e6, 4e6, 2e6], 0, 2),
+    ])
+    def test_each_seed_builds_its_trajectory_and_layout_once(self, monkeypatch, axis,
+                                                             values, traces, draws):
+        """Trajectories and layouts that differ only in r_c, n_nodes or the data
+        rate are not built again for the next value of a seed."""
+        calls = {"generate_trace": 0, "layout_of": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(harness, "generate_trace")
+        counted(field_module, "layout_of")
+        field_module._drawn_layout.cache_clear()
+        cfg = replace(small_cfg(slots=20, n_nodes=60), bench_packets=30)
+        assert len(sweep(cfg, axis, values, [0, 1])) == 12
+        assert calls == {"generate_trace": traces, "layout_of": draws}
+
     def test_data_rate_axis_runs_bench(self):
         cfg = replace(small_cfg(slots=10), bench_packets=150)
         reports = sweep(cfg, "data-rate", [8e6], [0])
@@ -314,6 +360,27 @@ class TestSweep:
         base = next(r for r in reports if r.method == "baseline")
         assert prop.throughput_bps >= base.throughput_bps
         assert prop.pdr == 1.0
+
+
+def per_value_sweep(base, axis, values, seeds):
+    """A sweep as a loop of paired_runs or bench_run over the valid values,
+    then the seeds, baseline first: the reference for sweep's reports."""
+    reports = []
+    for value in values:
+        try:
+            cfg_v = harness._apply_axis(base, axis, value)
+        except ConfigError:
+            continue
+        for seed in seeds:
+            if axis == "data-rate":
+                pair = [bench_run(replace(with_seed(cfg_v, seed), method=m))
+                        for m in ("baseline", "proposed")]
+            else:
+                pair = paired_runs(cfg_v, seed)[::-1]
+            for r in pair:
+                r.axis_name, r.axis_value = axis, harness._fmt_value(value)
+            reports += pair
+    return reports
 
 
 def whole_drain_bench(cfg):
