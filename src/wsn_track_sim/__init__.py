@@ -6,8 +6,7 @@ from .errors import ConfigError, MacError, StateError
 from .field import (FieldConfig, NodeField, NodeMode, Point, deploy, detectors_of,
                     distance, k_closest, layout_of, neighbors_of)
 from .harness import RunReport, bench_run, emit_csv, paired_runs, run, sweep
-from .mac import (Frame, FrameKind, MacService, SlotConfig, SlotOutcome,
-                  drain_queue, transmit)
+from .mac import Frame, MacService, SlotConfig, SlotOutcome, drain_queue, transmit
 from .mobility import (MobilityConfig, TargetState, TraceRow, generate_trace,
                        observed_speed, read_trace, spawn_target, write_trace)
 from .protocol import (ClosestPair, Episode, PredictedRegion, TrackerState,

@@ -15,7 +15,7 @@ import sys
 from .errors import ConfigError
 from .harness import AXES, emit_csv, run, sweep
 from .mobility import generate_trace, read_trace, write_trace
-from .scenario import build_scenario, load_config_file, parse_finite
+from .scenario import METHODS, build_scenario, load_config_file, parse_finite
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument("--method", choices=("proposed", "baseline"))
+    p_run.add_argument("--method", choices=METHODS)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--slots", type=int)
     p_run.add_argument("--trace", metavar="FILE",

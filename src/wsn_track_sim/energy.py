@@ -14,9 +14,12 @@ and broadcasts of a slot's or a whole drain's outcomes.
 Platform costs add up in three sums, by the mode of the slots they pay for
 (sleep, sense, comm); the append-only log holds one record per radio, wake or
 direct debit, a broadcast's tx and each of its receivers' rx too, so tx/rx
-records reconcile with the MAC. Conservation checks add the sums to the log's
-amounts. The log is packed columns (`DebitLog`),
-about 25 bytes a record and no object that the garbage collector traverses.
+records reconcile with the MAC. A wake-up is read off the wake messages
+themselves: settle_slot charges `wake_cost` once to each receiver of the
+slot's broadcasts whose slot-body mode is sleep, so no step reports whom it
+woke. Conservation checks add the sums to the log's amounts. The log is
+packed columns (`DebitLog`), about 25 bytes a record and no object that the
+garbage collector traverses.
 
 Each slot has a common mode, the one mode of every alive node outside the
 slot's mode map: sleep while the proposed method tracks, detect while the
@@ -356,12 +359,11 @@ def _charge_outcomes(ledger: EnergyLedger, outcomes) -> tuple[list[float], int]:
 
 
 def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
-                woken=(), slot: int = 0, *, common: NodeMode) -> None:
+                slot: int, *, common: NodeMode) -> None:
     """Charge one slot: platform cost per mode, radio cost per frame, wake-up costs.
 
     `slot_modes` holds the slot-body mode of each node not in the slot's
     `common` mode; every other alive node spent the slot body in `common`.
-    `woken` lists nodes pulled out of sleep by a wake message this slot.
     A map id outside 0..n-1 raises pos()'s KeyError before anything is charged.
     Platform costs are charged inline, with debit()'s operations, to the
     levels and to `ledger.platform`, so levels, deaths and totals match a
@@ -369,6 +371,10 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     Radio charges follow the MAC outcomes' records and broadcasts, logged at
     each outcome's slot, which is this one, so the ledger's tx/rx debit
     counts reconcile exactly with the MAC's own counters.
+    Wake-ups come last: every receiver of the outcomes' broadcasts whose
+    slot-body mode, `slot_modes.get(r, common)`, is sleep pays `wake_cost`
+    once, in ascending id order, as a "wake" debit(); one that died earlier
+    in the slot logs it at 0 fJ.
 
     Only the nodes in this slot's map are visited; the total takes the common
     mode's cost times the alive nodes not visited, and those nodes pay later
@@ -429,7 +435,8 @@ def settle_slot(ledger: EnergyLedger, outcomes, slot_modes: dict[int, NodeMode],
     ledger._through, ledger._common, ledger._cost, ledger._at = slot, common, c, at
     if outcomes:
         _charge_outcomes(ledger, outcomes)
-    if woken:
+        woken = {r for out in outcomes for b in out.broadcasts for r in b.receivers
+                 if slot_modes.get(r, common) is sleep}
         for node_id in sorted(woken):
             ledger.debit(node_id, ledger._wake, "wake", slot)
 

@@ -32,7 +32,7 @@ from .energy import (FJ, EnergyLedger, MetricCounters, debit_counts_by_reason, d
                      mean_delay, pdr, settle_radio, settle_slot, throughput)
 from .errors import ConfigError
 from .field import NodeField, NodeMode, Point, deploy, detectors_of, neighbors_of
-from .mac import Frame, FrameKind, MacService, SlotOutcome, drain_queue
+from .mac import Frame, MacService, SlotOutcome, drain_queue
 from .mobility import TraceRow, generate_trace
 from .protocol import Episode, StepResult, TrackerState, tracking_step
 from .scenario import ScenarioConfig, config_digest, derive_seed, mac_seed, with_seed
@@ -98,19 +98,15 @@ def _baseline_step(tracker: TrackerState, field: NodeField, target_pos: Point,
     cfg = mac.cfg
     dets = detectors_of(field, target_pos)
     outcomes = []
-    frames_sent = 0
     if len(dets) >= 2:
         sink = min(dets)
-        queues = {d: deque([Frame(d, sink, FrameKind.DATA_PAYLOAD,
-                                  cfg.data_packet_bits, slot)])
+        queues = {d: deque([Frame(d, sink, cfg.data_packet_bits, slot)])
                   for d in sorted(dets) if d != sink}
-        frames_sent = len(queues)
         outcomes, _dropped = mac.data_window(queues, slot)
     if dets and tracker.episode is not Episode.TRACKING:
         tracker = TrackerState(episode=Episode.TRACKING)
     return StepResult(tracker=tracker, common=NodeMode.DETECT, modes={},
-                      outcomes=outcomes, woken=set(), detectors=dets,
-                      frames_sent=frames_sent)
+                      outcomes=outcomes, detectors=dets)
 
 
 def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
@@ -160,9 +156,8 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
         field.common, field.modes = res.common, res.modes
 
         before = ledger.e_sx_total
-        settle_slot(ledger, res.outcomes, modes, res.woken, k, common=common)
+        settle_slot(ledger, res.outcomes, modes, k, common=common)
 
-        counters.sent_pckt += res.frames_sent
         if res.outcomes:
             _deliveries(counters, res.outcomes, cfg.slots.slot_duration)
             radio_ops.update([rec[:2] for out in res.outcomes for rec in out.records])
@@ -177,6 +172,7 @@ def run(cfg: ScenarioConfig, *, trace: list[TraceRow] | None = None,
             (ledger.e_sx_total - before) / FJ, n_awake, tracking_now,
             tracking_now and tracker.episode is Episode.LOST, covered, bool(res.detectors))))
     counters.elapsed = n_slots * cfg.slots.slot_duration
+    counters.sent_pckt = mac.offered
 
     return _report(
         cfg, ledger, initial_energy, counters, **_fold(records),
@@ -304,8 +300,7 @@ def bench_run(cfg: ScenarioConfig) -> RunReport:
     bits = cfg.slots.data_packet_bits
 
     def workload(src: int) -> deque:
-        return deque(Frame(src, dest, FrameKind.DATA_PAYLOAD, bits, 0)
-                     for _ in range(cfg.bench_packets))
+        return deque(Frame(src, dest, bits, 0) for _ in range(cfg.bench_packets))
 
     queues = {origin: workload(origin)}
     if cfg.method == "baseline":

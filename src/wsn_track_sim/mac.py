@@ -20,15 +20,9 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, MacError
-
-
-class FrameKind(Enum):
-    OBSERVATION_NOTICE = "notice"
-    DATA_PAYLOAD = "data"
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,6 @@ class SlotConfig:
 class Frame:
     src: int
     dst: int
-    kind: FrameKind
     bits: int
     enqueued_slot: int
     retries: int = 0
@@ -238,11 +231,14 @@ def drain_queue(queues: Queues, budget: int, cfg: SlotConfig,
 
 
 class MacService:
-    """Per-run MAC state: the slot configuration plus its contention RNG."""
+    """Per-run MAC state: the slot configuration, its contention RNG, and
+    `offered`, the count of frames that data_window() was handed, whatever
+    became of them: a run's PDR denominator."""
 
     def __init__(self, cfg: SlotConfig, rng: random.Random):
         self.cfg = cfg
         self.rng = rng
+        self.offered = 0
 
     def data_window(self, queues: Queues, slot: int) -> tuple[list[SlotOutcome], list[Frame]]:
         """One slot's data window: bounded re-sensing rounds, leftovers drop.
@@ -251,6 +247,7 @@ class MacService:
         same slot; frames still queued when it closes are stale and dropped
         (they count as sent but not received).
         """
+        self.offered += sum(map(len, queues.values()))
         dropped: list[Frame] = []
         outcomes = _rounds(queues, [slot] * (self.cfg.max_retries + 1), self.cfg,
                            self.rng, dropped)

@@ -24,7 +24,7 @@ from enum import Enum
 from .errors import StateError
 from .field import (NodeField, NodeMode, Point, detectors_of, distance,
                     k_closest, neighbors_of)
-from .mac import Broadcast, Frame, FrameKind, MacService, SlotOutcome, on_air_bits
+from .mac import Broadcast, Frame, MacService, SlotOutcome, on_air_bits
 from .mobility import observed_speed
 
 
@@ -130,13 +130,14 @@ def wake_set(field: NodeField, region: PredictedRegion) -> set[int]:
 
 @dataclass(slots=True)
 class StepResult:
+    """A step's decisions only: the ledger reads wake-ups off the outcomes'
+    broadcasts, and the MAC counts the frames it is offered."""
+
     tracker: TrackerState
     common: NodeMode           # next slot's mode of every alive node outside `modes`
     modes: dict[int, NodeMode]  # next slot's mode of each node not in `common`; a fresh dict
-    outcomes: list[SlotOutcome]
-    woken: set[int]            # pulled out of sleep by a wake message (one-shot cost)
-    detectors: set[int]
-    frames_sent: int = 0
+    outcomes: list[SlotOutcome]  # this slot's channel use, wake broadcasts last
+    detectors: set[int]        # awake nodes that sensed the target this slot
 
 
 def tracking_step(tracker: TrackerState, field: NodeField,
@@ -168,9 +169,9 @@ def tracking_step(tracker: TrackerState, field: NodeField,
         if tracker.episode is Episode.TRACKING:
             # nobody reported: the previous pair conclude the target is gone
             return StepResult(TrackerState(episode=Episode.LOST), NodeMode.SLEEP, {},
-                              outcomes, set(), set())
+                              outcomes, set())
         # Idle keeps sensing; Lost stays dormant
-        return StepResult(tracker, common, dict(modes), outcomes, set(), set())
+        return StepResult(tracker, common, dict(modes), outcomes, set())
 
     # --- detection succeeded: elect, rank, estimate, predict ---
     rep = elect_representative(dets)
@@ -199,12 +200,9 @@ def tracking_step(tracker: TrackerState, field: NodeField,
     # observation notice: one data transmission from the representative to the
     # nearest pair member; the other pair member overhears the same frame
     recipients = [nid for nid in pair.ids() if nid != rep]
-    frames_sent = 0
     notice_ok = True
     if recipients:
-        frame = Frame(rep, recipients[0], FrameKind.OBSERVATION_NOTICE,
-                      cfg.data_packet_bits, slot)
-        frames_sent = 1
+        frame = Frame(rep, recipients[0], cfg.data_packet_bits, slot)
         window_outs, _dropped = mac.data_window({rep: deque([frame])}, slot)
         outcomes.extend(window_outs)
         notice_out = next((out for out in window_outs
@@ -231,9 +229,7 @@ def tracking_step(tracker: TrackerState, field: NodeField,
         outcomes.append(SlotOutcome(slot, broadcasts=tuple(broadcasts)))
 
     # next schedule: detectors (the pair among them) monitor, wake receivers
-    # detect, every other node sleeps. A receiver that slept through the
-    # slot body was woken by the message; no detector was.
-    woken = heard - modes.keys() if common is NodeMode.SLEEP else set()
+    # detect, every other node sleeps
     next_modes = dict.fromkeys(heard - dets, NodeMode.DETECT)
     next_modes.update(dict.fromkeys(dets, NodeMode.MONITOR))
 
@@ -241,5 +237,4 @@ def tracking_step(tracker: TrackerState, field: NodeField,
                                representative=rep, closest=pair,
                                predicted=region, est_pos=est,
                                est_speed=est_speed)
-    return StepResult(new_tracker, NodeMode.SLEEP, next_modes, outcomes,
-                      woken, dets, frames_sent)
+    return StepResult(new_tracker, NodeMode.SLEEP, next_modes, outcomes, dets)

@@ -62,11 +62,8 @@ class ScenarioConfig:
 
 def default_scenario(seed: int = 0, method: str = "proposed",
                      max_slots: int = 500) -> ScenarioConfig:
-    cfg = ScenarioConfig(field=FieldConfig(), mobility=MobilityConfig(),
-                         slots=SlotConfig(), radio=RadioModel(),
-                         mode_costs=ModeCosts(), method=method,
-                         max_slots=max_slots, seed=seed)
-    return with_seed(cfg, seed)
+    """The scenario of an empty config file."""
+    return build_scenario(method=method, seed=seed, max_slots=max_slots)
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:

@@ -225,7 +225,7 @@ def test_c07_ledger_conservation(paired_by_radius, bench_reports):
                 tx_mac[b.node] += 1
                 rx_mac.update(b.receivers)
                 broadcasts += 1
-        settle_slot(ledger, res.outcomes, modes, res.woken, k, common=common)
+        settle_slot(ledger, res.outcomes, modes, k, common=common)
     assert tx_mac == debit_counts_by_reason(ledger, "tx")
     assert rx_mac == debit_counts_by_reason(ledger, "rx")
     assert sum(tx_mac.values()) > 0 and broadcasts > 0

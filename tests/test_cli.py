@@ -1,10 +1,12 @@
 """Command-line surface: subcommands, overrides, exit codes."""
 
+import argparse
 import csv
 
 import pytest
 
-from wsn_track_sim.cli import main
+from wsn_track_sim.cli import _build_parser, main
+from wsn_track_sim.scenario import METHODS
 
 
 def test_run_writes_report(tmp_path):
@@ -14,6 +16,13 @@ def test_run_writes_report(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("method,seed,")
+
+
+def test_run_method_choices_are_the_scenario_methods():
+    parser = _build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (method,) = (a for a in subs.choices["run"]._actions if a.dest == "method")
+    assert tuple(method.choices) == METHODS
 
 
 def test_run_with_config_file(tmp_path):

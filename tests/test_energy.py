@@ -17,7 +17,7 @@ from wsn_track_sim import (EnergyLedger, FieldConfig, MetricCounters,
 from wsn_track_sim import harness
 from wsn_track_sim.energy import FJ, DebitLog, debit_counts_by_reason, fj, settle_radio
 from wsn_track_sim.errors import ConfigError
-from wsn_track_sim.mac import (Broadcast, Frame, FrameKind, RadioOp, SlotConfig, SlotOutcome,
+from wsn_track_sim.mac import (Broadcast, Frame, RadioOp, SlotConfig, SlotOutcome,
                                drain_queue)
 from wsn_track_sim.scenario import with_seed
 
@@ -337,14 +337,14 @@ class TestSettleSlot:
         e_el, e_amp = 50e-9, 0.0013e-12
 
         # slot 0: 0 monitors and sends a 544-bit frame to 1 (ACKed with 32 bits),
-        # 1 senses, 2 sleeps but is woken by a wake message
-        out = SlotOutcome(slot=0)
+        # 1 senses, 2 sleeps but is woken by 0's 32-bit wake message
+        out = SlotOutcome(slot=0, broadcasts=(Broadcast(0, 2, (2,), 32),))
         out.records.append(RadioOp("tx", 0, 1, 544))
         out.records.append(RadioOp("rx", 1, 0, 544))
         out.records.append(RadioOp("tx", 1, 0, 32))
         out.records.append(RadioOp("rx", 0, 1, 32))
         modes0 = {0: NodeMode.MONITOR, 1: NodeMode.DETECT, 2: NodeMode.SLEEP}
-        settle_slot(ledger, [out], modes0, woken={2}, slot=0, common=SLEEP)
+        settle_slot(ledger, [out], modes0, slot=0, common=SLEEP)
 
         # slot 1: roles rotate, no traffic
         modes1 = {0: NodeMode.SLEEP, 1: NodeMode.MONITOR, 2: NodeMode.DETECT}
@@ -354,22 +354,26 @@ class TestSettleSlot:
         hand_node0 = (fj(0.0378)                                   # monitor slot 0
                       + fj(544 * e_el + 544 * e_amp * 50.0 ** 2)   # data out
                       + fj(32 * e_el)                              # ACK in
+                      + fj(32 * e_el + 32 * e_amp * 100.0 ** 2)    # wake message out
                       + fj(0.00027))                               # sleep slot 1
         hand_node1 = (fj(0.012)                                    # sense slot 0
                       + fj(544 * e_el)                             # data in
                       + fj(32 * e_el + 32 * e_amp * 50.0 ** 2)     # ACK out
                       + fj(0.0378))                                # monitor slot 1
-        hand_node2 = fj(0.00027) + fj(0.001) + fj(0.012)           # sleep, wake-up, sense
+        hand_node2 = (fj(0.00027) + fj(32 * e_el)                  # sleep, wake message in
+                      + fj(0.001) + fj(0.012))                     # wake-up, sense
 
         ledger.flush()
         assert 5 * FJ - field.level[0] == hand_node0
         assert 5 * FJ - field.level[1] == hand_node1
         assert 5 * FJ - field.level[2] == hand_node2
         assert ledger.e_sx_total == hand_node0 + hand_node1 + hand_node2
-        # two slots of each mode; the log holds the four radio records and the wake-up
+        # two slots of each mode; the log holds the four radio records, the
+        # wake message's tx and rx, and the wake-up
         assert ledger.platform == [2 * fj(0.00027), 2 * fj(0.012), 2 * fj(0.0378)]
         assert [d[1:3] for d in ledger.debits] == [(0, "tx"), (1, "rx"), (1, "tx"),
-                                                   (0, "rx"), (2, "wake")]
+                                                   (0, "rx"), (0, "tx"), (2, "rx"),
+                                                   (2, "wake")]
 
     def test_dead_nodes_pay_nothing(self):
         # ten nodes, so that the two slots with empty maps settle lazily and
@@ -407,11 +411,13 @@ class TestSettleSlot:
                 ledger.e_sx_total, ledger._paid) == before
 
 
-def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEEP):
+def reference_settle(ledger, outcomes, slot_modes, slot=0, common=SLEEP):
     """Per-node debit() settlement: one log record per charge, platform
     charges included, which settle_slot books as sums instead. An alive
-    node absent from `slot_modes` spent the slot in `common`. Every charge
-    is fj() of its cost in joules."""
+    node absent from `slot_modes` spent the slot in `common`. A broadcast
+    charges as its records; then each node that heard one and spent the
+    slot body asleep pays one wake-up, in id order. Every charge is fj() of
+    its cost in joules."""
     field, costs, rm = ledger.field, ledger.costs, ledger.radio
     per_mode = {NodeMode.SLEEP: (fj(costs.sleep_per_slot), "sleep"),
                 NodeMode.DETECT: (fj(costs.sense_per_slot), "sense"),
@@ -420,14 +426,22 @@ def reference_settle(ledger, outcomes, slot_modes, woken=(), slot=0, common=SLEE
         if alive:
             ledger.debit(i, *per_mode[slot_modes.get(i, common)], slot)
     for out in outcomes:
-        for rec in out.records:
+        for rec in out.records + as_records(out.broadcasts):
             if rec.op == "tx":
                 d = distance(field.pos(rec.node), field.pos(rec.peer))
                 ledger.debit(rec.node, fj(tx_energy(rec.bits, d, rm)), "tx", slot)
             else:
                 ledger.debit(rec.node, fj(rx_energy(rec.bits, rm)), "rx", slot)
-    for node_id in sorted(woken):
-        ledger.debit(node_id, fj(costs.wake_cost), "wake", slot)
+    reference_wakes(ledger, outcomes, slot_modes, slot, common)
+
+
+def reference_wakes(ledger, outcomes, slot_modes, slot, common):
+    """One wake-up, in id order, to each node that heard a broadcast of
+    `outcomes` and spent the slot body asleep."""
+    heard = {r for out in outcomes for b in out.broadcasts for r in b.receivers}
+    for node_id in sorted(heard):
+        if slot_modes.get(node_id, common) is NodeMode.SLEEP:
+            ledger.debit(node_id, fj(ledger.costs.wake_cost), "wake", slot)
 
 
 def reference_radio(ledger, outcomes):
@@ -461,8 +475,7 @@ class TestSettleRadio:
         debit() per record."""
         n = len(positions)
         cfg = SlotConfig(p_persist=0.6, max_retries=2, ack_enabled=ack, crc_enabled=crc)
-        queues = {src: deque(Frame(src, (src + 1) % n, FrameKind.DATA_PAYLOAD, 512, 0)
-                             for _ in range(k))
+        queues = {src: deque(Frame(src, (src + 1) % n, 512, 0) for _ in range(k))
                   for src, k in enumerate(sizes[:n - 1])}
         outcomes = drain_queue(queues, 500, cfg, random.Random(seed))
         fields = [small_field(positions) for _ in range(2)]
@@ -519,6 +532,19 @@ def as_records(broadcasts):
                        *(RadioOp("rx", r, node, bits) for r in receivers))]
 
 
+def draw_broadcasts(draw, ids, max_size, sizes=(32, 4096)):
+    """Up to `max_size` broadcasts of `sizes` bits between nodes that `ids`
+    draws, to any receivers: awake or asleep, alive or dead."""
+    broadcasts = []
+    for node, heard, bits in draw(st.lists(st.tuples(
+            ids, st.sets(ids, min_size=1), st.sampled_from(sizes)), max_size=max_size)):
+        receivers = tuple(sorted(heard - {node}))
+        if receivers:
+            broadcasts.append(Broadcast(node, draw(st.sampled_from(receivers)),
+                                        receivers, bits))
+    return tuple(broadcasts)
+
+
 @st.composite
 def broadcast_runs(draw):
     """A small field whose batteries last a few rx of a large message, and
@@ -537,15 +563,8 @@ def broadcast_runs(draw):
         modes = draw(st.dictionaries(ids, st.just(NodeMode.MONITOR), max_size=2))
         records = [RadioOp("rx", r, 0, bits) for r, bits in draw(st.lists(
             st.tuples(ids, st.sampled_from([32, 4096])), max_size=1))]
-        broadcasts = []
-        for node, heard, bits in draw(st.lists(st.tuples(
-                ids, st.sets(ids, min_size=1), st.sampled_from([32, 4096, 16384])),
-                max_size=3)):
-            receivers = tuple(sorted(heard - {node}))
-            if receivers:
-                broadcasts.append(Broadcast(node, draw(st.sampled_from(receivers)),
-                                            receivers, bits))
-        slots.append((slot, common, modes, records, tuple(broadcasts)))
+        broadcasts = draw_broadcasts(draw, ids, 3, (32, 4096, 16384))
+        slots.append((slot, common, modes, records, broadcasts))
     return positions, energies, slots
 
 
@@ -554,8 +573,9 @@ class TestBroadcasts:
     @given(broadcast_runs())
     def test_a_broadcast_charges_as_its_records_one_by_one(self, run):
         """Charging an outcome's broadcasts equals charging the equivalent
-        RadioOps in order: the log, levels, deaths, sums, total and death
-        horizon after every slot, and the joules and tx bits of settle_radio."""
+        RadioOps in order, then a wake-up to each receiver that slept through
+        the slot body: the log, levels, deaths, sums, total and death horizon
+        after every slot, and the joules and tx bits of settle_radio."""
         positions, energies, slots = run
         fields = [small_field(positions) for _ in range(2)]
         for f in fields:
@@ -572,6 +592,9 @@ class TestBroadcasts:
                         modes, slot=slot, common=common)
             settle_slot(ref, [SlotOutcome(slot, records=records + as_records(broadcasts))],
                         modes, slot=slot, common=common)
+            # the wake-ups that the records alone do not carry
+            reference_wakes(ref, [SlotOutcome(slot, broadcasts=broadcasts)], modes, slot,
+                            common)
             assert state(new) == state(ref)
         last = slots[-1][0]
         tail = [SlotOutcome(last, broadcasts=b) for *_, b in slots]
@@ -614,12 +637,12 @@ def settlement_runs(draw):
     for _ in range(draw(st.integers(1, 12))):
         slot += draw(st.sampled_from([1, 1, 1, 0, 2]))  # mostly consecutive
         modes = draw(st.dictionaries(ids, st.sampled_from(list(NodeMode))))
-        out = SlotOutcome(slot=slot)
+        out = SlotOutcome(slot=slot, broadcasts=draw_broadcasts(draw, ids, 2))
         for op, node, peer, bits in draw(st.lists(st.tuples(
                 st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
                 max_size=4)):
             out.records.append(RadioOp(op, node, peer, bits))
-        slots.append((slot, modes, [out], draw(st.sets(ids, max_size=2))))
+        slots.append((slot, modes, [out]))
     return positions, energies, draw(st.floats(0, 0.01)), slots
 
 
@@ -634,9 +657,9 @@ class TestSettlementMatchesReference:
             f.modes = dict.fromkeys(range(len(f.level)), NodeMode.MONITOR)
         new, ref = (EnergyLedger(f, ModeCosts(wake_cost=wake_cost), RM) for f in fields)
         initial = sum(map(fj, energies))
-        for slot, modes, outcomes, woken in slots:
-            settle_slot(new, outcomes, modes, woken, slot, common=SLEEP)
-            reference_settle(ref, outcomes, modes, woken, slot)
+        for slot, modes, outcomes in slots:
+            settle_slot(new, outcomes, modes, slot, common=SLEEP)
+            reference_settle(ref, outcomes, modes, slot)
             assert new.e_sx_total == ref.e_sx_total
             new.flush()
             assert (fields[0].level, fields[0].alive) == (fields[1].level, fields[1].alive)
@@ -699,13 +722,12 @@ def lazy_settlement_runs(draw):
             common = DETECT if common is SLEEP else SLEEP
         others = [m for m in NodeMode if m is not common]
         modes = draw(st.dictionaries(ids, st.sampled_from(others), max_size=2))
-        out = SlotOutcome(slot=slot)
+        out = SlotOutcome(slot=slot, broadcasts=draw_broadcasts(draw, ids, 1))
         for op, node, peer, bits in draw(st.lists(st.tuples(
                 st.sampled_from(["tx", "rx"]), ids, ids, st.integers(1, 4096)),
                 max_size=2)):
             out.records.append(RadioOp(op, node, peer, bits))
-        slots.append((slot, common, modes, [out], draw(st.sets(ids, max_size=1)),
-                      draw(st.booleans())))
+        slots.append((slot, common, modes, [out], draw(st.booleans())))
     return positions, energies, costs, slots
 
 
@@ -718,9 +740,9 @@ class TestLazySettlement:
         for f in fields:
             f.level[:] = energies
         new, ref = (EnergyLedger(f, costs, RM) for f in fields)
-        for slot, common, modes, outcomes, woken, check in slots:
-            settle_slot(new, outcomes, modes, woken, slot, common=common)
-            reference_settle(ref, outcomes, modes, woken, slot, common)
+        for slot, common, modes, outcomes, check in slots:
+            settle_slot(new, outcomes, modes, slot, common=common)
+            reference_settle(ref, outcomes, modes, slot, common)
             assert new.e_sx_total == ref.e_sx_total
             alive = sum(fields[1].alive)
             assert fields[0].n_alive == fields[1].n_alive == alive
@@ -755,8 +777,8 @@ class TestLazySettlement:
                     out.records.append(RadioOp("tx", sender, t, bits))
                     out.add_rx(t, sender, bits)
                     out.add_rx(t, sender, bits)
-            settle_slot(new, [out], modes, (), slot, common=SLEEP)
-            reference_settle(ref, [out], modes, (), slot)
+            settle_slot(new, [out], modes, slot, common=SLEEP)
+            reference_settle(ref, [out], modes, slot)
             assert new.e_sx_total == ref.e_sx_total
             assert fields[0].n_alive == fields[1].n_alive
         new.flush()
@@ -792,8 +814,8 @@ class TestLazySettlement:
                 modes = {i: NodeMode.MONITOR for i in data.draw(
                     st.sets(st.sampled_from(others), max_size=2))} if others else {}
             alive = fields[0].n_alive
-            settle_slot(new, [], modes, (), slot, common=common)
-            reference_settle(ref, [], modes, (), slot, common)
+            settle_slot(new, [], modes, slot, common=common)
+            reference_settle(ref, [], modes, slot, common)
             assert new.e_sx_total == ref.e_sx_total
             assert fields[0].n_alive == fields[1].n_alive
             if slot == walked_at:
@@ -831,8 +853,8 @@ class TestLazySettlement:
             for t in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
                 out.add_rx(t, (t + 1) % n, 544)
                 touched.add(t)
-            settle_slot(new, [out], {}, (), slot, common=DETECT)
-            reference_settle(ref, [out], {}, (), slot, DETECT)
+            settle_slot(new, [out], {}, slot, common=DETECT)
+            reference_settle(ref, [out], {}, slot, DETECT)
             assert new.e_sx_total == ref.e_sx_total
             assert fields[0].alive == fields[1].alive
             assert fields[0].n_alive == fields[1].n_alive

@@ -16,13 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsn_track_sim import (ConfigError, Episode, Frame, FrameKind,
-                           MacService, MetricCounters, NodeField, NodeMode, Point,
+from wsn_track_sim import (ConfigError, Episode, Frame, MacService,
+                           MetricCounters, NodeField, NodeMode, Point,
                            SlotOutcome, TrackerState, default_scenario, deploy,
                            detectors_of, emit_csv, generate_trace, layout_of, run,
                            sweep)
 from wsn_track_sim import field as field_module, harness
-from wsn_track_sim.energy import (FJ, EnergyLedger, _charge_outcomes, settle_radio,
+from wsn_track_sim.energy import (FJ, EnergyLedger, _charge_outcomes, fj, settle_radio,
                                   settle_slot, throughput)
 from wsn_track_sim.harness import CSV_COLUMNS, bench_run, paired_runs
 from wsn_track_sim.mac import drain_queue
@@ -201,8 +201,8 @@ class TestFold:
     def test_deliveries_delay_is_slots_times_t(self):
         # the first send stands for T_s; a frame that never reached the air
         # (ts_slot None) falls back to its enqueue slot
-        sent = Frame(1, 2, FrameKind.DATA_PAYLOAD, 512, enqueued_slot=0, ts_slot=1)
-        unsent = Frame(3, 4, FrameKind.DATA_PAYLOAD, 256, enqueued_slot=2)
+        sent = Frame(1, 2, 512, enqueued_slot=0, ts_slot=1)
+        unsent = Frame(3, 4, 256, enqueued_slot=2)
         out = SlotOutcome(slot=2, delivered=[(sent, 3), (unsent, 3)])
         counters = MetricCounters()
         harness._deliveries(counters, [out], 0.1)
@@ -233,7 +233,7 @@ class TestBaseline:
         for target in (Point(-1000.0, -1000.0), field.pos(0)):
             res = harness._baseline_step(TrackerState(), field, target, mac, 0)
             assert res.common is NodeMode.DETECT and res.modes == {}
-            assert not res.woken and not any(out.broadcasts for out in res.outcomes)
+            assert not any(out.broadcasts for out in res.outcomes)
 
     def test_step_tracks_from_the_first_detection_on(self):
         cfg = small_cfg(seed=0, slots=3)
@@ -391,7 +391,7 @@ def whole_drain_bench(cfg):
     rng = random.Random(derive_seed(cfg.seed, f"bench:{cfg.method}"))
     origin, dest, background = harness._bench_endpoints(field, cfg.bench_background_senders)
     senders = [origin, *background] if cfg.method == "baseline" else [origin]
-    queues = {s: deque(Frame(s, dest, FrameKind.DATA_PAYLOAD, cfg.slots.data_packet_bits, 0)
+    queues = {s: deque(Frame(s, dest, cfg.slots.data_packet_bits, 0)
                        for _ in range(cfg.bench_packets)) for s in senders}
     enqueued = len(senders) * cfg.bench_packets
     outcomes = drain_queue(queues, enqueued * (cfg.slots.max_retries + 2) * 8, cfg.slots, rng)
@@ -519,7 +519,7 @@ class TestWhatTheBenchReads:
         assert len(ledger.debits) == sum(received)
 
     def test_a_frame_has_no_dict_and_pickles(self):
-        frame = Frame(3, 4, FrameKind.DATA_PAYLOAD, 512, 7, retries=2, ts_slot=9)
+        frame = Frame(3, 4, 512, 7, retries=2, ts_slot=9)
         assert not hasattr(frame, "__dict__")
         with pytest.raises(AttributeError):
             frame.note = "x"
@@ -670,7 +670,7 @@ def schedule_checked(scanned):
     a scan of the slot body's awake count to `scanned`. After each call, a
     node is alive exactly when the level it would have after paying what it
     owes is above zero: no lazy node passes its horizon."""
-    def checked(ledger, outcomes, slot_modes, woken, slot, *, common):
+    def checked(ledger, outcomes, slot_modes, slot, *, common):
         # the ledger logs an outcome's records at the outcome's own slot
         assert all(out.slot == slot for out in outcomes)
         field = ledger.field
@@ -678,7 +678,7 @@ def schedule_checked(scanned):
         assert all(alive[i] for i in slot_modes)
         scanned.append(sum(a and slot_modes.get(i, common) is not NodeMode.SLEEP
                            for i, a in enumerate(alive)))
-        settle_slot(ledger, outcomes, slot_modes, woken, slot, common=common)
+        settle_slot(ledger, outcomes, slot_modes, slot, common=common)
         assert all(alive[i] and m is not NodeMode.SLEEP and m is not field.common
                    for i, m in field.modes.items())
         assert field.n_alive == sum(alive)
@@ -719,3 +719,57 @@ def test_awake_set_matches_modes_after_every_slot(monkeypatch, method, energy):
                       mode_costs=replace(cfg.mode_costs, initial_energy=energy))
         report = run(cfg)
         assert report.per_slot_awake == scanned and len(scanned) == 200
+
+
+@pytest.mark.parametrize("method", ["proposed", "baseline"])
+def test_wake_records_are_the_sleeping_receivers_of_each_slot(monkeypatch, method):
+    """A 3 x 30 strip of nodes, 10 m apart, and a target that crosses it at
+    6 m a slot, on batteries that run dry: every mode costs 0.01 J a slot
+    and a battery holds 19 of them, so the whole field dies in slot 18's
+    platform charge, before that slot's radio and wake charges. In every
+    slot, the log's wake records are, in id order, the receivers of that
+    slot's broadcasts that slept through the slot body, by the schedule
+    that the step read; in slot 18 each one logs 0 fJ. The baseline sends
+    no broadcast and logs no wake record."""
+    points = [Point(10.0 + 10.0 * c, 100.0 + 10.0 * r) for r in range(3) for c in range(30)]
+    base = default_scenario(max_slots=30)
+    cfg = replace(base, method=method, field=replace(base.field, n_nodes=len(points)),
+                  mode_costs=replace(base.mode_costs, sleep_per_slot=0.01,
+                                     sense_per_slot=0.01, comm_per_slot=0.01,
+                                     initial_energy=0.19))
+    field = NodeField(cfg.field, layout_of(points, cfg.field.r_s),
+                      fj(cfg.mode_costs.initial_energy))
+    trace = [TraceRow(k, 10.0 + 6.0 * k, 110.0, 6.0) for k in range(30)]
+    expected, awake_receivers, ledgers = [], [], []
+    name = "tracking_step" if method == "proposed" else "_baseline_step"
+    step = getattr(harness, name)
+
+    def wrapped(tracker, field, *args, **kwargs):
+        common, modes = field.common, field.modes
+        res = step(tracker, field, *args, **kwargs)
+        heard = {r for out in res.outcomes for b in out.broadcasts for r in b.receivers}
+        asleep = {r for r in heard if modes.get(r, common) is NodeMode.SLEEP}
+        expected.append(sorted(asleep))
+        awake_receivers.extend(heard - asleep)
+        return res
+
+    class Recorded(EnergyLedger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ledgers.append(self)
+
+    monkeypatch.setattr(harness, name, wrapped)
+    monkeypatch.setattr(harness, "EnergyLedger", Recorded)
+    run(cfg, trace=trace, field=field)
+    (ledger,) = ledgers
+    wakes = [d for d in ledger.debits if d[2] == "wake"]
+    assert [[d[1] for d in wakes if d[0] == k] for k in range(30)] == expected
+    assert field.n_alive == 0
+    if method == "baseline":
+        assert not wakes and not awake_receivers
+        return
+    # the run wakes nodes while they live and after they died, and a wake
+    # message reaches awake nodes too, which pay no wake-up
+    assert {d[0] for d in wakes if d[3] == 0} == {18}
+    assert {d[3] for d in wakes if d[0] < 18} == {fj(cfg.mode_costs.wake_cost)}
+    assert len(wakes) > 20 and awake_receivers

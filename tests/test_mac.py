@@ -7,8 +7,8 @@ from collections import Counter, deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsn_track_sim import (ConfigError, Frame, FrameKind, MacError, MacService,
-                           SlotConfig, SlotOutcome, drain_queue, transmit)
+from wsn_track_sim import (ConfigError, Frame, MacError, MacService, SlotConfig,
+                           SlotOutcome, drain_queue, transmit)
 from wsn_track_sim.mac import RadioOp, on_air_bits
 
 
@@ -26,7 +26,7 @@ class ScriptedRng:
 
 
 def data_frame(src=1, dst=2, bits=512, slot=0):
-    return Frame(src, dst, FrameKind.DATA_PAYLOAD, bits, slot)
+    return Frame(src, dst, bits, slot)
 
 
 def op_counts(out, op):
@@ -220,6 +220,24 @@ class TestDataWindow:
         assert {f.src for f in dropped} == {1, 2, 3}
         assert not any(queues.values())
 
+    def test_offered_counts_every_frame_it_is_handed(self):
+        """`offered` adds up the frames of every window, whatever became of
+        them: dropped after their retries, left at the window's close, or
+        delivered; an empty queue adds nothing."""
+        cfg = SlotConfig(p_persist=0.5, max_retries=1)  # 2 rounds per window
+        # window 1: 1 and 2 collide twice and drop, 3 never sends;
+        # window 2: 5 sends alone and delivers
+        mac = MacService(cfg, ScriptedRng([0.1, 0.1, 0.9, 0.1, 0.1, 0.9, 0.1]))
+        a, b, c, d = (data_frame(src=s, dst=9) for s in (1, 2, 3, 5))
+        _, dropped = mac.data_window({1: deque([a]), 2: deque([b]), 3: deque([c])}, 4)
+        assert dropped == [a, b, c] and [f.retries for f in dropped] == [2, 2, 0]
+        assert mac.offered == 3
+        outs, dropped = mac.data_window({5: deque([d]), 6: deque()}, 5)
+        assert [f for o in outs for f, _ in o.delivered] == [d] and not dropped
+        assert mac.offered == 4
+        mac.data_window({}, 6)
+        assert mac.offered == 4
+
     def test_single_sender_usually_delivers(self):
         cfg = SlotConfig(p_persist=0.5, max_retries=5)
         frame = data_frame(src=1, dst=2, slot=7)
@@ -362,7 +380,10 @@ class TestDrainMatchesReference:
     def test_data_window(self, spec, cfg, slot, seed):
         queues, frames = build_queues(spec)
         rng = CountingRng(seed)
-        outs, dropped = MacService(cfg, rng).data_window(queues, slot)
+        mac = MacService(cfg, rng)
+        outs, dropped = mac.data_window(queues, slot)
+        delivered = sum(len(o.delivered) for o in outs)
+        assert mac.offered == len(frames) == delivered + len(dropped)
         ref_queues, ref_frames = build_queues(spec)
         ref_rng = CountingRng(seed)
         ref, ref_dropped = reference_window(ref_queues, slot, cfg, ref_rng)

@@ -12,7 +12,8 @@ from wsn_track_sim import (ClosestPair, Episode, FieldConfig,
                            estimate_position, generate_trace, layout_of,
                            predicted_region, tracking_step, wake_set)
 from wsn_track_sim import default_scenario, protocol, run
-from wsn_track_sim.energy import FJ
+from wsn_track_sim.energy import (FJ, EnergyLedger, ModeCosts, RadioModel, fj,
+                                  settle_slot)
 from wsn_track_sim.mac import Broadcast, MacService, SlotConfig
 from wsn_track_sim.mobility import TraceRow, observed_speed
 
@@ -166,13 +167,14 @@ class TestWakeSet:
 class TestTrackingStep:
     def test_singleton_field_episode(self):
         field = detecting(make_field([(100, 100)]))
-        res = tracking_step(TrackerState(), field, Point(100, 110), mac(), 0,
+        service = mac()
+        res = tracking_step(TrackerState(), field, Point(100, 110), service, 0,
                             speed_prior=20.0)
         assert res.tracker.episode is Episode.TRACKING
         assert res.tracker.representative == 0
         assert res.tracker.closest == ClosestPair(0, 10.0)
         assert res.tracker.est_pos == Point(100, 100)
-        assert res.frames_sent == 0  # no second node to notify
+        assert service.offered == 0  # no second node to notify
         assert res.common is NodeMode.SLEEP and res.modes == {0: NodeMode.MONITOR}
 
     def test_acquisition_wakes_whole_field(self):
@@ -224,14 +226,15 @@ class TestTrackingStep:
         assert res.tracker.closest.ids() == (1, 2)
         assert receivers_of(res) == set()
         assert not any(out.delivered or out.broadcasts for out in res.outcomes)
-        assert res.frames_sent == 1  # counted as sent, never delivered
+        assert dead_mac.offered == 1  # counted as sent, never delivered
         # detectors stay awake as monitors; pair kept awake; rest sleep
         assert res.modes[0] is NodeMode.MONITOR
         assert res.common is NodeMode.SLEEP and 3 not in res.modes
 
     def test_wake_cost_only_for_sleepers(self):
         # node 2 is already awake: it hears the wake call but pays no wake-up
-        # cost; node 3 sleeps at 35 m and gets woken (region 15 + r_s 25 = 40)
+        # cost; node 3 sleeps at 35 m and gets woken (region 15 + r_s 25 = 40),
+        # and pays once, though it hears both broadcasts
         field = make_field([(0, 0), (10, 0), (30, 0), (40, 0)])
         field.modes = dict.fromkeys(range(3), NodeMode.DETECT)
         tracker = TrackerState(episode=Episode.TRACKING, est_pos=Point(15, 0),
@@ -244,7 +247,10 @@ class TestTrackingStep:
         assert res.outcomes[-1].broadcasts == (Broadcast(0, 3, (2, 3), 32),
                                                Broadcast(1, 3, (2, 3), 32))
         assert res.outcomes[-1].records == []
-        assert res.woken == {3}
+        ledger = EnergyLedger(field, ModeCosts(), RadioModel())
+        settle_slot(ledger, res.outcomes, field.modes, 1, common=field.common)
+        assert [d for d in ledger.debits if d[2] == "wake"] == [
+            (1, 3, "wake", fj(ModeCosts().wake_cost))]
         assert res.modes[2] is NodeMode.MONITOR  # it detects the target
 
 

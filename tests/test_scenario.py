@@ -56,6 +56,20 @@ class TestBuild:
         assert cfg.slots.control_packet_bits == 32
         assert cfg.max_slots == 500
 
+    @pytest.mark.parametrize("seed, method, max_slots",
+                             [(0, "proposed", 500), (3, "baseline", 20), (17, "proposed", 1)])
+    def test_default_is_the_empty_config_file(self, seed, method, max_slots):
+        """default_scenario equals build_scenario with no file values, and both
+        equal the scenario assembled from each config's defaults."""
+        cfg = default_scenario(seed=seed, method=method, max_slots=max_slots)
+        built = build_scenario(method=method, seed=seed, max_slots=max_slots)
+        assembled = with_seed(ScenarioConfig(
+            field=FieldConfig(), mobility=MobilityConfig(), slots=SlotConfig(),
+            radio=RadioModel(), mode_costs=ModeCosts(), method=method,
+            max_slots=max_slots, seed=seed), seed)
+        assert cfg == built == assembled
+        assert config_digest(cfg) == config_digest(built) == config_digest(assembled)
+
     def test_file_values_applied(self):
         cfg = build_scenario(parse_config_text(SAMPLE))
         assert cfg.field.n_nodes == 100
